@@ -91,7 +91,9 @@ bench-smoke:
 # Machine-readable benchmark snapshot: the live microbenchmarks at a
 # meaningful iteration count, rendered to JSON by cmd/benchjson. CI uploads
 # the file as a build artifact; the checked-in BENCH_PR7.json is one such
-# run capturing the read-plane sweep (regenerate with this target).
+# run, and the simulator's calibration reads it. It also records the sweep
+# of a since-removed server-side reader mode (DESIGN.md §13), which a
+# regenerated file no longer contains.
 BENCHJSONTIME ?= 2000x
 BENCHJSONOUT  ?= BENCH_PR7.json
 bench-json:
@@ -130,7 +132,6 @@ CHAOSSEEDS   ?= 3
 CHAOSTIMEOUT ?= 600
 chaos-smoke:
 	timeout $(CHAOSTIMEOUT) $(GO) run ./cmd/hydrachaos -seed 1 -seeds $(CHAOSSEEDS) -clients 3 -ops 100 -keys 16
-	timeout $(CHAOSTIMEOUT) $(GO) run ./cmd/hydrachaos -seed 1 -seeds $(CHAOSSEEDS) -readers 2 -clients 3 -ops 100 -keys 16
 	! timeout $(CHAOSTIMEOUT) $(GO) run ./cmd/hydrachaos -scenario crash-primary -bug -clients 2 -ops 60 -keys 8
 
 # Fleet-simulator smoke (DESIGN.md §15): every named scenario at smoke

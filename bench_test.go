@@ -7,7 +7,6 @@ package hydradb_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"hydradb"
@@ -282,77 +281,5 @@ func BenchmarkLiveMultiPut(b *testing.B) {
 		if err := c.MultiPut(pairs); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkLiveGet_ReadPlane drives the message-only GET configuration of
-// BenchmarkLiveGet_MessagePath with four concurrent clients (one connection
-// each) against a single shard, sweeping the read plane from off to four
-// reader goroutines (DESIGN.md §13). readers=0 is the exclusive shard loop
-// serving all four connections; with readers on, each connection's GETs are
-// served by a dedicated reader through guardian-validated probes. The
-// acceptance bar for the read-plane work is ≥1.5× the readers=0 ops/s at
-// four readers.
-func BenchmarkLiveGet_ReadPlane(b *testing.B) {
-	const clients = 4
-	for _, readers := range []int{0, 1, 2, 4} {
-		b.Run(fmt.Sprintf("readers=%d", readers), func(b *testing.B) {
-			opts := hydradb.DefaultOptions()
-			opts.ShardsPerMachine = 1
-			opts.DisableRDMARead = true // "RDMA Write Only" mode
-			opts.ArenaBytesPerShard = 16 << 20
-			opts.MaxItemsPerShard = 1 << 16
-			opts.ReaderThreads = readers
-			db, err := hydradb.Start(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(db.Close)
-			// One client per goroutine (clients are not concurrent-safe);
-			// each owns a connection, so conn↔reader partitioning spreads
-			// the four clients across the readers.
-			cs := make([]*hydradb.Client, clients)
-			key := []byte("benchkey08bytes!")
-			for i := range cs {
-				cs[i] = db.NewClient()
-				if i == 0 {
-					if err := cs[i].Put(key, make([]byte, 32)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := cs[i].Get(key); err != nil { // open the conn
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for i := range cs {
-				n := b.N / clients
-				if i == 0 {
-					n += b.N % clients
-				}
-				wg.Add(1)
-				go func(c *hydradb.Client, n int) {
-					defer wg.Done()
-					var buf []byte
-					for j := 0; j < n; j++ {
-						var err error
-						buf, err = c.GetInto(key, buf[:0])
-						if err != nil || len(buf) != 32 {
-							b.Errorf("get: len=%d err=%v", len(buf), err)
-							return
-						}
-					}
-				}(cs[i], n)
-			}
-			wg.Wait()
-			b.StopTimer()
-			if readers > 0 {
-				if hits := db.Stats().ReadPlaneHits; hits < int64(b.N)/2 {
-					b.Fatalf("only %d of %d GETs served by the read plane", hits, b.N)
-				}
-			}
-		})
 	}
 }

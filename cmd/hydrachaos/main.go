@@ -47,7 +47,6 @@ func run(args []string) int {
 		keys     = fs.Int("keys", 0, "override distinct keys")
 		replay   = fs.String("replay", "", "re-run a schedule line printed by a failing run")
 		bug      = fs.Bool("bug", false, "arm the seeded corruption; the oracle must catch it")
-		readers  = fs.Int("readers", 0, "reader goroutines per shard (parallel read plane; 0: off)")
 		verbose  = fs.Bool("v", false, "log injected events and run progress")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -93,7 +92,7 @@ func run(args []string) int {
 
 	exit := 0
 	for _, s := range schedules {
-		if code := runOne(s, *bug, *readers, *verbose); code > exit {
+		if code := runOne(s, *bug, *verbose); code > exit {
 			exit = code
 		}
 	}
@@ -123,8 +122,8 @@ func reshape(s *chaos.Schedule, clients, ops, keys int) {
 	}
 }
 
-func runOne(s chaos.Schedule, bug bool, readers int, verbose bool) int {
-	opts := chaos.Options{Schedule: s, SeededBug: bug, ReaderThreads: readers}
+func runOne(s chaos.Schedule, bug bool, verbose bool) int {
+	opts := chaos.Options{Schedule: s, SeededBug: bug}
 	if verbose {
 		opts.Logf = func(format string, args ...any) {
 			fmt.Printf("  "+format+"\n", args...)

@@ -20,14 +20,9 @@ var hotPathPackages = map[string]bool{
 // shardExclusivityAllowlist names files exempt from the check. The
 // pipelined dispatcher/worker variant exists only as the §6.2.1/Fig. 5(a)
 // ablation baseline — it is the measured counterexample, so it legitimately
-// uses a mutex, goroutines, and a channel-backed work queue. The read plane
-// (DESIGN.md §13) is the sanctioned relaxation of shard exclusivity: reader
-// goroutines serve GETs through guardian-validated probes while every
-// mutation stays on the shard loop, and its fallback channel is part of
-// that protocol rather than a work queue.
+// uses a mutex, goroutines, and a channel-backed work queue.
 var shardExclusivityAllowlist = map[string]bool{
 	"internal/shard/pipelined.go": true,
-	"internal/shard/readplane.go": true,
 }
 
 // runShardExclusivity flags go statements, sync.Mutex/RWMutex usage, and

@@ -7,8 +7,7 @@ package main
 // doing observable work (an impure call, an atomic store/RMW, a variable
 // update). The classic instance is `for !done.Load() {}` — on a GOMAXPROCS=1
 // box or a pinned core that loop can starve the very goroutine that would
-// flip the flag, and on the read plane it would burn a reader core against a
-// revoked region forever. Every spin loop must therefore carry BOTH:
+// flip the flag. Every spin loop must therefore carry BOTH:
 //
 //   - a yield/backoff point — runtime.Gosched, time.Sleep, timing.Sleep,
 //     invariant.SchedPoint, or a module call that transitively yields or

@@ -8,8 +8,8 @@ package main
 //
 //	lock:K  — a sync.Mutex/RWMutex (write and read modes merged into one
 //	          node: an RLock still waits behind a writer)
-//	chan:K  — a channel identity; rendezvous mailboxes (the read plane's
-//	          fallback/done pair) appear here
+//	chan:K  — a channel identity; rendezvous pairs (request/done) appear
+//	          here
 //	wg:K    — a sync.WaitGroup
 //
 // Edges mean "making progress on the left may require the right":
@@ -29,10 +29,6 @@ package main
 // — the lease-discipline pass already forces helpers to have clean lock
 // summaries, which keeps this approximation honest.
 //
-// ReadSlot probe sections (BeginProbe/EndProbe) are not graph nodes but a
-// contract: their whole point is wait-freedom, so any blocking operation
-// inside a section is reported directly.
-//
 // The lock-order DAG lives in internal/invariant/lockorder.go as ordered
 // levels of nominal lock keys; acquiring a lock at a level ≤ a held lock's
 // level is an inversion even before it closes a cycle.
@@ -47,9 +43,9 @@ import (
 	"go/types"
 )
 
+// wcHeld is one lock in a held-set, by nominal key.
 type wcHeld struct {
-	kind string // "lock" or "gate"
-	key  string
+	key string
 }
 
 type wcEdge struct {
@@ -159,9 +155,9 @@ func heldUnion(a, b []wcHeld) []wcHeld {
 	return out
 }
 
-func heldRemoveLast(held []wcHeld, kind, key string) []wcHeld {
+func heldRemoveLast(held []wcHeld, key string) []wcHeld {
 	for i := len(held) - 1; i >= 0; i-- {
-		if held[i].kind == kind && held[i].key == key {
+		if held[i].key == key {
 			return append(heldCopy(held[:i]), held[i+1:]...)
 		}
 	}
@@ -327,7 +323,7 @@ func (g *wcGraph) walkStmt(p *Package, s ast.Stmt, held []wcHeld) ([]wcHeld, boo
 }
 
 // callOp handles a call in statement position: lock ops mutate the held-set,
-// WaitGroup and probe-section ops record waits. Returns the new held-set and
+// WaitGroup ops record waits. Returns the new held-set and
 // whether the call never returns.
 func (g *wcGraph) callOp(p *Package, call *ast.CallExpr, held []wcHeld) ([]wcHeld, bool) {
 	if isNoReturnCall(p, call) {
@@ -340,18 +336,15 @@ func (g *wcGraph) callOp(p *Package, call *ast.CallExpr, held []wcHeld) ([]wcHel
 		}
 		if dir > 0 {
 			g.acquireLock(p, call.Pos(), key, held)
-			return append(heldCopy(held), wcHeld{kind: "lock", key: key}), false
+			return append(heldCopy(held), wcHeld{key: key}), false
 		}
-		return heldRemoveLast(held, "lock", key), false
+		return heldRemoveLast(held, key), false
 	}
 	if recv, ok := isWaitGroupMethod(p, call, "Wait"); ok {
 		if key, renders := livenessKey(p, recv); renders {
-			g.blockCheckGate(p, call.Pos(), held, "sync.WaitGroup Wait")
 			for _, h := range held {
-				if h.kind == "lock" {
-					g.addEdge("lock:"+h.key, "wg:"+key, p, call.Pos(),
-						"waiting on WaitGroup "+key+" while holding "+h.key)
-				}
+				g.addEdge("lock:"+h.key, "wg:"+key, p, call.Pos(),
+					"waiting on WaitGroup "+key+" while holding "+h.key)
 			}
 			g.wgWaitKeys = append(g.wgWaitKeys, key)
 		}
@@ -365,23 +358,13 @@ func (g *wcGraph) callOp(p *Package, call *ast.CallExpr, held []wcHeld) ([]wcHel
 			return held, false
 		}
 	}
-	if dir, ok := isProbeSectionMethod(p, call); ok {
-		if dir > 0 {
-			return append(heldCopy(held), wcHeld{kind: "gate", key: "probe"}), false
-		}
-		return heldRemoveLast(held, "gate", "probe"), false
-	}
 	return held, false
 }
 
 // acquireLock emits held→lock edges and the lock-order check for one
-// acquisition.
+// acquisition. Re-acquiring a held lock yields the lock:K → lock:K self-loop.
 func (g *wcGraph) acquireLock(p *Package, pos token.Pos, key string, held []wcHeld) {
-	g.blockCheckGate(p, pos, held, "mutex acquisition")
 	for _, h := range held {
-		if h.kind != "lock" {
-			continue
-		}
 		g.addEdge("lock:"+h.key, "lock:"+key, p, pos,
 			"acquiring "+key+" while holding "+h.key)
 		lvlHeld, okHeld := g.levels[h.key]
@@ -392,22 +375,10 @@ func (g *wcGraph) acquireLock(p *Package, pos token.Pos, key string, held []wcHe
 				key, lvlNew, h.key, lvlHeld)
 		}
 	}
-	if g.heldHas(held, "lock", key) {
-		g.addEdge("lock:"+key, "lock:"+key, p, pos, "re-acquiring "+key+" already held")
-	}
-}
-
-func (g *wcGraph) heldHas(held []wcHeld, kind, key string) bool {
-	for _, h := range held {
-		if h.kind == kind && h.key == key {
-			return true
-		}
-	}
-	return false
 }
 
 // chanOp records a channel operation and, when blocking, its held→chan
-// edges and the probe-section contract.
+// edges.
 func (g *wcGraph) chanOp(p *Package, pos token.Pos, key string, send, blocking bool, held []wcHeld) {
 	g.chanOps = append(g.chanOps, wcChanOp{key: key, send: send, blocking: blocking, held: heldCopy(held), pkg: p, pos: pos})
 	if !blocking {
@@ -417,21 +388,9 @@ func (g *wcGraph) chanOp(p *Package, pos token.Pos, key string, send, blocking b
 	if send {
 		op = "send to"
 	}
-	g.blockCheckGate(p, pos, held, "channel "+op+" "+key)
 	for _, h := range held {
-		if h.kind == "lock" {
-			g.addEdge("lock:"+h.key, "chan:"+key, p, pos,
-				"blocking "+op+" "+key+" while holding "+h.key)
-		}
-	}
-}
-
-// blockCheckGate reports a blocking operation inside a ReadSlot probe
-// section — the read plane's sections are wait-free by contract.
-func (g *wcGraph) blockCheckGate(p *Package, pos token.Pos, held []wcHeld, what string) {
-	if g.heldHas(held, "gate", "probe") {
-		g.rep(p).report("wait-cycle", pos,
-			"%s inside a ReadSlot probe section; probe sections must never block (DESIGN.md §13)", what)
+		g.addEdge("lock:"+h.key, "chan:"+key, p, pos,
+			"blocking "+op+" "+key+" while holding "+h.key)
 	}
 }
 
@@ -508,19 +467,15 @@ func (g *wcGraph) peerEdges() {
 		if op.send {
 			if blocked, ok := byRecvBlocked[op.key]; ok {
 				for _, h := range op.held {
-					if h.kind == "lock" {
-						g.addEdge("chan:"+op.key, "lock:"+h.key, blocked.pkg, blocked.pos,
-							"a receive on "+op.key+" waits for a sender that holds "+h.key)
-					}
+					g.addEdge("chan:"+op.key, "lock:"+h.key, blocked.pkg, blocked.pos,
+						"a receive on "+op.key+" waits for a sender that holds "+h.key)
 				}
 			}
 		} else {
 			if blocked, ok := bySendBlocked[op.key]; ok {
 				for _, h := range op.held {
-					if h.kind == "lock" {
-						g.addEdge("chan:"+op.key, "lock:"+h.key, blocked.pkg, blocked.pos,
-							"a send on "+op.key+" waits for a receiver that holds "+h.key)
-					}
+					g.addEdge("chan:"+op.key, "lock:"+h.key, blocked.pkg, blocked.pos,
+						"a send on "+op.key+" waits for a receiver that holds "+h.key)
 				}
 			}
 		}
@@ -534,10 +489,8 @@ func (g *wcGraph) peerEdges() {
 			continue
 		}
 		for _, h := range done.held {
-			if h.kind == "lock" {
-				g.addEdge("wg:"+done.key, "lock:"+h.key, done.pkg, done.pos,
-					"WaitGroup "+done.key+" completes only after code holding "+h.key+" runs Done")
-			}
+			g.addEdge("wg:"+done.key, "lock:"+h.key, done.pkg, done.pos,
+				"WaitGroup "+done.key+" completes only after code holding "+h.key+" runs Done")
 		}
 	}
 }

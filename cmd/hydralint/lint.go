@@ -110,8 +110,8 @@ var allChecks = []Check{
 	},
 	{
 		Name:       "spec-guard",
-		Desc:       "torn-read guards and reclamation gates declared in protocolspec.Spec must still be enforced by the named readers and reclaimers (whole-program)",
-		Short:      "declared torn-read guards and reclamation gates still hold",
+		Desc:       "torn-read guards declared in protocolspec.Spec must still be enforced by the named readers (whole-program)",
+		Short:      "declared torn-read guards still hold",
 		RunProgram: runSpecGuard,
 	},
 	{

@@ -1064,12 +1064,6 @@ type Guard struct {
 	Reader, Bound, Why string
 }
 
-type Reclaim struct {
-	Reclaimer, Gate string
-	Frees           []string
-	Why             string
-}
-
 type Spec struct {
 	Name, Model string
 	Packages    []string
@@ -1077,7 +1071,6 @@ type Spec struct {
 	Words       []Word
 	Edges       []Edge
 	Guards      []Guard
-	Reclaims    []Reclaim
 }
 `,
 	},
@@ -1207,39 +1200,6 @@ type Ring struct {
 
 // Poll lost its torn-read comparison against slotCap: seeded bug.
 func (r *Ring) Poll(size int) bool { return size > 0 }
-`,
-	},
-	{
-		name:  "spec-free-before-gate",
-		path:  "internal/spf5/spf5.go",
-		check: "spec-guard",
-		want:  1,
-		src: `package spf5
-
-import "hydradb/internal/protocolspec"
-
-var spec = protocolspec.Spec{
-	Name: "spf5",
-	Reclaims: []protocolspec.Reclaim{
-		{Reclaimer: "(*hydradb/internal/spf5.Pool).Reclaim", Gate: "(*hydradb/internal/spf5.Pool).Quiet", Frees: []string{"(*hydradb/internal/spf5.Pool).free"}},
-	},
-}
-
-var _ = spec
-
-type Pool struct{ n int }
-
-func (p *Pool) Quiet() bool { return p.n == 0 }
-
-func (p *Pool) free(idx int) {}
-
-// Reclaim frees before waiting for quiescence: seeded bug.
-func (p *Pool) Reclaim(idx int) {
-	p.free(idx)
-	if !p.Quiet() {
-		return
-	}
-}
 `,
 	},
 	{

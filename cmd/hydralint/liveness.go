@@ -177,31 +177,6 @@ func isWaitGroupMethod(p *Package, call *ast.CallExpr, m string) (ast.Expr, bool
 	return sel.X, true
 }
 
-// isProbeSectionMethod recognizes kv.ReadSlot's BeginProbe/EndProbe — the
-// read-plane quiescence sections whose contract is "must never block".
-// dir is +1 for BeginProbe, -1 for EndProbe.
-func isProbeSectionMethod(p *Package, call *ast.CallExpr) (dir int, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return 0, false
-	}
-	s, isMeth := p.Info.Selections[sel]
-	if !isMeth || s.Kind() != types.MethodVal {
-		return 0, false
-	}
-	fn, isFn := s.Obj().(*types.Func)
-	if !isFn || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "internal/kv") {
-		return 0, false
-	}
-	switch sel.Sel.Name {
-	case "BeginProbe":
-		return +1, true
-	case "EndProbe":
-		return -1, true
-	}
-	return 0, false
-}
-
 // stopNamed reports whether a function name reads as part of a shutdown
 // surface: the lifecycle pass accepts a cancellation trigger as provable
 // when its enclosing function (or a caller of it) matches.

@@ -97,9 +97,7 @@
 //	                   still exist; a declaration nothing implements fails
 //	                   the lint (specs must not rot).
 //	spec-guard         the declared torn-read guards still compare against
-//	                   their bound in the reader's body, and declared
-//	                   reclaimers call their quiescence gate before any
-//	                   declared free.
+//	                   their bound in the reader's body.
 //	goroutine-lifecycle  whole-program liveness: every `go` statement in
 //	                   non-test code must have a provable stop path. A body
 //	                   with no unbounded loop terminates on its own; one that
@@ -111,10 +109,8 @@
 //	                   lifetime goroutines carry `//hydralint:daemon <why>`.
 //	wait-cycle         whole-program liveness: static wait-for graph over
 //	                   mutexes, channel rendezvous, and WaitGroups; any cycle
-//	                   is reported, lock nesting is checked against the
-//	                   declared invariant.LockOrder DAG, and a blocking op
-//	                   inside a ReadSlot probe section (contractually wait-
-//	                   free) is an immediate finding.
+//	                   is reported, and lock nesting is checked against
+//	                   the declared invariant.LockOrder DAG.
 //	bounded-spin       liveness: a loop whose iteration neither blocks nor
 //	                   does observable work (a busy-wait) must both yield
 //	                   (Gosched / timing.Sleep / SchedPoint, directly or via

@@ -70,27 +70,17 @@ type specGuardDecl struct {
 	bound  string
 }
 
-// specReclaimDecl is one parsed protocolspec.Reclaim.
-type specReclaimDecl struct {
-	spec      *specDecl
-	pos       token.Pos
-	reclaimer string
-	gate      string
-	frees     []string
-}
-
 // specDecl is one parsed protocolspec.Spec literal.
 type specDecl struct {
-	p        *Package
-	pos      token.Pos
-	name     string
-	model    string
-	pkgs     []string
-	tags     []string
-	words    []*specWordDecl
-	edges    []*specEdgeDecl
-	guards   []*specGuardDecl
-	reclaims []*specReclaimDecl
+	p      *Package
+	pos    token.Pos
+	name   string
+	model  string
+	pkgs   []string
+	tags   []string
+	words  []*specWordDecl
+	edges  []*specEdgeDecl
+	guards []*specGuardDecl
 }
 
 // specModel is the whole-program spec view plus every computed finding.
@@ -135,7 +125,6 @@ func specModelFor(prog *Program) *specModel {
 	sm.checkDrift(prog, accessed)
 	sm.checkCoverage(prog, stores)
 	sm.checkGuards(prog)
-	sm.checkReclaims(prog)
 	sm.checkRetractOrder(prog)
 	sm.checkApplyOrder(prog)
 	sm.flowPass(prog)
@@ -150,10 +139,18 @@ func emitSpecFindings(prog *Program, rep func(*Package) *Reporter, check string)
 	}
 }
 
-func runSpecOrder(prog *Program, rep func(*Package) *Reporter)    { emitSpecFindings(prog, rep, "spec-order") }
-func runSpecCoverage(prog *Program, rep func(*Package) *Reporter) { emitSpecFindings(prog, rep, "spec-coverage") }
-func runSpecDrift(prog *Program, rep func(*Package) *Reporter)    { emitSpecFindings(prog, rep, "spec-drift") }
-func runSpecGuard(prog *Program, rep func(*Package) *Reporter)    { emitSpecFindings(prog, rep, "spec-guard") }
+func runSpecOrder(prog *Program, rep func(*Package) *Reporter) {
+	emitSpecFindings(prog, rep, "spec-order")
+}
+func runSpecCoverage(prog *Program, rep func(*Package) *Reporter) {
+	emitSpecFindings(prog, rep, "spec-coverage")
+}
+func runSpecDrift(prog *Program, rep func(*Package) *Reporter) {
+	emitSpecFindings(prog, rep, "spec-drift")
+}
+func runSpecGuard(prog *Program, rep func(*Package) *Reporter) {
+	emitSpecFindings(prog, rep, "spec-guard")
+}
 
 // ---------------------------------------------------------------------------
 // Parsing
@@ -308,25 +305,6 @@ func (sm *specModel) parseSpecLit(p *Package, cl *ast.CompositeLit) {
 					}
 				}
 				d.guards = append(d.guards, g)
-			})
-		case "Reclaims":
-			sm.parseSpecElems(p, d, kv.Value, "Spec.Reclaims", func(lit *ast.CompositeLit) {
-				rc := &specReclaimDecl{spec: d, pos: lit.Pos()}
-				for _, f := range lit.Elts {
-					fkv, fkey, ok := sm.specField(p, d, f)
-					if !ok {
-						continue
-					}
-					switch fkey {
-					case "Reclaimer":
-						rc.reclaimer = sm.specString(p, d, fkv.Value, "Reclaim.Reclaimer")
-					case "Gate":
-						rc.gate = sm.specString(p, d, fkv.Value, "Reclaim.Gate")
-					case "Frees":
-						rc.frees = sm.specStringList(p, d, fkv.Value, "Reclaim.Frees")
-					}
-				}
-				d.reclaims = append(d.reclaims, rc)
 			})
 		}
 	}
@@ -562,13 +540,6 @@ func (sm *specModel) checkDrift(prog *Program, accessed map[string]bool) {
 		for _, g := range d.guards {
 			sm.checkFunc(prog, loaded, d, g.pos, g.reader)
 		}
-		for _, rc := range d.reclaims {
-			sm.checkFunc(prog, loaded, d, rc.pos, rc.reclaimer)
-			sm.checkFunc(prog, loaded, d, rc.pos, rc.gate)
-			for _, fn := range rc.frees {
-				sm.checkFunc(prog, loaded, d, rc.pos, fn)
-			}
-		}
 
 		// The generation loop's static side: a spec that feeds a hydramc
 		// model must agree with the checked-in footprint.go (whose own
@@ -697,46 +668,6 @@ func (sm *specModel) checkGuards(prog *Program) {
 	}
 }
 
-func (sm *specModel) checkReclaims(prog *Program) {
-	for _, d := range sm.specs {
-		for _, rc := range d.reclaims {
-			info := prog.funcs[rc.reclaimer]
-			if info == nil || info.Decl.Body == nil {
-				continue
-			}
-			frees := map[string]bool{}
-			for _, fn := range rc.frees {
-				frees[fn] = true
-			}
-			var gatePos, freePos token.Pos
-			var freeName string
-			ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee, _, ok := prog.resolveCallee(info.Pkg, call)
-				if !ok {
-					return true
-				}
-				name := callee.Obj.FullName()
-				if name == rc.gate && (gatePos == token.NoPos || call.Pos() < gatePos) {
-					gatePos = call.Pos()
-				}
-				if frees[name] && (freePos == token.NoPos || call.Pos() < freePos) {
-					freePos, freeName = call.Pos(), name
-				}
-				return true
-			})
-			if freePos != token.NoPos && (gatePos == token.NoPos || gatePos > freePos) {
-				sm.add(info.Pkg, freePos, "spec-guard", d.name,
-					"reclaimer %s calls %s before its quiescence gate %s (spec %s); an in-flight probe section could still hold a view of the freed memory",
-					rc.reclaimer, freeName, rc.gate, d.name)
-			}
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // spec-order: retract-before-free and apply-after-replicate sub-passes
 // (payload-before-release is the flow pass in check_specorder.go)
@@ -767,10 +698,13 @@ func forEachProdFunc(prog *Program, visit func(p *Package, fd *ast.FuncDecl)) {
 // constant and calls the declared freeing function, the retraction must
 // come first — otherwise a one-sided reader can validate against already
 // recycled memory. Functions that free without retracting are reclaimers
-// (gated by Reclaim declarations) or never published, so they are not
+// (the retraction happened at detach) or never published, so they are not
 // judged here.
 func (sm *specModel) checkRetractOrder(prog *Program) {
-	type edge struct{ d *specDecl; from, to string }
+	type edge struct {
+		d        *specDecl
+		from, to string
+	}
 	var edges []edge
 	for _, d := range sm.specs {
 		for _, e := range d.edges {
@@ -818,7 +752,10 @@ func (sm *specModel) checkRetractOrder(prog *Program) {
 // matched by full name, or by bare method name when From is undotted
 // (appliers are usually interface-typed and unresolvable statically).
 func (sm *specModel) checkApplyOrder(prog *Program) {
-	type edge struct{ d *specDecl; from, to string }
+	type edge struct {
+		d        *specDecl
+		from, to string
+	}
 	var edges []edge
 	for _, d := range sm.specs {
 		for _, e := range d.edges {

@@ -32,7 +32,6 @@
 package hydradb
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -62,6 +61,7 @@ type Options struct {
 	ShardsPerMachine int
 	// Replicas is the number of secondary shards per primary; 0 disables
 	// high availability (the paper's cache mode), 1–2 match its HA mode.
+	// Must be below ServerMachines: every copy lives on its own machine.
 	Replicas int
 	// StrictReplication selects per-record request/acknowledge instead of
 	// RDMA Logging with relaxed acks (§5.2 baseline).
@@ -75,11 +75,6 @@ type Options struct {
 	// Pipelined runs shards under the decoupled I/O/compute model
 	// (§6.2.1 baseline).
 	Pipelined bool
-	// ReaderThreads > 0 gives every shard a parallel read plane: that many
-	// reader goroutines serve message-path GETs concurrently with
-	// guardian-validated probes while mutations stay on the shard loop
-	// (DESIGN.md §13). 0 keeps the paper's single-goroutine shard.
-	ReaderThreads int
 	// SharedPointerCache lets collocated clients share remote pointers
 	// through a lock-free cache (§4.2.4). Disable for isolated caches.
 	SharedPointerCache bool
@@ -149,9 +144,6 @@ func Start(opts Options) (*DB, error) {
 	if clk == nil {
 		clk = timing.NewRealClock()
 	}
-	if opts.Replicas >= opts.ServerMachines && opts.Replicas > 0 && opts.ServerMachines == 1 {
-		return nil, errors.New("hydradb: replicas require at least 2 server machines")
-	}
 	cl, err := cluster.New(cluster.Config{
 		ServerMachines:    opts.ServerMachines,
 		ClientMachines:    opts.ClientMachines,
@@ -160,7 +152,6 @@ func Start(opts Options) (*DB, error) {
 		StrictReplication: opts.StrictReplication,
 		SendRecv:          opts.SendRecv,
 		Pipelined:         opts.Pipelined,
-		ReaderThreads:     opts.ReaderThreads,
 		MailboxBytes:      opts.MailboxBytes,
 		RingDepth:         opts.RingDepth,
 		Fabric:            opts.Fabric,

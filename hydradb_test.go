@@ -34,10 +34,16 @@ func TestStartDefaults(t *testing.T) {
 }
 
 func TestReplicasRequireMachines(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Replicas = 1 // with 1 server machine
-	if _, err := Start(opts); err == nil {
-		t.Fatal("invalid topology accepted")
+	// A secondary must never share a machine with its primary: every
+	// topology with Replicas >= ServerMachines is rejected.
+	for _, tc := range []struct{ machines, replicas int }{{1, 1}, {2, 2}, {2, 3}} {
+		opts := DefaultOptions()
+		opts.ServerMachines = tc.machines
+		opts.Replicas = tc.replicas
+		if db, err := Start(opts); err == nil {
+			db.Close()
+			t.Fatalf("%d machines x %d replicas accepted", tc.machines, tc.replicas)
+		}
 	}
 }
 

@@ -165,7 +165,9 @@ func TestChaosScenarios(t *testing.T) {
 	for _, name := range Scenarios() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			t.Parallel()
+			// Not parallel: Run's teardown asserts the process-wide spawn
+			// registry and goroutine count are back to baseline, which
+			// only holds with one cluster alive at a time.
 			res := runScenario(t, name, 7)
 			if res.Violation != nil {
 				t.Fatalf("history violation:\n%s\nreplay: %s", res.Violation, res.Schedule)

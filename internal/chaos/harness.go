@@ -24,13 +24,9 @@ import (
 // Options configures one chaos run.
 type Options struct {
 	Schedule Schedule
-	// SeededBug silently corrupts one acked key after the run (bypassing the
-	// replication path), proving the checker and lost-write scan can see.
+	// SeededBug silently deletes one acked key after the run (outside the
+	// recorded history), proving the checker and lost-write scan can see.
 	SeededBug bool
-	// ReaderThreads > 0 runs every shard with a parallel read plane
-	// (DESIGN.md §13), so the chaos oracle checks linearizability with
-	// reader goroutines probing across crashes, promotions, and faults.
-	ReaderThreads int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -78,7 +74,6 @@ func Run(opts Options) (*Result, error) {
 		ShardsPerMachine: 1,
 		Replicas:         2,
 		VNodes:           16,
-		ReaderThreads:    opts.ReaderThreads,
 		Store: kv.Config{
 			ArenaBytes: 4 << 20,
 			MaxItems:   16384,
@@ -288,9 +283,10 @@ func stopDrain(cl *cluster.Cluster, id uint32, logf func(string, ...any)) {
 	}
 }
 
-// corruptOneAckedKey deletes an acked key directly from the owning shard's
-// store, bypassing replication and the request path — the seeded bug the
-// oracle must catch.
+// corruptOneAckedKey deletes an acked key through a client the recorder does
+// not see, so the key vanishes with no delete in the history — the seeded bug
+// the oracle must catch. (Deleting straight from the shard's store would race
+// the shard loop that owns it.)
 func corruptOneAckedKey(cl *cluster.Cluster, rec *history.Recorder, logf func(string, ...any)) {
 	var victim string
 	var latest int64
@@ -303,14 +299,12 @@ func corruptOneAckedKey(cl *cluster.Cluster, rec *history.Recorder, logf func(st
 		logf("seeded bug: no acked put to corrupt")
 		return
 	}
-	sid := cl.Ring().OwnerOfKey([]byte(victim))
-	sh := cl.Shard(sid)
-	if sh == nil {
-		logf("seeded bug: shard %d gone", sid)
+	c := cl.NewClient(0, client.Options{RequestTimeout: time.Second, MaxRetries: 30})
+	if err := c.Delete([]byte(victim)); err != nil {
+		logf("seeded bug: deleting acked key %s: %v", victim, err)
 		return
 	}
-	sh.Store().Delete([]byte(victim))
-	logf("seeded bug: silently deleted acked key %s from shard %d", victim, sid)
+	logf("seeded bug: silently deleted acked key %s", victim)
 }
 
 // lostAckedWrites flags keys whose final verification read observed absence

@@ -28,7 +28,8 @@ type Config struct {
 	ClientMachines int
 	// ShardsPerMachine primaries per server machine (paper default: 4).
 	ShardsPerMachine int
-	// Replicas is the number of secondary shards per primary (0 disables HA).
+	// Replicas is the number of secondary shards per primary (0 disables
+	// HA); must be below ServerMachines so every copy has its own machine.
 	Replicas int
 	// StrictReplication selects the request/ack baseline instead of RDMA
 	// Logging (Fig. 13 comparison).
@@ -55,9 +56,6 @@ type Config struct {
 	SendRecv bool
 	// Pipelined runs shards under the decoupled execution model (§6.2.1).
 	Pipelined bool
-	// ReaderThreads > 0 gives every primary shard a parallel read plane of
-	// that many reader goroutines (DESIGN.md §13).
-	ReaderThreads int
 }
 
 func (c *Config) withDefaults() Config {
@@ -132,6 +130,13 @@ const livePath = "/hydra/live"
 // New builds and starts a cluster.
 func New(cfg Config) (*Cluster, error) {
 	c := cfg.withDefaults()
+	// startGroup places secondary r on machine (primary+1+r) mod
+	// ServerMachines; with Replicas >= ServerMachines that wraps onto the
+	// primary's own machine and one machine failure loses both copies.
+	if c.Replicas > 0 && c.Replicas >= c.ServerMachines {
+		return nil, fmt.Errorf("cluster: %d replicas need at least %d server machines, have %d",
+			c.Replicas, c.Replicas+1, c.ServerMachines)
+	}
 	cl := &Cluster{
 		cfg:       c,
 		clock:     c.Store.Clock,
@@ -180,12 +185,11 @@ func New(cfg Config) (*Cluster, error) {
 func (cl *Cluster) startGroup(id uint32, machine int) error {
 	g := &group{id: id, machine: machine}
 	sh := shard.New(shard.Config{
-		ID:            id,
-		NIC:           cl.serverNICs[machine],
-		Store:         cl.cfg.Store,
-		MailboxBytes:  cl.cfg.MailboxBytes,
-		RingDepth:     cl.cfg.RingDepth,
-		ReaderThreads: cl.cfg.ReaderThreads,
+		ID:           id,
+		NIC:          cl.serverNICs[machine],
+		Store:        cl.cfg.Store,
+		MailboxBytes: cl.cfg.MailboxBytes,
+		RingDepth:    cl.cfg.RingDepth,
 	})
 	sh.SetEpoch(cl.epoch.Load())
 	g.shard = sh
@@ -336,7 +340,6 @@ func (cl *Cluster) Promote(id uint32) error {
 		Store:         cl.cfg.Store,
 		MailboxBytes:  cl.cfg.MailboxBytes,
 		RingDepth:     cl.cfg.RingDepth,
-		ReaderThreads: cl.cfg.ReaderThreads,
 		ExistingStore: chosen.store,
 	})
 
@@ -478,7 +481,6 @@ func (cl *Cluster) MoveShard(id uint32, targetMachine int) error {
 		Store:         cl.cfg.Store,
 		MailboxBytes:  cl.cfg.MailboxBytes,
 		RingDepth:     cl.cfg.RingDepth,
-		ReaderThreads: cl.cfg.ReaderThreads,
 		ExistingStore: g.shard.Store(),
 	})
 	newGroup.shard = newShard

@@ -315,18 +315,15 @@ func TestDoublePromotionRace(t *testing.T) {
 }
 
 // TestStopThenPromotePreservesAckedWrites is the graceful-shutdown cousin of
-// TestFailoverPreservesAckedWrites, run with the parallel read plane on: a
-// primary whose readers are live is Stopped (the owner must drain reader
-// fallbacks and join every reader goroutine), then declared dead, then its
-// secondary is promoted explicitly. Every acknowledged write must be
-// readable from the promoted store — a reader still parked on a connection,
-// an undrained fallback, or a replication record dropped during the staged
-// shutdown would all surface here as a lost write.
+// TestFailoverPreservesAckedWrites: a primary serving traffic is Stopped,
+// then declared dead, then its secondary is promoted explicitly. Every
+// acknowledged write must be readable from the promoted store — a
+// replication record dropped during the graceful shutdown would surface
+// here as a lost write.
 func TestStopThenPromotePreservesAckedWrites(t *testing.T) {
 	clk := timing.NewManualClock(1e9)
 	cfg := testConfig(clk)
 	cfg.Replicas = 1
-	cfg.ReaderThreads = 2
 	cl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +337,7 @@ func TestStopThenPromotePreservesAckedWrites(t *testing.T) {
 		if err := c.Put(k, []byte(fmt.Sprintf("val%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		// Interleave reads so the read plane is hot while writes replicate.
+		// Interleave reads so both op kinds are in flight while writes replicate.
 		if i%7 == 0 {
 			if _, err := c.Get(k); err != nil {
 				t.Fatal(err)
@@ -356,13 +353,13 @@ func TestStopThenPromotePreservesAckedWrites(t *testing.T) {
 		}
 	}
 
-	// Graceful stop first: read-plane shutdown (reader join + fallback
-	// drain) runs to completion while the process is still healthy. Then
-	// declare the primary dead (KillShard also closes its coordination
-	// session, without which the promoted primary cannot register) and
-	// promote explicitly — the planned-maintenance path. The SWAT reactor
-	// sees the session close too, so losing the promotion race to it is
-	// fine; either way the partition must end with a promoted primary.
+	// Graceful stop first: the replication flush runs to completion while
+	// the process is still healthy. Then declare the primary dead (KillShard
+	// also closes its coordination session, without which the promoted
+	// primary cannot register) and promote explicitly — the
+	// planned-maintenance path. The SWAT reactor sees the session close too,
+	// so losing the promotion race to it is fine; either way the partition
+	// must end with a promoted primary.
 	cl.Shard(victim).Stop()
 	if err := cl.KillShard(victim); err != nil {
 		t.Fatal(err)

@@ -14,10 +14,10 @@ import (
 )
 
 // TestClusterCloseNoLeakedGoroutines proves the full setup/teardown cycle —
-// replicated groups, pipelined ablation off, parallel read plane on, SWAT
-// watching, live traffic — leaves zero goroutines behind. The assertion is a
-// plain count delta so it bites in the default build too; under
-// -tags hydradebug the spawn registry additionally names any straggler.
+// replicated groups, pipelined ablation off, SWAT watching, live traffic —
+// leaves zero goroutines behind. The assertion is a plain count delta so it
+// bites in the default build too; under -tags hydradebug the spawn registry
+// additionally names any straggler.
 func TestClusterCloseNoLeakedGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -27,7 +27,6 @@ func TestClusterCloseNoLeakedGoroutines(t *testing.T) {
 		ClientMachines:   2,
 		ShardsPerMachine: 1,
 		Replicas:         2,
-		ReaderThreads:    2,
 		Store: kv.Config{
 			ArenaBytes: 2 << 20,
 			MaxItems:   8192,

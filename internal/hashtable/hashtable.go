@@ -16,20 +16,14 @@
 // chasing and full-key comparisons exactly as the paper describes. Overflow
 // buckets resolve residual collisions and are merged back after removals.
 //
-// Mutations are single-threaded by design: each shard loop owns its table
-// exclusively (§4.1.1). Message-based requests index through it; RDMA-Read
-// GETs bypass it entirely on the server. The read plane (DESIGN.md §13) adds
-// a third consumer: reader goroutines probe the *main branch* concurrently
-// with the owner through ProbeRoot, which is why every main-branch word write
-// funnels through setWord's atomic store. Overflow buckets are never probed
-// concurrently — readers bail to the shard loop the moment a bucket grows a
-// chain — so overflow writes stay plain.
+// The table is single-threaded by design: each shard owns one exclusively
+// (§4.1.1). Message-based requests index through it; RDMA-Read GETs bypass it
+// entirely on the server.
 package hashtable
 
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"hydradb/internal/hashx"
 )
@@ -45,10 +39,6 @@ const (
 	filterMask     = 0x7f
 	refMask        = (uint64(1) << refBits) - 1
 )
-
-// SlotsPerBucket is the root-bucket slot count, exported so read-plane
-// callers can size candidate arrays without importing the geometry.
-const SlotsPerBucket = slotsPerBucket
 
 // hydralint:assert slotsPerBucket+1 == wordsPerBucket
 // hydralint:assert 8*wordsPerBucket == 64
@@ -141,63 +131,6 @@ func (t *Table) bucketWords(id uint64) []uint64 {
 // linkToID converts a header link value (1-based overflow index) to bucket id.
 func (t *Table) linkToID(link uint64) uint64 { return t.nBuckets + link - 1 }
 
-// setWord stores one bucket word. Main-branch words are published with an
-// atomic store because read-plane probes (ProbeRoot) load them concurrently
-// with the owning shard loop; overflow words are owner-private (readers never
-// follow chains) and stay plain. Every element write to t.main in this file
-// must go through setWord — hydralint's mixed-access pass enforces the
-// pairing against the readerplane model footprint.
-func (t *Table) setWord(id uint64, i int, v uint64) {
-	if id < t.nBuckets {
-		//hydralint:ignore region-bounds callers derive id/i from bucketWords geometry: id < nBuckets and i < wordsPerBucket
-		atomic.StoreUint64(&t.main[id*wordsPerBucket+uint64(i)], v)
-		return
-	}
-	t.bucketWords(id)[i] = v
-}
-
-// ProbeRoot scans only the root bucket of hashcode h using atomic loads and
-// collects the references whose signature matches into cands. It is the one
-// table surface safe to call off the owning shard goroutine; the caller must
-// hold an open kv.ReadSlot section so candidate references cannot be
-// reclaimed mid-validation (DESIGN.md §13).
-//
-// ok=false means the bucket has an overflow chain: chain walks race compact's
-// bucket merging, so the probe refuses and the caller falls back to the shard
-// loop. A torn or mid-update bucket can yield stale candidates or spurious
-// misses of in-flight inserts — both are resolved downstream by the guardian
-// validation and the fallback path, never here.
-//
-// hydralint:hotpath
-func (t *Table) ProbeRoot(h uint64, cands *[SlotsPerBucket]uint64) (n int, ok bool) {
-	id := hashx.BucketIndex(h, t.nBuckets)
-	sig := hashx.Signature(h)
-	off := id * wordsPerBucket
-	//hydralint:ignore region-bounds BucketIndex yields id < nBuckets and len(main) is nBuckets*wordsPerBucket by construction
-	hdr := atomic.LoadUint64(&t.main[off])
-	if headerLink(hdr) != 0 {
-		return 0, false
-	}
-	filter := hdr & filterMask
-	for s := uint64(0); s < slotsPerBucket; s++ {
-		if filter&(1<<s) == 0 {
-			continue
-		}
-		//hydralint:ignore region-bounds off+1+s < (id+1)*wordsPerBucket <= len(main) since s < slotsPerBucket = wordsPerBucket-1
-		slot := atomic.LoadUint64(&t.main[off+1+s])
-		if slotSig(slot) != sig {
-			continue
-		}
-		// A racing Delete/Insert can zero the slot between the filter and
-		// slot loads; skip rather than hand out ref 0.
-		if ref := slotRef(slot); ref != 0 {
-			cands[n] = ref
-			n++
-		}
-	}
-	return n, true
-}
-
 func (t *Table) allocOverflow() uint64 {
 	t.OverflowAlloc++
 	if n := len(t.freeOvf); n > 0 {
@@ -281,9 +214,7 @@ func (t *Table) Insert(h uint64, ref uint64, match MatchFunc) (old uint64, repla
 			t.KeyCompares++
 			if match(slotRef(slot)) {
 				old = slotRef(slot)
-				// Single-word flip: a concurrent probe sees either the old
-				// or the new reference, both guardian-validated downstream.
-				t.setWord(id, 1+s, makeSlot(sig, ref))
+				w[1+s] = makeSlot(sig, ref)
 				return old, true, nil
 			}
 		}
@@ -297,23 +228,19 @@ func (t *Table) Insert(h uint64, ref uint64, match MatchFunc) (old uint64, repla
 
 	if freeSlot >= 0 {
 		w := t.bucketWords(freeBucket)
-		// Slot before filter bit: a probe that sees the bit set must find
-		// the populated slot behind it.
-		t.setWord(freeBucket, 1+freeSlot, makeSlot(sig, ref))
-		t.setWord(freeBucket, 0, w[0]|1<<freeSlot)
+		w[1+freeSlot] = makeSlot(sig, ref)
+		w[0] |= 1 << freeSlot
 		t.size++
 		return 0, false, nil
 	}
 
-	// Chain exhausted: hang a fresh overflow bucket off the last one. The
-	// header-link store is last: once a probe sees a link it falls back, and
-	// until then the new entry is invisible (linearized at the link store).
+	// Chain exhausted: hang a fresh overflow bucket off the last one.
 	link := t.allocOverflow()
-	newID := t.linkToID(link)
-	t.setWord(newID, 1, makeSlot(sig, ref))
-	t.setWord(newID, 0, t.bucketWords(newID)[0]|1)
 	lw := t.bucketWords(lastID)
-	t.setWord(lastID, 0, setHeaderLink(lw[0], link))
+	lw[0] = setHeaderLink(lw[0], link)
+	nw := t.bucketWords(t.linkToID(link))
+	nw[1] = makeSlot(sig, ref)
+	nw[0] |= 1
 	t.size++
 	return 0, false, nil
 }
@@ -344,11 +271,8 @@ func (t *Table) Delete(h uint64, match MatchFunc) (uint64, bool) {
 				continue
 			}
 			old := slotRef(slot)
-			// Filter bit before slot: a probe must never observe a set bit
-			// over an already-zeroed slot (ProbeRoot additionally skips
-			// zero refs in case it read the filter first).
-			t.setWord(id, 0, hdr&^(1<<s))
-			t.setWord(id, 1+s, 0)
+			w[1+s] = 0
+			w[0] &^= 1 << s
 			t.size--
 			t.compact(root)
 			return old, true
@@ -392,16 +316,10 @@ func (t *Table) compact(root uint64) {
 				return // chain is full up to the tail; nothing to merge
 			}
 			dw := t.bucketWords(dst)
-			// Destination slot before its filter bit (publish order), then
-			// retract the tail entry filter-bit-first. A probe racing the
-			// move may see the entry twice or — if it read the destination
-			// bucket before the move and the tail after — not at all; the
-			// not-at-all case only affects chained buckets, which probes
-			// already refuse via the header link.
-			t.setWord(dst, 1+dstSlot, tail[1+s])
-			t.setWord(dst, 0, dw[0]|1<<dstSlot)
-			t.setWord(id, 0, tail[0]&^(1<<s))
-			t.setWord(id, 1+s, 0)
+			dw[1+dstSlot] = tail[1+s]
+			dw[0] |= 1 << dstSlot
+			tail[1+s] = 0
+			tail[0] &^= 1 << s
 		}
 		if tail[0]&filterMask != 0 {
 			return // tail still holds entries
@@ -409,7 +327,7 @@ func (t *Table) compact(root uint64) {
 		// Unlink and recycle the now-empty tail.
 		pw := t.bucketWords(prev)
 		link := headerLink(pw[0])
-		t.setWord(prev, 0, setHeaderLink(pw[0], 0))
+		pw[0] = setHeaderLink(pw[0], 0)
 		t.freeOverflow(link)
 		// Loop: the new tail may also be collapsible.
 	}

@@ -4,10 +4,9 @@ import "hydradb/internal/protocolspec"
 
 // GuardianSpec declares the out-of-place PUT protocol (§4.2.3): every
 // payload byte of an item lands before the guardian word's release
-// store makes it visible to one-sided readers, retraction precedes any
-// reuse of the item's memory, and reclamation waits for probe-section
-// quiescence. hydralint proves the edges statically; hydramc's
-// "guardian" model footprint is generated from this spec.
+// store makes it visible to one-sided readers, and retraction precedes
+// any reuse of the item's memory. hydralint proves the edges statically;
+// hydramc's "guardian" model footprint is generated from this spec.
 var GuardianSpec = protocolspec.Spec{
 	Name:      "kv-guardian",
 	Model:     "guardian",
@@ -42,48 +41,6 @@ var GuardianSpec = protocolspec.Spec{
 			From: "hydradb/internal/kv.GuardianDead",
 			To:   "(*hydradb/internal/arena.WordArea).FreeGroup",
 			Why:  "a recycled word group must never still read GuardianLive for the dead item",
-		},
-	},
-	Reclaims: []protocolspec.Reclaim{{
-		Reclaimer: "(*hydradb/internal/kv.Store).reclaimDue",
-		Gate:      "(*hydradb/internal/kv.ReadGate).Quiescent",
-		Frees: []string{
-			"(*hydradb/internal/arena.Arena).Free",
-			"(*hydradb/internal/arena.WordArea).FreeGroup",
-			"(*hydradb/internal/kv.Store).freeRecord",
-		},
-		Why: "detached items wait out the grace window and a probe-section quiescence check before their region memory is recycled",
-	}},
-}
-
-// ReadPlaneSpec declares the parallel read plane's publication words:
-// the pub slots readers chase to find an item and the per-slot probe
-// section counters the reclaimer's quiescence check reads. Together
-// with hashtable.RootSpec it feeds the "readerplane" model footprint.
-var ReadPlaneSpec = protocolspec.Spec{
-	Name:     "kv-readplane",
-	Model:    "readerplane",
-	Packages: []string{"hydradb/internal/kv"},
-	Words: []protocolspec.Word{
-		{
-			Name:      "hydradb/internal/kv.Store.pub[]",
-			Role:      protocolspec.PubWord,
-			Footprint: true,
-			Writers: []string{
-				"(*hydradb/internal/kv.Store).Put",
-				"(*hydradb/internal/kv.Store).freeRecord",
-			},
-			Why: "a pub slot flips to the new record only after the record is fully built; freeRecord clears it before the slot is recycled",
-		},
-		{
-			Name:      "hydradb/internal/kv.ReadSlot.sec",
-			Role:      protocolspec.ReadyWord,
-			Footprint: true,
-			Writers: []string{
-				"(*hydradb/internal/kv.ReadSlot).BeginProbe",
-				"(*hydradb/internal/kv.ReadSlot).EndProbe",
-			},
-			Why: "odd/even probe-section counter; Quiescent treats an odd value as an in-flight reader",
 		},
 	},
 }

@@ -3,8 +3,6 @@ package kv
 import (
 	"bytes"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"hydradb/internal/arena"
 	"hydradb/internal/hashtable"
@@ -84,13 +82,6 @@ type Store struct {
 
 	reclaim reclaimHeap
 
-	// pub holds one publication word per item record (indexed ref-1): the
-	// packed arena-offset + meta-index of a published item, zero otherwise
-	// (see probe.go). It is the only item metadata the read plane may trust.
-	pub []atomic.Uint64
-	// gate, when attached, defers reclamation while a probe section is open.
-	gate *ReadGate
-
 	probeKey []byte
 	match    hashtable.MatchFunc
 
@@ -108,7 +99,6 @@ func NewStore(cfg Config) *Store {
 		words:  arena.NewWordArea(c.MaxItems, MetaWordsPerItem),
 		table:  hashtable.New(c.Buckets),
 		items:  make([]itemRecord, 0, minInt(c.MaxItems, 1<<16)),
-		pub:    make([]atomic.Uint64, c.MaxItems),
 		clock:  c.Clock,
 		policy: c.Policy,
 		ctr:    c.Counters,
@@ -174,11 +164,6 @@ func (s *Store) allocRecord() (uint64, error) {
 }
 
 func (s *Store) freeRecord(ref uint64) {
-	// Retract the publication word first: once the record is on the free
-	// list the next Put may repopulate it, and a probe must never decode a
-	// half-recycled word. (Probes can no longer hold this ref — the gate
-	// was quiescent after the detach — this ordering is belt-and-braces.)
-	s.pub[ref-1].Store(0)
 	s.items[ref-1] = itemRecord{}
 	s.free = append(s.free, ref)
 }
@@ -257,11 +242,6 @@ func (s *Store) Put(key, val []byte) (GetResult, bool, error) {
 	// against PUT must observe either no item or a fully formed one (§4.2.3).
 	EncodeItem(s.arena.Bytes(dataOff, size), key, val)
 	s.words.Store(metaIdx+1, uint64(now+s.policy.Term(0)))
-	// The publication word goes in before the guardian: read-plane probes
-	// validate pub → guardian, and the item only becomes reachable at the
-	// table flip below, so no probe can see a Live guardian behind a zero
-	// publication word.
-	s.pub[ref-1].Store(pubVal(dataOff, metaIdx))
 	s.words.Store(metaIdx, GuardianLive)
 
 	rec := &s.items[ref-1]
@@ -322,10 +302,8 @@ func (s *Store) allocItem(size int, now int64) (dataOff uint32, metaIdx int, ref
 		}
 		// Force-expire nothing; only collect entries already due. If nothing
 		// was due, give up: leases guard client RDMA Reads and must not be
-		// broken to satisfy allocation. Under memory pressure it is worth
-		// waiting a few scheduler yields for probe sections to quiesce
-		// rather than reporting a spurious ErrStoreFull.
-		if s.reclaimDue(128) == 0 {
+		// broken to satisfy allocation.
+		if s.ReclaimDue() == 0 {
 			return 0, 0, 0, ErrStoreFull
 		}
 	}
@@ -372,37 +350,8 @@ func (s *Store) RenewLease(key []byte) (int64, bool) {
 // ReclaimDue frees every detached item whose lease (plus grace) has expired.
 // The live shard loop calls this periodically; it is the amortised
 // equivalent of the paper's background reclamation thread.
-//
-// With a read gate attached, the whole pass is deferred (returns 0) while
-// any probe section is open: a section can hold references that were
-// detached before it began, and freeing under it would tear the probe
-// (readgate.go). Sections last one probe, so deferral is momentary.
 func (s *Store) ReclaimDue() int {
-	return s.reclaimDue(0)
-}
-
-// reclaimDue runs the free pass, spinning up to quiescePolls scheduler
-// yields for the gate to quiesce before giving up. The periodic path passes
-// 0 (never block the fallback servicing loop); the allocation-pressure path
-// waits briefly because the alternative is a spurious ErrStoreFull.
-func (s *Store) reclaimDue(quiescePolls int) int {
 	now := s.clock.Now()
-	if len(s.reclaim) == 0 || s.reclaim[0].due > now {
-		return 0
-	}
-	if s.gate != nil && !s.gate.Quiescent() {
-		// Readers close their section before blocking on the fallback
-		// handoff this goroutine services, so Gosched here cannot deadlock.
-		for i := 0; ; i++ {
-			if i >= quiescePolls {
-				return 0 // deferred; the next periodic pass retries
-			}
-			runtime.Gosched()
-			if s.gate.Quiescent() {
-				break
-			}
-		}
-	}
 	n := 0
 	for len(s.reclaim) > 0 && s.reclaim[0].due <= now {
 		e := s.reclaim.pop()

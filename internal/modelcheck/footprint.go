@@ -35,9 +35,8 @@ var footprints = []Footprint{
 	},
 	{
 		Model: "lease",
-		// kv's lease words live in the arena word area; kv's own direct
-		// atomics (publication words, read-gate sections) belong to the
-		// read plane and are declared by the readerplane footprint below.
+		// kv's lease words live in the arena word area; kv itself performs
+		// no direct atomic operations, which this empty footprint pins.
 		Packages:    []string{"hydradb/internal/kv"},
 		AtomicWords: []string{},
 		SchedTags:   []string{},
@@ -55,21 +54,6 @@ var footprints = []Footprint{
 		Packages:    []string{"hydradb/internal/replication"},
 		AtomicWords: []string{"hydradb/internal/replication.Secondary.applied", "hydradb/internal/replication.Secondary.started"},
 		SchedTags:   []string{},
-	},
-	{
-		Model: "readerplane",
-		// The read plane's probe surface (DESIGN.md §13): hashtable root
-		// buckets flip to atomic stores so readers can scan them, kv gains
-		// the publication word per item and the quiescence sections the
-		// reclaimer polls. Guardian/lease words stay in the arena word area
-		// and are covered by the guardian footprint above.
-		Packages: []string{"hydradb/internal/kv", "hydradb/internal/hashtable"},
-		AtomicWords: []string{
-			"hydradb/internal/kv.Store.pub[]",
-			"hydradb/internal/kv.ReadSlot.sec",
-			"hydradb/internal/hashtable.Table.main[]",
-		},
-		SchedTags: []string{},
 	},
 }
 

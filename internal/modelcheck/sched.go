@@ -125,7 +125,7 @@ type Model struct {
 
 // Models returns the registered protocol models in display order.
 func Models() []Model {
-	return []Model{guardianModel, leaseModel, mailboxModel, replicationModel, readerplaneModel}
+	return []Model{guardianModel, leaseModel, mailboxModel, replicationModel}
 }
 
 // Lookup finds a model by name.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"hydradb/internal/hashtable"
 	"hydradb/internal/kv"
 	"hydradb/internal/lease"
 	"hydradb/internal/message"
@@ -13,19 +12,17 @@ import (
 )
 
 // Specs returns every declared publication-protocol spec, in the order
-// their models appear in footprint.go (a model fed by several specs —
-// readerplane — lists them consecutively, primary first). hydralint
-// parses the same Spec literals statically; this runtime view exists so
-// the footprints can be *generated* from the specs and diffed against
-// the hand-written table, closing the lint <-> model-checker loop.
+// their models appear in footprint.go (a model fed by several specs
+// lists them consecutively, primary first). hydralint parses the same
+// Spec literals statically; this runtime view exists so the footprints
+// can be *generated* from the specs and diffed against the hand-written
+// table, closing the lint <-> model-checker loop.
 func Specs() []protocolspec.Spec {
 	return []protocolspec.Spec{
 		kv.GuardianSpec,
 		lease.RenewalSpec,
 		message.RingSpec,
 		replication.ReadySpec,
-		kv.ReadPlaneSpec,
-		hashtable.RootSpec,
 	}
 }
 

@@ -1,11 +1,10 @@
 // Package protocolspec is the declarative vocabulary for HydraDB's
 // lock-free publication protocols. Each package that owns a protocol
-// (the kv guardian word, the hashtable root buckets, the mailbox ring
-// indicator, the replication ready word, the lease words) declares a
-// package-level Spec literal describing the atomic words it publishes
-// through, the happens-before edges the protocol requires, the
-// torn-read guards its one-sided readers rely on, and the quiescence
-// gates its reclaimers must pass.
+// (the kv guardian word, the mailbox ring indicator, the replication
+// ready word, the lease words) declares a package-level Spec literal
+// describing the atomic words it publishes through, the happens-before
+// edges the protocol requires, and the torn-read guards its one-sided
+// readers rely on.
 //
 // A Spec is consumed twice:
 //
@@ -15,8 +14,7 @@
 //     the declared edges hold on every code path, spec-coverage flags
 //     atomic stores to spec'd words that no edge or Writers entry
 //     sanctions, spec-drift flags declarations that no longer match
-//     the code, and spec-guard re-proves the torn-read guards and
-//     reclamation gates.
+//     the code, and spec-guard re-proves the torn-read guards.
 //   - internal/modelcheck consumes the same Specs at runtime to
 //     generate each hydramc model's Footprint (and its SchedPoint tag
 //     skeleton); a test and `hydramc -footprints` diff the generated
@@ -46,11 +44,10 @@ const (
 	// than a single indicator (reserved; payload regions are today
 	// declared with hydralint:region markers).
 	PayloadGroup Role = "payload-group"
-	// PubWord is a publication pointer readers load to find an item
-	// (kv pub slots, hashtable root buckets).
+	// PubWord is a publication pointer readers load to find an item.
 	PubWord Role = "pub-word"
 	// ReadyWord is a produced-side completeness indicator (mailbox
-	// slot header, replication started flag, probe-section counters).
+	// slot header, replication started flag).
 	ReadyWord Role = "ready-word"
 	// CommitWord is a watermark that must only advance after the work
 	// it acknowledges is durable in memory (replication applied
@@ -132,15 +129,6 @@ type Guard struct {
 	Why   string
 }
 
-// Reclaim declares a reclamation gate: Reclaimer must call Gate
-// (and observe quiescence) before calling any of Frees.
-type Reclaim struct {
-	Reclaimer string
-	Gate      string
-	Frees     []string
-	Why       string
-}
-
 // Spec is one package's declared publication protocol.
 type Spec struct {
 	// Name identifies the spec in lint findings and SARIF
@@ -156,8 +144,7 @@ type Spec struct {
 	// scheduler interleaves on.
 	SchedTags []string
 
-	Words    []Word
-	Edges    []Edge
-	Guards   []Guard
-	Reclaims []Reclaim
+	Words  []Word
+	Edges  []Edge
+	Guards []Guard
 }

@@ -37,7 +37,7 @@ func (b *idleBackoff) idle() bool {
 	if b.rounds < b.spins {
 		b.rounds++
 		// Yield rather than pure-spin: keeps single-core hosts live and
-		// lets sibling readers and clients run between polls.
+		// lets clients run between polls.
 		runtime.Gosched()
 		return false
 	}

@@ -52,12 +52,6 @@ type Config struct {
 	// NapMaxNs caps the exponential idle nap (default 1 ms): the worst-case
 	// pickup delay for a fresh request arriving after a long idle period.
 	NapMaxNs int64
-	// ReaderThreads enables the parallel read plane: that many reader
-	// goroutines serve OpGet (and definitive OpRenewLease rejections)
-	// directly from connection mailboxes with guardian-validated probes,
-	// while every mutation stays exclusive to the shard loop (DESIGN.md
-	// §13). 0 keeps the classic single-goroutine shard.
-	ReaderThreads int
 	// ReclaimEvery runs a reclamation pass after this many handled requests.
 	ReclaimEvery int
 	// ExistingStore, when non-nil, adopts an already-populated store instead
@@ -240,10 +234,6 @@ func (s *Shard) Run() {
 	// deregistration (LIFO) happens-before the close a joining Stop waits on.
 	spawnDone := invariant.Spawned(fmt.Sprintf("shard/%p/run", s))
 	defer spawnDone()
-	if s.cfg.ReaderThreads > 0 {
-		s.runReadPlane()
-		return
-	}
 	respBuf := make([]byte, s.cfg.MailboxBytes)
 	back := s.newBackoff()
 	handledSinceReclaim := 0

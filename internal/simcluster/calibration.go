@@ -17,14 +17,13 @@ import (
 // LatencyClass names one statistical read-path class.
 type LatencyClass string
 
-// The five modeled classes (ISSUE: pointer-cache hit / stale / message-path
-// / WrongShard bounce / read-plane probe).
+// The four modeled classes: pointer-cache hit / stale / message-path /
+// WrongShard bounce.
 const (
 	ClassHit     LatencyClass = "hit"     // one-sided RDMA Read through a valid cached pointer
 	ClassStale   LatencyClass = "stale"   // invalid hit: one-sided read, guardian miss, message fallback
 	ClassMessage LatencyClass = "message" // RDMA-Write message round trip through the shard thread
 	ClassBounce  LatencyClass = "bounce"  // WrongShard: message to the old owner, reroute, retry
-	ClassProbe   LatencyClass = "probe"   // read-plane guardian-validated probe (ReaderThreads>0)
 )
 
 // ClassCalibration records one class's service-time model and provenance.
@@ -45,8 +44,7 @@ type Calibration struct {
 
 // classRecipes declares, per class, which live benchmarks compose its mean
 // and which distribution shape fits it: cache hits are near-deterministic
-// (fixed), probe latency is dominated by memoryless retry/backoff
-// (exponential), and the message-path classes are right-skewed by queueing
+// (fixed) and the message-path classes are right-skewed by queueing
 // (lognormal).
 var classRecipes = []struct {
 	Class LatencyClass
@@ -58,7 +56,6 @@ var classRecipes = []struct {
 	{ClassStale, []string{"BenchmarkLiveGet_RDMARead", "BenchmarkLiveGet_MessagePath"}, "lognormal", 0.25},
 	{ClassMessage, []string{"BenchmarkLiveGet_MessagePath"}, "lognormal", 0.25},
 	{ClassBounce, []string{"BenchmarkLiveGet_MessagePath", "BenchmarkLiveGet_MessagePath"}, "lognormal", 0.25},
-	{ClassProbe, []string{"BenchmarkLiveGet_ReadPlane/readers=1"}, "exponential", 0},
 }
 
 // CalibrationDriftBound is the declared tolerance between the embedded

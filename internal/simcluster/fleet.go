@@ -16,7 +16,7 @@ import (
 // machine is its own sim.Engine composed under a sim.Fleet so events
 // execute in global timestamp order, while bulk client traffic is modeled
 // statistically (sampler.go) — per machine tick the cohort's operations are
-// split across the five calibrated latency classes in expected value, so a
+// split across the four calibrated latency classes in expected value, so a
 // million simulated clients cost O(machines x ticks), not O(operations).
 // Real-data-structure fidelity is kept by a small set of tracer clients per
 // machine that run full pointer-cache / guardian-validation / WrongShard
@@ -53,8 +53,7 @@ type FleetConfig struct {
 	RecordsPerShard   int
 
 	OpsPerClientPerSec float64
-	ReadPct            int  // GET share of cohort traffic, percent
-	ReadPlane          bool // message-path GETs served by read-plane probes
+	ReadPct            int // GET share of cohort traffic, percent
 
 	DurationNs     int64
 	TickNs         int64
@@ -82,11 +81,10 @@ const (
 	idxStale
 	idxMessage
 	idxBounce
-	idxProbe
 	numClasses
 )
 
-var classOrder = [numClasses]LatencyClass{ClassHit, ClassStale, ClassMessage, ClassBounce, ClassProbe}
+var classOrder = [numClasses]LatencyClass{ClassHit, ClassStale, ClassMessage, ClassBounce}
 
 // fleetShard is one primary shard: a real kv.Store plus its service center
 // on the hosting machine's engine. Promotion moves home (and rebinds cpu).
@@ -427,16 +425,9 @@ func (s *FleetSim) tickTraffic(m *fleetMachine, k int64, now int64) {
 	}
 	hits := reads * hitF
 	stales := reads * staleF
-	rest := reads - hits - stales
+	msgs := reads - hits - stales
 	s.classOps[idxHit] += hits
 	s.classOps[idxStale] += stales
-	var probes, msgs float64
-	if s.cfg.ReadPlane {
-		probes = rest
-	} else {
-		msgs = rest
-	}
-	s.classOps[idxProbe] += probes
 	leak := 1.0
 	if s.cfg.Bug == BugLeakOps {
 		leak = 0.9
@@ -444,7 +435,7 @@ func (s *FleetSim) tickTraffic(m *fleetMachine, k int64, now int64) {
 	s.classOps[idxMessage] += (msgs + writes) * leak
 
 	// Aggregate shard busy time: only through-the-shard classes occupy the
-	// shard thread (hits are one-sided, probes run on reader cores).
+	// shard thread (hits are one-sided).
 	msgGet := c.ShardFixedNs + c.ShardGetNs
 	msgPut := c.ShardFixedNs + c.ShardPutNs
 	busy := (stales+msgs)*float64(msgGet) + writes*float64(msgPut) +
@@ -462,7 +453,7 @@ func (s *FleetSim) tickTraffic(m *fleetMachine, k int64, now int64) {
 	s.busyTick[k-1] += busy
 
 	// Latency samples for this tick's class mix.
-	mix := [numClasses]float64{hits, stales, msgs + writes, bounced, probes}
+	mix := [numClasses]float64{hits, stales, msgs + writes, bounced}
 	total := 0.0
 	for _, v := range mix {
 		total += v
@@ -874,6 +865,10 @@ func (s *FleetSim) finalize() FleetResult {
 		}
 		r.Classes[string(c)] = cr
 	}
+	// The hashed canonical JSON has always carried a "probe" row, and it was
+	// always zero. It outlives its class so the pinned scenario hashes stay
+	// comparable; dropping it is a re-pin-only change.
+	r.Classes["probe"] = ClassResult{}
 	denom := float64(maxInt(1, s.ringAlive)) * float64(s.cfg.TickNs)
 	for i := range s.busyTick {
 		if u := s.busyTick[i] / denom; u > r.PeakShardUtil {

@@ -46,9 +46,9 @@ func (s LatencySpec) Sample(rng *rand.Rand) int64 {
 	}
 }
 
-// SamplerSet holds the five class samplers.
+// SamplerSet holds the four class samplers.
 type SamplerSet struct {
-	Hit, Stale, Message, Bounce, Probe LatencySpec
+	Hit, Stale, Message, Bounce LatencySpec
 }
 
 // Class returns the spec for a class name.
@@ -62,8 +62,6 @@ func (s SamplerSet) Class(c LatencyClass) (LatencySpec, error) {
 		return s.Message, nil
 	case ClassBounce:
 		return s.Bounce, nil
-	case ClassProbe:
-		return s.Probe, nil
 	}
 	return LatencySpec{}, fmt.Errorf("simcluster: unknown latency class %q", c)
 }
@@ -87,6 +85,5 @@ func SamplersFromCalibration(cal Calibration, cost CostModel) SamplerSet {
 		Stale:   spec(ClassStale, 2),
 		Message: spec(ClassMessage, 1),
 		Bounce:  spec(ClassBounce, 2),
-		Probe:   spec(ClassProbe, 1),
 	}
 }

@@ -71,7 +71,7 @@ func TestSamplersFromCalibration(t *testing.T) {
 		class LatencyClass
 		rtts  float64
 	}{
-		{ClassHit, 1}, {ClassStale, 2}, {ClassMessage, 1}, {ClassBounce, 2}, {ClassProbe, 1},
+		{ClassHit, 1}, {ClassStale, 2}, {ClassMessage, 1}, {ClassBounce, 2},
 	} {
 		spec := testutil.Must1(set.Class(tc.class))
 		want := cal.Classes[tc.class].MeanNs + tc.rtts*rtt

@@ -39,11 +39,6 @@ type OpCounters struct {
 	Replications   Counter // records shipped to secondaries
 	ReplRollbacks  Counter // log re-send episodes (§5.2)
 	RoutingRetries Counter // requests re-routed after epoch change
-
-	// Read-plane counters (DESIGN.md §13).
-	ReadPlaneHits      Counter // requests fully served by a reader goroutine
-	ReadPlaneTorn      Counter // probes that raced an update and retried
-	ReadPlaneFallbacks Counter // read-plane requests handed to the shard loop
 }
 
 // SnapshotOpCounters copies current values into a plain struct for reports.
@@ -54,8 +49,6 @@ type OpSnapshot struct {
 	LeaseRenewals, LeaseRejects, Reclaims int64
 	Replications, ReplRollbacks           int64
 	RoutingRetries                        int64
-	ReadPlaneHits, ReadPlaneTorn          int64
-	ReadPlaneFallbacks                    int64
 }
 
 // Snapshot captures the counters.
@@ -74,10 +67,6 @@ func (o *OpCounters) Snapshot() OpSnapshot {
 		Replications:   o.Replications.Load(),
 		ReplRollbacks:  o.ReplRollbacks.Load(),
 		RoutingRetries: o.RoutingRetries.Load(),
-
-		ReadPlaneHits:      o.ReadPlaneHits.Load(),
-		ReadPlaneTorn:      o.ReadPlaneTorn.Load(),
-		ReadPlaneFallbacks: o.ReadPlaneFallbacks.Load(),
 	}
 }
 
@@ -96,7 +85,4 @@ func (s *OpSnapshot) Add(o OpSnapshot) {
 	s.Replications += o.Replications
 	s.ReplRollbacks += o.ReplRollbacks
 	s.RoutingRetries += o.RoutingRetries
-	s.ReadPlaneHits += o.ReadPlaneHits
-	s.ReadPlaneTorn += o.ReadPlaneTorn
-	s.ReadPlaneFallbacks += o.ReadPlaneFallbacks
 }
