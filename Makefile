@@ -75,12 +75,14 @@ deep-lint: lint-budget lint-sarif lint-liveness lint-spec
 	timeout $(DEEPMCTIMEOUT) $(GO) run -tags hydradebug ./cmd/hydramc -model mailbox -fine -maxsteps 800 -maxschedules $(DEEPMCSCHEDULES)
 	! timeout $(DEEPMCTIMEOUT) $(GO) run -tags hydradebug ./cmd/hydramc -model mailbox -fine -bug -maxsteps 800 -maxschedules $(DEEPMCSCHEDULES)
 
-# Short fuzz pass over the wire codecs; go test -fuzz accepts only one
-# package per invocation.
+# Short fuzz pass over the wire codecs and the client pointer cache (against
+# a map model, across grows); go test -fuzz accepts only one package per
+# invocation.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBucketEncodeDecode -fuzztime=$(FUZZTIME) ./internal/hashtable
 	$(GO) test -run='^$$' -fuzz=FuzzMessageRoundTrip -fuzztime=$(FUZZTIME) ./internal/message
 	$(GO) test -run='^$$' -fuzz=FuzzMailboxRing -fuzztime=$(FUZZTIME) ./internal/message
+	$(GO) test -run='^$$' -fuzz=FuzzMapAgainstModel -fuzztime=$(FUZZTIME) ./internal/lfmap
 
 # Live-mode microbenchmarks at a token iteration count with allocation
 # reporting: catches hot-path regressions (a new alloc, a broken pipeline)

@@ -1,70 +1,116 @@
 // Allocation-budget gates for the request hot paths: the steady-state
-// one-sided GET and the pipelined message GET must stay at ≤1 alloc/op.
-// These are enforced as tests (not just bench numbers) so a regression
-// fails CI rather than silently degrading ns/op.
+// one-sided GET allocates nothing, a pipelined message GET at most once,
+// and a MultiPut of cached keys only its new pointer entries. These are
+// enforced as tests (not just bench numbers) so a regression fails CI
+// rather than silently degrading ns/op.
 package hydradb_test
 
 import (
+	"fmt"
 	"testing"
 
 	"hydradb"
+	"hydradb/internal/invariant"
 )
 
-// TestAllocBudgetOneSidedGet: a warm GetInto into a reused buffer performs
-// the RDMA Read, guardian check, and key validation without allocating.
-func TestAllocBudgetOneSidedGet(t *testing.T) {
+// budgetDB starts a one-shard deployment for an allocation budget.
+func budgetDB(t *testing.T, edit func(*hydradb.Options)) *hydradb.DB {
+	t.Helper()
 	opts := hydradb.DefaultOptions()
 	opts.ShardsPerMachine = 1
-	opts.SharedPointerCache = false // private cache: byte-key map interning
 	opts.ArenaBytesPerShard = 16 << 20
 	opts.MaxItemsPerShard = 1 << 16
+	edit(&opts)
 	db, err := hydradb.Start(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	c := db.NewClient()
-	key := []byte("budgetkey8bytes!")
-	if err := c.Put(key, make([]byte, 32)); err != nil {
-		t.Fatal(err)
+	t.Cleanup(db.Close)
+	return db
+}
+
+// cacheModes runs a budget with the default shared pointer cache and with
+// a private one.
+func cacheModes(t *testing.T, run func(t *testing.T, edit func(*hydradb.Options))) {
+	for _, shared := range []bool{true, false} {
+		t.Run(fmt.Sprintf("shared=%v", shared), func(t *testing.T) {
+			run(t, func(o *hydradb.Options) { o.SharedPointerCache = shared })
+		})
 	}
-	// Warm: the first GetInto sizes the read scratch and value buffer.
-	buf, err := c.GetInto(key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		var gerr error
-		buf, gerr = c.GetInto(key, buf[:0])
-		if gerr != nil || len(buf) != 32 {
-			t.Fatalf("get: len=%d err=%v", len(buf), gerr)
+}
+
+// TestAllocBudgetOneSidedGet: a warm GetInto into a reused buffer performs
+// the cache lookup, RDMA Read, guardian check, and key validation without
+// allocating, whichever cache mode the client runs in.
+func TestAllocBudgetOneSidedGet(t *testing.T) {
+	cacheModes(t, func(t *testing.T, edit func(*hydradb.Options)) {
+		c := budgetDB(t, edit).NewClient()
+		key := []byte("budgetkey8bytes!")
+		if err := c.Put(key, make([]byte, 32)); err != nil {
+			t.Fatal(err)
+		}
+		// Warm: the first GetInto sizes the read scratch and value buffer.
+		buf, err := c.GetInto(key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			var gerr error
+			buf, gerr = c.GetInto(key, buf[:0])
+			if gerr != nil || len(buf) != 32 {
+				t.Fatalf("get: len=%d err=%v", len(buf), gerr)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("one-sided GET allocates %.1f/op, budget is 0", allocs)
+		}
+		// The runs above must actually have exercised the one-sided path.
+		snap := c.Counters().Snapshot()
+		if snap.RDMAReadHits < 150 {
+			t.Fatalf("only %d one-sided hits; path not exercised", snap.RDMAReadHits)
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("one-sided GET allocates %.1f/op, budget is 1", allocs)
+}
+
+// TestAllocBudgetMultiPutCached: re-putting keys whose pointers are already
+// cached allocates the new pointer entry per key and nothing else — no key
+// string, no cache slot.
+func TestAllocBudgetMultiPutCached(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("hydradebug: the shard's ownership assertion allocates once per write")
 	}
-	// The runs above must actually have exercised the one-sided path.
-	snap := c.Counters().Snapshot()
-	if snap.RDMAReadHits < 150 {
-		t.Fatalf("only %d one-sided hits; path not exercised", snap.RDMAReadHits)
-	}
+	cacheModes(t, func(t *testing.T, edit func(*hydradb.Options)) {
+		c := budgetDB(t, edit).NewClient()
+		const batch = 16
+		pairs := make([]hydradb.KV, batch)
+		for i := range pairs {
+			pairs[i] = hydradb.KV{Key: []byte(fmt.Sprintf("budget-multiput-%02d", i)), Val: make([]byte, 32)}
+		}
+		// Warm: the first batch inserts the keys and grows the scratch.
+		if err := c.MultiPut(pairs); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := c.MultiPut(pairs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perOp := allocs / batch; perOp > 1 {
+			t.Fatalf("MultiPut of cached keys allocates %.2f/op, budget is 1 (the new pointer entry)", perOp)
+		}
+		if n := c.Cache().Len(); n != batch {
+			t.Fatalf("cache holds %d pointers, want %d", n, batch)
+		}
+	})
 }
 
 // TestAllocBudgetPipelinedGet: a steady-state MultiGet batch on the message
 // path amortizes to ≤1 alloc per GET.
 func TestAllocBudgetPipelinedGet(t *testing.T) {
-	opts := hydradb.DefaultOptions()
-	opts.ShardsPerMachine = 1
-	opts.DisableRDMARead = true
-	opts.SharedPointerCache = false
-	opts.ArenaBytesPerShard = 16 << 20
-	opts.MaxItemsPerShard = 1 << 16
-	db, err := hydradb.Start(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	c := db.NewClient()
+	c := budgetDB(t, func(o *hydradb.Options) {
+		o.DisableRDMARead = true
+		o.SharedPointerCache = false
+	}).NewClient()
 	const batch = 16
 	keys := make([][]byte, batch)
 	for i := range keys {

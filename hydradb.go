@@ -38,6 +38,7 @@ import (
 	"hydradb/internal/client"
 	"hydradb/internal/cluster"
 	"hydradb/internal/kv"
+	"hydradb/internal/lfmap"
 	"hydradb/internal/rdma"
 	"hydradb/internal/replication"
 	"hydradb/internal/stats"
@@ -119,7 +120,7 @@ type DB struct {
 	opts    Options
 	cluster *cluster.Cluster
 	clock   timing.Clock
-	caches  []client.PtrCache // one shared cache per client machine
+	caches  []*lfmap.Map[client.PtrEntry] // one shared cache per client machine
 	nextCli int
 }
 
@@ -168,7 +169,7 @@ func Start(opts Options) (*DB, error) {
 	db := &DB{opts: opts, cluster: cl, clock: clk}
 	if opts.SharedPointerCache {
 		for i := 0; i < opts.ClientMachines; i++ {
-			db.caches = append(db.caches, client.NewSharedCache(1<<14))
+			db.caches = append(db.caches, client.NewCache())
 		}
 	}
 	return db, nil

@@ -35,61 +35,20 @@ var (
 	ErrMaybeApplied = errors.New("hydradb: write may or may not have been applied")
 )
 
-// PtrEntry is a cached remote pointer plus its lease (§4.2.2).
+// PtrEntry is a cached remote pointer plus its lease (§4.2.2). Once
+// published in a cache it never changes except for Access: a fresher lease
+// is published as a new entry, because collocated clients read it
+// concurrently.
 type PtrEntry struct {
 	Ptr      kv.RemotePtr
 	LeaseExp int64
 	Access   atomic.Uint32 // client-side popularity for renewal decisions
 }
 
-// PtrCache abstracts the pointer cache: a private per-client cache or the
-// shared lock-free cache of collocated clients (§4.2.4).
-type PtrCache interface {
-	Get(key string) (*PtrEntry, bool)
-	Put(key string, e *PtrEntry)
-	CompareAndDelete(key string, old *PtrEntry) bool
-	Range(fn func(key string, e *PtrEntry) bool)
-	Len() int
-}
-
-// NewSharedCache builds the machine-wide lock-free cache.
-func NewSharedCache(buckets int) PtrCache {
-	return sharedCache{m: lfmap.New[PtrEntry](buckets)}
-}
-
-type sharedCache struct{ m *lfmap.Map[PtrEntry] }
-
-func (s sharedCache) Get(key string) (*PtrEntry, bool) { return s.m.Get(key) }
-func (s sharedCache) Put(key string, e *PtrEntry)      { s.m.Put(key, e) }
-func (s sharedCache) CompareAndDelete(key string, old *PtrEntry) bool {
-	return s.m.CompareAndDelete(key, old)
-}
-func (s sharedCache) Range(fn func(string, *PtrEntry) bool) { s.m.Range(fn) }
-func (s sharedCache) Len() int                              { return s.m.Len() }
-
-// NewPrivateCache builds a single-client map cache (used when secure access
-// requires cache isolation, §4.2.4).
-func NewPrivateCache() PtrCache { return &privateCache{m: map[string]*PtrEntry{}} }
-
-type privateCache struct{ m map[string]*PtrEntry }
-
-func (p *privateCache) Get(key string) (*PtrEntry, bool) { e, ok := p.m[key]; return e, ok }
-func (p *privateCache) Put(key string, e *PtrEntry)      { p.m[key] = e }
-func (p *privateCache) CompareAndDelete(key string, old *PtrEntry) bool {
-	if cur, ok := p.m[key]; ok && cur == old {
-		delete(p.m, key)
-		return true
-	}
-	return false
-}
-func (p *privateCache) Range(fn func(string, *PtrEntry) bool) {
-	for k, e := range p.m {
-		if !fn(k, e) {
-			return
-		}
-	}
-}
-func (p *privateCache) Len() int { return len(p.m) }
+// NewCache builds a remote-pointer cache. Handed to one client it is that
+// client's private cache; handed to every client of a machine it is their
+// shared lock-free cache (§4.2.4).
+func NewCache() *lfmap.Map[PtrEntry] { return lfmap.New[PtrEntry](0) }
 
 // RouteTable snapshots the cluster topology under one epoch.
 type RouteTable struct {
@@ -103,7 +62,7 @@ type Options struct {
 	// Clock is required (shared with the cluster for lease arithmetic).
 	Clock timing.Clock
 	// Cache holds remote pointers; nil selects a private cache.
-	Cache PtrCache
+	Cache *lfmap.Map[PtrEntry]
 	// UseRDMARead enables the one-sided GET path (§4.2.2); disabled it
 	// degenerates to pure message passing ("RDMA Write Only", Fig. 10).
 	UseRDMARead bool
@@ -145,11 +104,12 @@ type Options struct {
 
 // Client is a HydraDB client instance. A client issues synchronous requests
 // and is not safe for concurrent use — run one per goroutine, exactly like
-// the paper's client processes; clients may share a PtrCache and counters.
+// the paper's client processes; clients may share a pointer cache and
+// counters.
 type Client struct {
 	opts   Options
 	table  *RouteTable
-	cache  PtrCache
+	cache  *lfmap.Map[PtrEntry]
 	clock  timing.Clock
 	wall   timing.Clock
 	ctr    *stats.OpCounters
@@ -186,7 +146,7 @@ func New(table *RouteTable, opts Options) *Client {
 	}
 	cache := opts.Cache
 	if cache == nil {
-		cache = NewPrivateCache()
+		cache = NewCache()
 	}
 	ctr := opts.Counters
 	if ctr == nil {
@@ -208,7 +168,7 @@ func New(table *RouteTable, opts Options) *Client {
 func (c *Client) Counters() *stats.OpCounters { return c.ctr }
 
 // Cache exposes the pointer cache (hit analysis, Fig. 11).
-func (c *Client) Cache() PtrCache { return c.cache }
+func (c *Client) Cache() *lfmap.Map[PtrEntry] { return c.cache }
 
 // Table reports the current routing snapshot.
 func (c *Client) Table() *RouteTable { return c.table }
@@ -429,38 +389,24 @@ func (c *Client) refreshTable() {
 	})
 }
 
-// cachePointer installs/overwrites the pointer for key.
-func (c *Client) cachePointer(key string, ptr kv.RemotePtr, leaseExp int64) {
+// cachePointer installs/overwrites the pointer for key. The cache copies the
+// key into a string only on the key's first insert.
+func (c *Client) cachePointer(key []byte, ptr kv.RemotePtr, leaseExp int64) {
 	if ptr.Zero() {
 		return
 	}
 	e := &PtrEntry{Ptr: ptr, LeaseExp: leaseExp}
 	e.Access.Store(1)
-	c.cache.Put(key, e)
+	c.cache.PutBytes(key, e)
 }
 
-// cacheGet looks up key's pointer without materializing a string: on the
-// private cache the map index expression string-interns the byte key for
-// free, so the steady-state GET path stays allocation-free. The shared
-// lock-free cache needs a real string.
-func (c *Client) cacheGet(key []byte) (*PtrEntry, bool) {
-	if p, ok := c.cache.(*privateCache); ok {
-		e, ok := p.m[string(key)]
-		return e, ok
-	}
-	return c.cache.Get(string(key))
-}
-
-// cacheDrop removes key's pointer if it still maps to old (byte-key twin of
-// CompareAndDelete, same interning trick as cacheGet).
-func (c *Client) cacheDrop(key []byte, old *PtrEntry) {
-	if p, ok := c.cache.(*privateCache); ok {
-		if cur, ok := p.m[string(key)]; ok && cur == old {
-			delete(p.m, string(key))
-		}
-		return
-	}
-	c.cache.CompareAndDelete(string(key), old)
+// extendLease republishes e with the later expiry exp, unless another client
+// replaced e first. Entries are shared and read without locks, so a lease is
+// never written in place; the rare allocation lives here, off the hot path.
+func (c *Client) extendLease(key []byte, e *PtrEntry, exp int64) {
+	ne := &PtrEntry{Ptr: e.Ptr, LeaseExp: exp}
+	ne.Access.Store(e.Access.Load())
+	c.cache.CompareAndSwapBytes(key, e, ne)
 }
 
 // Get returns the value for key. Previously accessed keys with a valid
@@ -480,7 +426,7 @@ func (c *Client) Get(key []byte) ([]byte, error) {
 func (c *Client) GetInto(key, dst []byte) ([]byte, error) {
 	c.ctr.Gets.Inc()
 	if c.opts.UseRDMARead {
-		if e, ok := c.cacheGet(key); ok {
+		if e, ok := c.cache.GetBytes(key); ok {
 			out, ok, err := c.readViaPointerInto(key, e, dst)
 			if err == nil && ok {
 				c.ctr.RDMAReadHits.Inc()
@@ -490,7 +436,7 @@ func (c *Client) GetInto(key, dst []byte) ([]byte, error) {
 			// Invalid hit: outdated item observed — drop the pointer and
 			// issue a message GET for the latest version (§4.2.3).
 			c.ctr.RDMAReadStale.Inc()
-			c.cacheDrop(key, e)
+			c.cache.CompareAndDeleteBytes(key, e)
 		} else {
 			c.ctr.PointerMisses.Inc()
 		}
@@ -511,7 +457,7 @@ func (c *Client) getViaMessage(key, dst []byte) ([]byte, error) {
 	switch resp.Status {
 	case message.StatusOK:
 		if c.opts.UseRDMARead {
-			c.cachePointer(string(key), resp.Ptr, resp.LeaseExp)
+			c.cachePointer(key, resp.Ptr, resp.LeaseExp)
 		}
 		return out, nil
 	case message.StatusNotFound:
@@ -557,7 +503,7 @@ func (c *Client) readViaPointerInto(key []byte, e *PtrEntry, dst []byte) ([]byte
 	}
 	// Refresh the lease view fetched with the item.
 	if exp := int64(c.wordBuf[1]); exp > e.LeaseExp {
-		e.LeaseExp = exp
+		c.extendLease(key, e, exp)
 	}
 	dst = append(dst, gotVal...)
 	return dst, true, nil
@@ -583,7 +529,7 @@ func (c *Client) Put(key, val []byte) error {
 		return ErrRemote
 	}
 	if c.opts.UseRDMARead {
-		c.cachePointer(string(key), resp.Ptr, resp.LeaseExp)
+		c.cachePointer(key, resp.Ptr, resp.LeaseExp)
 	}
 	return nil
 }
@@ -595,9 +541,7 @@ func (c *Client) Delete(key []byte) error {
 	if err != nil {
 		return err
 	}
-	if e, ok := c.cacheGet(key); ok {
-		c.cacheDrop(key, e)
-	}
+	c.cache.DeleteBytes(key)
 	switch resp.Status {
 	case message.StatusOK:
 		return nil
@@ -609,7 +553,7 @@ func (c *Client) Delete(key []byte) error {
 }
 
 // Renew extends the lease of key on the server (periodic renewal of popular
-// keys, §4.2.3). It updates the cached entry in place.
+// keys, §4.2.3). It republishes the cached entry with the new expiry.
 func (c *Client) Renew(key []byte) error {
 	resp, err := c.request(&message.Request{Op: message.OpRenewLease, Key: key})
 	if err != nil {
@@ -617,14 +561,12 @@ func (c *Client) Renew(key []byte) error {
 	}
 	if resp.Status != message.StatusOK {
 		// Outdated or deleted: drop the pointer.
-		if e, ok := c.cacheGet(key); ok {
-			c.cacheDrop(key, e)
-		}
+		c.cache.DeleteBytes(key)
 		return ErrNotFound
 	}
 	c.ctr.LeaseRenewals.Inc()
-	if e, ok := c.cacheGet(key); ok {
-		e.LeaseExp = resp.LeaseExp
+	if e, ok := c.cache.GetBytes(key); ok && resp.LeaseExp > e.LeaseExp {
+		c.extendLease(key, e, resp.LeaseExp)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hydradb/internal/consistent"
@@ -197,7 +198,7 @@ func TestLeaseExpiryForcesMessagePath(t *testing.T) {
 
 func TestSharedCacheAcrossClients(t *testing.T) {
 	env := newLiveEnv(t, false)
-	shared := NewSharedCache(256)
+	shared := NewCache()
 	a := env.newClient(t, Options{UseRDMARead: true, Cache: shared})
 	b := env.newClient(t, Options{UseRDMARead: true, Cache: shared})
 
@@ -219,6 +220,71 @@ func TestSharedCacheAcrossClients(t *testing.T) {
 	}
 	if a.Counters().Snapshot().RDMAReadStale != 0 {
 		t.Fatal("shared cache failed to prevent the stale cascade")
+	}
+}
+
+// TestSharedLeaseRefreshUnderReaders: two clients read one key one-sided
+// through a shared cache while a third client's message GETs keep extending
+// its lease, so the readers keep seeing a later lease than the cached one.
+// A cached entry must never be written in place (run under -race); the
+// fresher lease is republished as a new entry instead.
+func TestSharedLeaseRefreshUnderReaders(t *testing.T) {
+	env := newLiveEnv(t, false)
+	shared := NewCache()
+	readers := []*Client{
+		env.newClient(t, Options{UseRDMARead: true, Cache: shared}),
+		env.newClient(t, Options{UseRDMARead: true, Cache: shared}),
+	}
+	extender := env.newClient(t, Options{UseRDMARead: false})
+	key := []byte("hot")
+	testutil.Must(readers[0].Put(key, []byte("v")))
+	first, _ := shared.GetBytes(key)
+
+	var extended atomic.Bool
+	get := func(c *Client) bool {
+		if v, err := c.Get(key); err != nil || string(v) != "v" {
+			t.Errorf("get: %q %v", v, err)
+			return false
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer extended.Store(true)
+		for i := 0; i < 300; i++ {
+			if !get(extender) {
+				return
+			}
+		}
+	}()
+	for _, c := range readers {
+		wg.Add(1)
+		go func(c *Client) {
+			defer wg.Done()
+			// Read throughout the extensions, then past the last one.
+			for !extended.Load() {
+				if !get(c) {
+					return
+				}
+			}
+			for i := 0; i < 50; i++ {
+				if !get(c) {
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	last, ok := shared.GetBytes(key)
+	if !ok || last.Ptr != first.Ptr || last.LeaseExp <= first.LeaseExp {
+		t.Fatalf("lease not republished: first expiry %d, last entry %+v (found %v)", first.LeaseExp, last, ok)
+	}
+	for _, c := range readers {
+		if c.Counters().Snapshot().RDMAReadHits == 0 {
+			t.Fatal("reader never went one-sided")
+		}
 	}
 }
 
@@ -339,7 +405,7 @@ func TestManyKeysAndValues(t *testing.T) {
 
 func TestConcurrentClients(t *testing.T) {
 	env := newLiveEnv(t, false)
-	shared := NewSharedCache(1024)
+	shared := NewCache()
 	const workers = 4
 	const iters = 300
 	var wg sync.WaitGroup

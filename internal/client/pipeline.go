@@ -130,7 +130,7 @@ func (c *Client) Pipeline(ops []Op) []Result {
 		switch op.Code {
 		case message.OpGet:
 			if c.opts.UseRDMARead {
-				if e, ok := c.cacheGet(op.Key); ok {
+				if e, ok := c.cache.GetBytes(op.Key); ok {
 					base := len(p.vals)
 					out, hit, err := c.readViaPointerInto(op.Key, e, p.vals)
 					p.vals = out
@@ -144,7 +144,7 @@ func (c *Client) Pipeline(ops []Op) []Result {
 						continue
 					}
 					c.ctr.RDMAReadStale.Inc()
-					c.cacheDrop(op.Key, e)
+					c.cache.CompareAndDeleteBytes(op.Key, e)
 				} else {
 					c.ctr.PointerMisses.Inc()
 				}
@@ -351,7 +351,7 @@ func (c *Client) completeOne(pc *pipeConn, op *Op, i int, resp *message.Response
 		switch resp.Status {
 		case message.StatusOK:
 			if c.opts.UseRDMARead {
-				c.cachePointer(string(op.Key), resp.Ptr, resp.LeaseExp)
+				c.cachePointer(op.Key, resp.Ptr, resp.LeaseExp)
 			}
 			base := len(p.vals)
 			p.vals = append(p.vals, resp.Val...)
@@ -370,13 +370,11 @@ func (c *Client) completeOne(pc *pipeConn, op *Op, i int, resp *message.Response
 		}
 		r.Existed = resp.Existed
 		if c.opts.UseRDMARead {
-			c.cachePointer(string(op.Key), resp.Ptr, resp.LeaseExp)
+			c.cachePointer(op.Key, resp.Ptr, resp.LeaseExp)
 		}
 	case message.OpDelete:
 		c.ctr.Deletes.Inc()
-		if e, ok := c.cacheGet(op.Key); ok {
-			c.cacheDrop(op.Key, e)
-		}
+		c.cache.DeleteBytes(op.Key)
 		switch resp.Status {
 		case message.StatusOK:
 			r.Existed = true

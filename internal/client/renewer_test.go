@@ -1,6 +1,7 @@
 package client
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -9,7 +10,7 @@ import (
 
 func TestRenewerScanOnce(t *testing.T) {
 	env := newLiveEnv(t, false)
-	shared := NewSharedCache(64)
+	shared := NewCache()
 	worker := env.newClient(t, Options{UseRDMARead: true, Cache: shared})
 	renewClient := env.newClient(t, Options{UseRDMARead: true, Cache: shared})
 
@@ -45,9 +46,48 @@ func TestRenewerScanOnce(t *testing.T) {
 	}
 }
 
+// TestRenewerAgainstReaders: the renewal agent republishes leases while
+// worker clients read the same shared entries one-sided (run under -race).
+func TestRenewerAgainstReaders(t *testing.T) {
+	env := newLiveEnv(t, false)
+	shared := NewCache()
+	workers := []*Client{
+		env.newClient(t, Options{UseRDMARead: true, Cache: shared}),
+		env.newClient(t, Options{UseRDMARead: true, Cache: shared}),
+	}
+	r := NewRenewer(env.newClient(t, Options{UseRDMARead: true, Cache: shared}), time.Millisecond, 1, time.Hour)
+	key := []byte("hot")
+	testutil.Must(workers[0].Put(key, []byte("v")))
+
+	var wg sync.WaitGroup
+	for _, c := range workers {
+		wg.Add(1)
+		go func(c *Client) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				if v, err := c.Get(key); err != nil || string(v) != "v" {
+					t.Errorf("get: %q %v", v, err)
+					return
+				}
+			}
+		}(c)
+	}
+	renewed := 0
+	for i := 0; i < 20; i++ {
+		renewed += r.ScanOnce()
+	}
+	wg.Wait()
+	if renewed == 0 {
+		t.Fatal("agent renewed nothing")
+	}
+	if e, ok := shared.GetBytes(key); !ok || e.Access.Load() == 0 {
+		t.Fatalf("entry lost or its access count reset: %v", ok)
+	}
+}
+
 func TestRenewerBackgroundLoop(t *testing.T) {
 	env := newLiveEnv(t, false)
-	shared := NewSharedCache(64)
+	shared := NewCache()
 	worker := env.newClient(t, Options{UseRDMARead: true, Cache: shared})
 	agentClient := env.newClient(t, Options{UseRDMARead: true, Cache: shared})
 

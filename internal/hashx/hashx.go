@@ -28,13 +28,17 @@ func mix(a, b uint64) uint64 {
 	return hi ^ lo
 }
 
-func load64(b []byte) uint64 {
+// bytestring is a key in either representation; one generic body hashes both,
+// so Hash(b) == HashString(string(b)) by construction and neither copies.
+type bytestring interface{ ~string | ~[]byte }
+
+func load64[K bytestring](b K) uint64 {
 	_ = b[7]
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-func load32(b []byte) uint64 {
+func load32[K bytestring](b K) uint64 {
 	_ = b[3]
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24
 }
@@ -42,7 +46,15 @@ func load32(b []byte) uint64 {
 // Hash returns the 64-bit hashcode of key.
 //
 // hydralint:hotpath
-func Hash(key []byte) uint64 {
+func Hash(key []byte) uint64 { return hash(key) }
+
+// HashString is Hash for string keys; it reads the string in place.
+//
+// hydralint:hotpath
+func HashString(key string) uint64 { return hash(key) }
+
+// hydralint:hotpath
+func hash[K bytestring](key K) uint64 {
 	seed := uint64(prime1)
 	n := len(key)
 	var a, b uint64
@@ -79,17 +91,6 @@ func Hash(key []byte) uint64 {
 		b = load64(key[n-8:])
 	}
 	return mix(prime2^uint64(n), mix(a^prime3, b^seed))
-}
-
-// HashString is Hash for string keys without forcing an allocation at call
-// sites that already hold a string.
-func HashString(key string) uint64 {
-	// Strings are immutable; converting via []byte(key) would copy. For the
-	// short keys hydradb handles the copy cost is negligible and keeps the
-	// implementation allocation-transparent to escape analysis in most cases.
-	buf := make([]byte, 0, 32)
-	buf = append(buf, key...)
-	return Hash(buf)
 }
 
 // Hash64 mixes a raw 64-bit value; used for integer-keyed tables such as the

@@ -42,6 +42,27 @@ func TestHashStringMatchesHash(t *testing.T) {
 	}
 }
 
+// TestHashStringMatchesHashEveryLength pins the equality routing, bucket
+// index and signature all rely on across every size branch.
+func TestHashStringMatchesHashEveryLength(t *testing.T) {
+	key := make([]byte, 100)
+	for i := range key {
+		key[i] = byte(i*31 + 7)
+	}
+	for n := 0; n <= len(key); n++ {
+		if Hash(key[:n]) != HashString(string(key[:n])) {
+			t.Fatalf("length %d: Hash and HashString disagree", n)
+		}
+	}
+}
+
+func TestHashStringDoesNotAllocate(t *testing.T) {
+	key := string(make([]byte, 64))
+	if allocs := testing.AllocsPerRun(100, func() { _ = HashString(key) }); allocs != 0 {
+		t.Fatalf("HashString of a 64 B key allocates %.1f/op", allocs)
+	}
+}
+
 func TestHashDistinguishesSimilarKeys(t *testing.T) {
 	// Keys differing in a single byte must hash differently in practice.
 	base := []byte("0123456789abcdef") // 16-byte key, the paper's target size
