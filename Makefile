@@ -5,7 +5,7 @@
 GO        ?= go
 FUZZTIME  ?= 20s
 
-.PHONY: all build vet test race lint lint-budget lint-budget-write lint-sarif lint-liveness lint-spec deep-lint fuzz-smoke debug-test bench-smoke bench-json hydramc-smoke chaos-smoke sim-smoke cover ci
+.PHONY: all build vet test race lint lint-budget lint-budget-write lint-sarif lint-liveness lint-spec deep-lint fuzz-smoke debug-test bench-smoke hydramc-smoke chaos-smoke sim-smoke cover ci
 
 all: build test
 
@@ -84,25 +84,14 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMailboxRing -fuzztime=$(FUZZTIME) ./internal/message
 	$(GO) test -run='^$$' -fuzz=FuzzMapAgainstModel -fuzztime=$(FUZZTIME) ./internal/lfmap
 
-# Live-mode microbenchmarks at a token iteration count with allocation
-# reporting: catches hot-path regressions (a new alloc, a broken pipeline)
-# without paying for a statistically meaningful perf run in CI.
+# The yardstick's own checks (benchmark/, a nested module that `go test
+# ./...` does not reach): vet plus its smoke tests, which run every
+# workload briefly untraced and traced and check that every workload
+# BENCHMARK.json names exists with the same description. A root-module
+# change that breaks benchmark/ fails here rather than when the benchmark
+# next runs.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkLive' -benchtime=100x .
-
-# Machine-readable benchmark snapshot: the live microbenchmarks at a
-# meaningful iteration count, rendered to JSON by cmd/benchjson. CI uploads
-# the file as a build artifact; the checked-in BENCH_PR7.json is one such
-# run, and the simulator's calibration reads it. It also records the sweep
-# of a since-removed server-side reader mode (DESIGN.md §13), which a
-# regenerated file no longer contains.
-BENCHJSONTIME ?= 2000x
-BENCHJSONOUT  ?= BENCH_PR7.json
-bench-json:
-	$(GO) test -run='^$$' -bench='BenchmarkLive' -benchtime=$(BENCHJSONTIME) . \
-		| tee bench-json.log | $(GO) run ./cmd/benchjson > $(BENCHJSONOUT)
-	@rm -f bench-json.log
-	@echo wrote $(BENCHJSONOUT)
+	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Runtime sanitizers: goroutine-ownership assertions, arena double-free /
 # use-after-free canaries, guardian-word validation at the fabric boundary.

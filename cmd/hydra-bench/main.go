@@ -37,41 +37,55 @@ func main() {
 		os.Exit(2)
 	}
 
+	figures := []struct {
+		name string
+		run  func()
+	}{
+		{"2", func() { fmt.Println(bench.Fig02(scale)) }},
+		{"3", func() { fmt.Println(bench.Fig03(scale)) }},
+		{"9", func() { fmt.Println(bench.Fig09(scale)) }},
+		{"10", func() { fmt.Println(bench.Fig10(scale)) }},
+		{"11", func() { fmt.Println(bench.Fig11(scale)) }},
+		{"claims", func() { fmt.Println(bench.SectionClaims(scale)) }},
+		{"12", func() {
+			fmt.Println(bench.Fig12ScaleOut(scale, ycsb.Uniform))
+			fmt.Println(bench.Fig12ScaleOut(scale, ycsb.Zipfian))
+			fmt.Println(bench.Fig12ScaleUp(scale, ycsb.Uniform))
+			fmt.Println(bench.Fig12ScaleUp(scale, ycsb.Zipfian))
+		}},
+		{"13", func() { fmt.Println(bench.Fig13(scale)) }},
+		{"pipeline", func() { fmt.Println(bench.PipelineMicro(scale)) }},
+		{"ablations", func() {
+			fmt.Println(bench.AblationSubsharding(scale))
+			fmt.Println(bench.AblationPointerSharing(scale))
+			fmt.Println(bench.AblationLeasePolicy(scale))
+			fmt.Println(bench.AblationNUMA(scale))
+		}},
+	}
+
+	known := map[string]bool{"all": true}
+	for _, f := range figures {
+		known[f.name] = true
+	}
 	want := map[string]bool{}
 	for _, f := range strings.Split(*figs, ",") {
-		want[strings.TrimSpace(f)] = true
-	}
-	all := want["all"]
-	run := func(name string, fn func()) {
-		if !all && !want[name] {
-			return
+		f = strings.TrimSpace(f)
+		if !known[f] {
+			fmt.Fprintf(os.Stderr, "unknown figure %q (see -h)\n", f)
+			os.Exit(2)
 		}
-		start := time.Now()
-		fn()
-		fmt.Printf("(%s regenerated in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+		want[f] = true
 	}
 
 	fmt.Printf("hydradb benchmark harness — scale=%s records=%d ops=%d clients=%d\n\n",
 		scale.Name, scale.Records, scale.Ops, scale.Clients)
 
-	run("2", func() { fmt.Println(bench.Fig02(scale)) })
-	run("3", func() { fmt.Println(bench.Fig03(scale)) })
-	run("9", func() { fmt.Println(bench.Fig09(scale)) })
-	run("10", func() { fmt.Println(bench.Fig10(scale)) })
-	run("11", func() { fmt.Println(bench.Fig11(scale)) })
-	run("claims", func() { fmt.Println(bench.SectionClaims(scale)) })
-	run("12", func() {
-		fmt.Println(bench.Fig12ScaleOut(scale, ycsb.Uniform))
-		fmt.Println(bench.Fig12ScaleOut(scale, ycsb.Zipfian))
-		fmt.Println(bench.Fig12ScaleUp(scale, ycsb.Uniform))
-		fmt.Println(bench.Fig12ScaleUp(scale, ycsb.Zipfian))
-	})
-	run("13", func() { fmt.Println(bench.Fig13(scale)) })
-	run("pipeline", func() { fmt.Println(bench.PipelineMicro(scale)) })
-	run("ablations", func() {
-		fmt.Println(bench.AblationSubsharding(scale))
-		fmt.Println(bench.AblationPointerSharing(scale))
-		fmt.Println(bench.AblationLeasePolicy(scale))
-		fmt.Println(bench.AblationNUMA(scale))
-	})
+	for _, f := range figures {
+		if !want["all"] && !want[f.name] {
+			continue
+		}
+		start := time.Now()
+		f.run()
+		fmt.Printf("(%s regenerated in %v)\n\n", f.name, time.Since(start).Round(time.Millisecond))
+	}
 }

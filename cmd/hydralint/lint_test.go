@@ -1962,7 +1962,7 @@ func copyRepoGoTree(t *testing.T) string {
 			}
 			return nil
 		}
-		if ext := filepath.Ext(path); ext != ".go" && ext != ".mod" && ext != ".json" {
+		if ext := filepath.Ext(path); ext != ".go" && ext != ".mod" {
 			return nil
 		}
 		rel, err := filepath.Rel(root, path)

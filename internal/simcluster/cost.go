@@ -3,8 +3,9 @@
 // the three Figure-9 baseline architectures. Actors execute the real
 // hydradb data structures (kv stores, guardians, leases, pointer caches) so
 // workload-dependent effects are computed, not assumed; only per-operation
-// costs are parameters, grounded in the paper's testbed numbers (§6) and
-// this repo's live-mode microbenchmarks.
+// costs are parameters, grounded in the paper's testbed numbers (§6) and,
+// for the fleet simulator's read-path classes, two GET latencies once
+// measured on the live middleware (calibration.go).
 package simcluster
 
 // CostModel parameterizes the virtual testbed. All values are nanoseconds

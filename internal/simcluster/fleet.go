@@ -44,6 +44,15 @@ const (
 	BugLeakOps BugKind = "leak-ops"
 )
 
+// known reports whether b is BugNone or one of the seeded bugs.
+func (b BugKind) known() bool {
+	switch b {
+	case BugNone, BugDropBounces, BugStuckPromotion, BugIgnoreJitter, BugLeakOps:
+		return true
+	}
+	return false
+}
+
 // FleetConfig describes one fleet scenario run.
 type FleetConfig struct {
 	Machines          int
@@ -65,17 +74,16 @@ type FleetConfig struct {
 	RenewJitterNs int64
 	LeasePolicy   lease.Policy // tracer shard stores; zero = default
 
-	Cost        CostModel
-	Calibration *Calibration    // nil = DefaultCalibration
-	Admission   AdmissionPolicy // nil = AlwaysAdmit
-	Routing     RoutingPolicy   // nil = BounceRefresh
-	Events      []FleetEvent
+	Cost      CostModel
+	Admission *TokenBucket // nil = admit everything
+	Events    []FleetEvent
 
 	Seed int64
 	Bug  BugKind
 }
 
-// class indexes for the per-class arrays (order matches classOrder).
+// class indexes for the per-class arrays (calibration.go lists the classes
+// in this order).
 const (
 	idxHit = iota
 	idxStale
@@ -83,8 +91,6 @@ const (
 	idxBounce
 	numClasses
 )
-
-var classOrder = [numClasses]LatencyClass{ClassHit, ClassStale, ClassMessage, ClassBounce}
 
 // fleetShard is one primary shard: a real kv.Store plus its service center
 // on the hosting machine's engine. Promotion moves home (and rebinds cpu).
@@ -129,10 +135,8 @@ type FleetSim struct {
 	keys     []string
 	val      []byte
 
-	admission AdmissionPolicy
-	routing   RoutingPolicy
-	specs     [numClasses]LatencySpec
-	hists     [numClasses]*stats.Histogram
+	specs [numClasses]LatencySpec
+	hists [numClasses]*stats.Histogram
 
 	ringShards int // shards currently in the ring
 	ringAlive  int // of those, alive
@@ -185,35 +189,18 @@ func NewFleetSim(cfg FleetConfig) (*FleetSim, error) {
 	if cfg.Cost == (CostModel{}) {
 		cfg.Cost = DefaultCostModel()
 	}
-	cal := DefaultCalibration()
-	if cfg.Calibration != nil {
-		cal = *cfg.Calibration
-	}
 
 	s := &FleetSim{
-		cfg:       cfg,
-		fleet:     sim.NewFleet(cfg.Seed, cfg.Machines),
-		clock:     timing.NewManualClock(0),
-		admission: cfg.Admission,
-		routing:   cfg.Routing,
-		val:       make([]byte, 32),
-	}
-	if s.admission == nil {
-		s.admission = AlwaysAdmit{}
-	}
-	if s.routing == nil {
-		s.routing = BounceRefresh{}
+		cfg:   cfg,
+		fleet: sim.NewFleet(cfg.Seed, cfg.Machines),
+		clock: timing.NewManualClock(0),
+		specs: samplersFromCalibration(cfg.Cost),
+		val:   make([]byte, 32),
 	}
 	for i := range s.val {
 		s.val[i] = byte('a' + i%26)
 	}
-	set := SamplersFromCalibration(cal, cfg.Cost)
-	for i, c := range classOrder {
-		spec, err := set.Class(c)
-		if err != nil {
-			return nil, err
-		}
-		s.specs[i] = spec
+	for i := range s.hists {
 		s.hists[i] = stats.NewHistogram()
 	}
 	ticks := cfg.DurationNs / cfg.TickNs
@@ -388,7 +375,7 @@ func (s *FleetSim) tickTraffic(m *fleetMachine, k int64, now int64) {
 	opsPerClient := s.cfg.OpsPerClientPerSec * tickSec
 
 	offered := m.cohort * opsPerClient
-	admitted := s.admission.Admit(now, offered)
+	admitted := s.cfg.Admission.Admit(now, offered)
 	s.opsShed += offered - admitted
 	s.opsTotal += admitted
 
@@ -401,7 +388,7 @@ func (s *FleetSim) tickTraffic(m *fleetMachine, k int64, now int64) {
 	avail := admitted - failed
 
 	// WrongShard bounces from the stale-table share of the cohort, then
-	// policy-driven table refresh.
+	// bounce-driven table refresh.
 	var bounced float64
 	if m.stale > 0 && s.movedFrac > 0 {
 		bounced = avail * (m.stale / m.cohort) * s.movedFrac
@@ -409,7 +396,7 @@ func (s *FleetSim) tickTraffic(m *fleetMachine, k int64, now int64) {
 			s.classOps[idxBounce] += bounced
 		}
 		avail -= bounced
-		m.stale -= s.routing.Refreshed(m.stale, opsPerClient, s.movedFrac, s.cfg.TickNs)
+		m.stale -= bounceRefreshed(m.stale, opsPerClient, s.movedFrac)
 		if m.stale < 0 {
 			m.stale = 0
 		}
@@ -444,7 +431,7 @@ func (s *FleetSim) tickTraffic(m *fleetMachine, k int64, now int64) {
 	// Lease-renewal herd.
 	if s.cfg.LeaseTermNs > 0 {
 		due := s.renewalsDue(m, k)
-		adm := s.admission.Admit(now, due)
+		adm := s.cfg.Admission.Admit(now, due)
 		s.renewShed += due - adm
 		s.renewTotal += adm
 		s.renewTick[k-1] += adm
@@ -856,14 +843,14 @@ func (s *FleetSim) finalize() FleetResult {
 	if secs > 0 {
 		r.ThroughputMops = round3(s.opsTotal / secs / 1e6)
 	}
-	for i, c := range classOrder {
+	for i, c := range calibration {
 		h := s.hists[i]
 		cr := ClassResult{Ops: round3(s.classOps[i]), Samples: h.Count()}
 		if h.Count() > 0 {
 			cr.MeanNs = round3(h.Mean())
 			cr.P99Ns = h.Percentile(99)
 		}
-		r.Classes[string(c)] = cr
+		r.Classes[string(c.class)] = cr
 	}
 	// The hashed canonical JSON has always carried a "probe" row, and it was
 	// always zero. It outlives its class so the pinned scenario hashes stay

@@ -140,6 +140,9 @@ func TestScenarioRegistry(t *testing.T) {
 	if _, err := RunScenario("nope", ScaleSmoke, 1, BugNone); err == nil {
 		t.Error("RunScenario: unknown scenario must error")
 	}
+	if _, err := RunScenario("promotion-storm", ScaleSmoke, 1, "stuck-promotio"); err == nil {
+		t.Error("RunScenario: unknown bug must error, not run a healthy fleet")
+	}
 }
 
 // smallFleetConfig is a fast config for mechanics tests.

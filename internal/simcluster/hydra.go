@@ -26,10 +26,6 @@ const (
 	// ModePipelineWrite: RDMA Write messaging under the decoupled
 	// pipelined execution model (§6.2.1).
 	ModePipelineWrite
-	// ModeTCP: the TCP/IP transport HydraDB also supports ("we do not
-	// present its performance in this paper", §6) — kernel-crossing message
-	// passing with the same single-threaded shards, no one-sided reads.
-	ModeTCP
 )
 
 // String names the mode with the paper's series labels.
@@ -43,8 +39,6 @@ func (m Mode) String() string {
 		return "RDMA Write + Read"
 	case ModePipelineWrite:
 		return "Pipeline + RDMA Write"
-	case ModeTCP:
-		return "HydraDB(TCP)"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
@@ -302,21 +296,8 @@ func (h *HydraSim) nicCost(m *machine, bytes int) int64 {
 // hop moves bytes from machine a to machine b: source NIC service, wire
 // propagation, destination NIC service, then cont. Collocated endpoints
 // still pay both NIC passes on the shared device (loopback through the HCA).
-// In ModeTCP every message additionally pays the kernel/protocol latency
-// and the higher per-byte copy cost of the IPoIB stack.
 func (h *HydraSim) hop(a, b *machine, bytes int, cont func()) {
-	c := &h.cfg.Cost
-	srcCost, dstCost := h.nicCost(a, bytes), h.nicCost(b, bytes)
-	wire := c.WireNs
-	if h.cfg.Mode == ModeTCP {
-		extra := int64(float64(bytes) * (c.TCPByteNs - c.NICByteNs))
-		if extra > 0 {
-			srcCost += extra
-			dstCost += extra
-		}
-		wire += c.TCPExtraNs
-	}
-	rawHop(h.eng, a, b, srcCost, dstCost, wire, cont)
+	rawHop(h.eng, a, b, h.nicCost(a, bytes), h.nicCost(b, bytes), h.cfg.Cost.WireNs, cont)
 }
 
 // Run executes the workload to completion and reports the result.
@@ -530,9 +511,6 @@ func (h *HydraSim) serve(sh *simShard, op message.Op, work func() (int, func(), 
 	switch h.cfg.Mode {
 	case ModeSendRecv:
 		sh.cpu.Acquire(proc+c.SendRecvServerNs, finish)
-	case ModeTCP:
-		// Kernel receive/send CPU per message on the shard's core.
-		sh.cpu.Acquire(proc+c.KernelNs, finish)
 	case ModePipelineWrite:
 		// Fig. 5(a): I/O threads detect + enqueue, workers process under a
 		// shared-store mutex, then hand the response back.

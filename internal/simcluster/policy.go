@@ -2,32 +2,15 @@ package simcluster
 
 import "math"
 
-// Pluggable fleet policies. Routing refresh behavior, admission control and
-// the failure schedule are interfaces so a policy can be exercised against
-// million-client scenarios in simulation before the live cluster adopts it.
-// Implementations must be deterministic: same inputs, same outputs.
-
-// AdmissionPolicy decides how much of an offered operation batch proceeds.
-// The fleet calls Admit once per machine tick with the cohort's offered op
-// count; the remainder is shed (counted, not retried — shed load in an open
-// system is the client's problem).
-type AdmissionPolicy interface {
-	Name() string
-	Admit(nowNs int64, offered float64) float64
-}
-
-// AlwaysAdmit is the null policy.
-type AlwaysAdmit struct{}
-
-// Name identifies the policy.
-func (AlwaysAdmit) Name() string { return "always-admit" }
-
-// Admit admits everything.
-func (AlwaysAdmit) Admit(_ int64, offered float64) float64 { return offered }
+// Fleet policies: cohort routing refresh, admission control and the failure
+// schedule. All are deterministic: same inputs, same outputs.
 
 // TokenBucket admits at most RatePerSec operations per second with Burst
 // tokens of headroom — the admission-control shape the ROADMAP wants the
-// real cluster to adopt once simulation-tested.
+// real cluster to adopt once simulation-tested. The fleet calls Admit once
+// per machine tick with the cohort's offered op count; the remainder is
+// shed (counted, not retried — shed load in an open system is the client's
+// problem).
 type TokenBucket struct {
 	RatePerSec float64
 	Burst      float64
@@ -37,11 +20,12 @@ type TokenBucket struct {
 	primed bool
 }
 
-// Name identifies the policy.
-func (t *TokenBucket) Name() string { return "token-bucket" }
-
 // Admit refills by elapsed virtual time and admits up to the token balance.
+// A nil bucket admits everything.
 func (t *TokenBucket) Admit(nowNs int64, offered float64) float64 {
+	if t == nil {
+		return offered
+	}
 	if !t.primed {
 		t.tokens = t.Burst
 		t.lastNs = nowNs
@@ -57,52 +41,18 @@ func (t *TokenBucket) Admit(nowNs int64, offered float64) float64 {
 	return admitted
 }
 
-// RoutingPolicy governs how a cohort of clients with stale routing tables
-// converges after a reconfiguration. Refreshed returns how many of the
-// stale clients refresh during one tick in which each stale client issued
-// opsPerClient operations against a table whose moved key fraction is
-// movedFrac.
-type RoutingPolicy interface {
-	Name() string
-	Refreshed(stale, opsPerClient, movedFrac float64, tickNs int64) float64
-}
-
-// BounceRefresh refreshes a client's table the first time one of its
-// requests lands on a moved shard and bounces (the paper's WrongShard
-// reroute, §4.2): the per-tick refresh probability is the chance of at
-// least one bounce, 1-(1-movedFrac)^ops.
-type BounceRefresh struct{}
-
-// Name identifies the policy.
-func (BounceRefresh) Name() string { return "bounce-refresh" }
-
-// Refreshed applies the at-least-one-bounce probability to the stale set.
-func (BounceRefresh) Refreshed(stale, opsPerClient, movedFrac float64, _ int64) float64 {
+// bounceRefreshed returns how many of a cohort's stale clients refresh
+// their routing table during one tick in which each issued opsPerClient
+// operations against a ring whose moved key fraction is movedFrac. A client
+// refreshes the first time one of its requests lands on a moved shard and
+// bounces (the paper's WrongShard reroute, §4.2), so the per-tick refresh
+// probability is the chance of at least one bounce, 1-(1-movedFrac)^ops.
+func bounceRefreshed(stale, opsPerClient, movedFrac float64) float64 {
 	if movedFrac <= 0 {
 		return 0
 	}
 	p := 1 - math.Pow(1-movedFrac, opsPerClient)
 	return stale * p
-}
-
-// PeriodicRefresh re-fetches every client's routing table on a fixed
-// period regardless of traffic — convergence is workload-independent but
-// costs refresh traffic even in steady state.
-type PeriodicRefresh struct{ IntervalNs int64 }
-
-// Name identifies the policy.
-func (p PeriodicRefresh) Name() string { return "periodic-refresh" }
-
-// Refreshed lets the tick/interval fraction of stale clients refresh.
-func (p PeriodicRefresh) Refreshed(stale, _, _ float64, tickNs int64) float64 {
-	if p.IntervalNs <= 0 {
-		return stale
-	}
-	f := float64(tickNs) / float64(p.IntervalNs)
-	if f > 1 {
-		f = 1
-	}
-	return stale * f
 }
 
 // FleetEventKind tags a scheduled control-plane event.

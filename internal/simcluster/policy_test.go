@@ -22,40 +22,23 @@ func TestTokenBucket(t *testing.T) {
 	if got := tb.Admit(10_000_000_000, 1000); got != 100 {
 		t.Errorf("post-idle admit %.1f, want burst cap 100", got)
 	}
-	if tb.Name() != "token-bucket" {
-		t.Errorf("name %q", tb.Name())
-	}
-	if got := (AlwaysAdmit{}).Admit(0, 123.5); got != 123.5 {
-		t.Errorf("AlwaysAdmit %.1f", got)
+	var none *TokenBucket
+	if got := none.Admit(0, 123.5); got != 123.5 {
+		t.Errorf("nil bucket admitted %.1f, want everything", got)
 	}
 }
 
 // TestBounceRefresh pins the at-least-one-bounce probability shape.
 func TestBounceRefresh(t *testing.T) {
-	var b BounceRefresh
-	if got := b.Refreshed(1000, 10, 0, 1); got != 0 {
+	if got := bounceRefreshed(1000, 10, 0); got != 0 {
 		t.Errorf("no movement must refresh nobody, got %.1f", got)
 	}
 	want := 1000 * (1 - math.Pow(0.95, 10))
-	if got := b.Refreshed(1000, 10, 0.05, 1); math.Abs(got-want) > 1e-9 {
+	if got := bounceRefreshed(1000, 10, 0.05); math.Abs(got-want) > 1e-9 {
 		t.Errorf("refresh %.3f, want %.3f", got, want)
 	}
 	// More ops per tick converge faster.
-	if b.Refreshed(1000, 20, 0.05, 1) <= b.Refreshed(1000, 5, 0.05, 1) {
+	if bounceRefreshed(1000, 20, 0.05) <= bounceRefreshed(1000, 5, 0.05) {
 		t.Error("refresh rate must grow with ops per client")
-	}
-}
-
-// TestPeriodicRefresh pins the interval fraction and its clamp.
-func TestPeriodicRefresh(t *testing.T) {
-	p := PeriodicRefresh{IntervalNs: 100}
-	if got := p.Refreshed(1000, 0, 0, 10); got != 100 {
-		t.Errorf("tick/interval share %.1f, want 100", got)
-	}
-	if got := p.Refreshed(1000, 0, 0, 1000); got != 1000 {
-		t.Errorf("overlong tick %.1f, want full 1000", got)
-	}
-	if got := (PeriodicRefresh{}).Refreshed(42, 0, 0, 1); got != 42 {
-		t.Errorf("zero interval %.1f, want immediate 42", got)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"hydradb/internal/testutil"
 )
 
 // TestSamplerMeans checks each distribution shape empirically: over many
@@ -19,7 +17,6 @@ func TestSamplerMeans(t *testing.T) {
 		spec LatencySpec
 	}{
 		{"fixed", LatencySpec{Dist: DistFixed, MeanNs: 184.6}},
-		{"exponential", LatencySpec{Dist: DistExponential, MeanNs: 594.5}},
 		{"lognormal", LatencySpec{Dist: DistLognormal, MeanNs: 706.2, Sigma: 0.25}},
 		{"lognormal-wide", LatencySpec{Dist: DistLognormal, MeanNs: 1412.4, Sigma: 0.6}},
 	} {
@@ -59,30 +56,42 @@ func TestSamplerDeterministic(t *testing.T) {
 	}
 }
 
+// TestCalibration pins the calibration table: classes in index order, each
+// composite mean the sum of the measured ones (stale = hit + message, bounce
+// = two messages), and the declared distribution shapes.
+func TestCalibration(t *testing.T) {
+	for i, want := range []struct {
+		class  LatencyClass
+		meanNs float64
+		dist   DistKind
+	}{
+		{ClassHit, hitNs, DistFixed},
+		{ClassStale, hitNs + messageNs, DistLognormal},
+		{ClassMessage, messageNs, DistLognormal},
+		{ClassBounce, 2 * messageNs, DistLognormal},
+	} {
+		c := calibration[i]
+		if c.class != want.class || c.meanNs != want.meanNs || c.dist != want.dist {
+			t.Errorf("calibration[%d] = {%s %v %s}, want {%s %v %s}",
+				i, c.class, c.meanNs, c.dist, want.class, want.meanNs, want.dist)
+		}
+	}
+}
+
 // TestSamplersFromCalibration checks the network-term composition: every
 // class mean is the calibrated service mean plus its round-trip count times
 // the cost-model RTT, and stale/bounce pay two RTTs.
 func TestSamplersFromCalibration(t *testing.T) {
-	cal := DefaultCalibration()
 	cost := DefaultCostModel()
-	set := SamplersFromCalibration(cal, cost)
+	specs := samplersFromCalibration(cost)
 	rtt := 2 * float64(cost.WireNs+cost.NICOpNs)
-	for _, tc := range []struct {
-		class LatencyClass
-		rtts  float64
-	}{
-		{ClassHit, 1}, {ClassStale, 2}, {ClassMessage, 1}, {ClassBounce, 2},
-	} {
-		spec := testutil.Must1(set.Class(tc.class))
-		want := cal.Classes[tc.class].MeanNs + tc.rtts*rtt
-		if math.Abs(spec.MeanNs-want) > 1e-9 {
-			t.Errorf("class %s: mean %.1f, want %.1f (service + %.0f RTT)", tc.class, spec.MeanNs, want, tc.rtts)
+	for i, rtts := range []float64{idxHit: 1, idxStale: 2, idxMessage: 1, idxBounce: 2} {
+		c := calibration[i]
+		if want := c.meanNs + rtts*rtt; math.Abs(specs[i].MeanNs-want) > 1e-9 {
+			t.Errorf("class %s: mean %.1f, want %.1f (service + %.0f RTT)", c.class, specs[i].MeanNs, want, rtts)
 		}
-		if spec.Dist != DistKind(cal.Classes[tc.class].Dist) {
-			t.Errorf("class %s: dist %s, want %s", tc.class, spec.Dist, cal.Classes[tc.class].Dist)
+		if specs[i].Dist != c.dist || specs[i].Sigma != c.sigma {
+			t.Errorf("class %s: shape (%s, %.2f), want (%s, %.2f)", c.class, specs[i].Dist, specs[i].Sigma, c.dist, c.sigma)
 		}
-	}
-	if _, err := set.Class("nope"); err == nil {
-		t.Error("unknown class: want error")
 	}
 }

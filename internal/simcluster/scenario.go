@@ -73,6 +73,9 @@ func RunScenario(name string, scale ScaleKind, seed int64, bug BugKind) (*Scenar
 	if !ok {
 		return nil, fmt.Errorf("simcluster: unknown scenario %q", name)
 	}
+	if !bug.known() {
+		return nil, fmt.Errorf("simcluster: unknown bug %q", bug)
+	}
 	res, err := sc.Run(scale, seed, bug)
 	if err != nil {
 		return nil, err

@@ -273,30 +273,3 @@ func TestScaleOutUniform(t *testing.T) {
 		t.Fatalf("scale-out failed: 1 machine %.3f, 4 machines %.3f", t1, t4)
 	}
 }
-
-func TestTCPModeCollapsesToBaselineLevel(t *testing.T) {
-	// §6: HydraDB supports TCP/IP but the paper omits its numbers, and
-	// §4.1.1 explains why the single-threaded design only shines with
-	// RDMA: over TCP the kernel crossings land on the one shard thread, so
-	// HydraDB(TCP) collapses to the same league as Memcached over IPoIB —
-	// an order of magnitude below any verbs configuration.
-	w := wl(t, 5000, 20000, 90, ycsb.Zipfian)
-	tcp := runHydra(t, ModeTCP, w, nil)
-	sr := runHydra(t, ModeSendRecv, w, nil)
-	if tcp.ThroughputMops*3 >= sr.ThroughputMops {
-		t.Fatalf("TCP (%.3f) must trail even Send/Recv verbs (%.3f) badly",
-			tcp.ThroughputMops, sr.ThroughputMops)
-	}
-	b, err := NewBaselineSim(BaselineConfig{Kind: KindMemcached, Clients: 20, Workload: w, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := b.Run("memcached")
-	ratio := tcp.ThroughputMops / mc.ThroughputMops
-	if ratio < 0.5 || ratio > 2 {
-		t.Fatalf("HydraDB(TCP) %.3f not in Memcached's league (%.3f)", tcp.ThroughputMops, mc.ThroughputMops)
-	}
-	if tcp.GetMeanUs < 30 {
-		t.Fatalf("TCP latency %.1fus implausibly low", tcp.GetMeanUs)
-	}
-}
