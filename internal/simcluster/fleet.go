@@ -852,10 +852,6 @@ func (s *FleetSim) finalize() FleetResult {
 		}
 		r.Classes[string(c.class)] = cr
 	}
-	// The hashed canonical JSON has always carried a "probe" row, and it was
-	// always zero. It outlives its class so the pinned scenario hashes stay
-	// comparable; dropping it is a re-pin-only change.
-	r.Classes["probe"] = ClassResult{}
 	denom := float64(maxInt(1, s.ringAlive)) * float64(s.cfg.TickNs)
 	for i := range s.busyTick {
 		if u := s.busyTick[i] / denom; u > r.PeakShardUtil {

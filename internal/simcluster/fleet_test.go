@@ -20,18 +20,18 @@ func TestScenarioGolden(t *testing.T) {
 		seed     int64
 		hash     string
 	}{
-		{"routing-convergence", 1, "0a7c1fa95a5c4fdd"},
-		{"routing-convergence", 2, "4cca857df1778251"},
-		{"routing-convergence", 3, "95e20a6d38ea192f"},
-		{"promotion-storm", 1, "b78747012e2baa8a"},
-		{"promotion-storm", 2, "300e963390ff3f93"},
-		{"promotion-storm", 3, "5999a9aa3ec325ea"},
-		{"renewal-herd", 1, "1a0cb8c4c12855a2"},
-		{"renewal-herd", 2, "eb6466dd7a484868"},
-		{"renewal-herd", 3, "d5b641ec9cc19aff"},
-		{"cost-curve", 1, "44eaf10ba5d43e3d"},
-		{"cost-curve", 2, "370d2ca7edadc797"},
-		{"cost-curve", 3, "aa6cf366a500924a"},
+		{"routing-convergence", 1, "65789f3c5f79bd1f"},
+		{"routing-convergence", 2, "4302a5e39e18c0b7"},
+		{"routing-convergence", 3, "0e6a058b969263cb"},
+		{"promotion-storm", 1, "4f061d2adc5285a0"},
+		{"promotion-storm", 2, "d9c0be89a79807dd"},
+		{"promotion-storm", 3, "a615ccb8966c920c"},
+		{"renewal-herd", 1, "17f84acb5525a6a0"},
+		{"renewal-herd", 2, "978ea7236662f944"},
+		{"renewal-herd", 3, "67d3aa77f2d656c1"},
+		{"cost-curve", 1, "993a1fa27b3bedaf"},
+		{"cost-curve", 2, "0512ce532a1f8e5d"},
+		{"cost-curve", 3, "0261f7f4ff6ad050"},
 	} {
 		res, err := RunScenario(tc.scenario, ScaleSmoke, tc.seed, BugNone)
 		if err != nil {
