@@ -40,7 +40,6 @@ import (
 	"hydradb/internal/kv"
 	"hydradb/internal/lfmap"
 	"hydradb/internal/rdma"
-	"hydradb/internal/replication"
 	"hydradb/internal/stats"
 	"hydradb/internal/timing"
 )
@@ -86,14 +85,12 @@ type Options struct {
 	// largest key+value a single request can carry (default 64 KB; the
 	// MapReduce cache use case stores multi-MB chunks and raises it).
 	MailboxBytes int
-	// RingDepth is the number of mailbox slots per connection direction —
-	// the ceiling on pipelined requests in flight per connection (default
-	// 16). Depth 1 reproduces the paper's single-slot alternation protocol.
+	// RingDepth is the number of mailbox slots per connection direction and
+	// the one bound on requests in flight per connection: the batched client
+	// calls (Pipeline/MultiGet/MultiPut) keep up to RingDepth outstanding on
+	// either transport (default 16). Depth 1 reproduces the paper's
+	// single-slot alternation protocol.
 	RingDepth int
-	// PipelineWindow caps in-flight requests per connection for the batched
-	// client calls (Pipeline/MultiGet/MultiPut); zero uses the full ring
-	// depth.
-	PipelineWindow int
 	// Fabric tunes the simulated verbs layer (latency injection, NIC
 	// ceilings, QP overheads). Zero is an infinitely fast fabric.
 	Fabric rdma.Config
@@ -156,7 +153,6 @@ func Start(opts Options) (*DB, error) {
 		MailboxBytes:      opts.MailboxBytes,
 		RingDepth:         opts.RingDepth,
 		Fabric:            opts.Fabric,
-		Log:               replication.LogConfig{},
 		Store: kv.Config{
 			ArenaBytes: opts.ArenaBytesPerShard,
 			MaxItems:   opts.MaxItemsPerShard,
@@ -201,9 +197,8 @@ func (db *DB) NewClient() *Client {
 // NewClientOn opens a client homed on client machine m.
 func (db *DB) NewClientOn(m int) *Client {
 	opts := client.Options{
-		Clock:          db.clock,
-		UseRDMARead:    !db.opts.DisableRDMARead,
-		PipelineWindow: db.opts.PipelineWindow,
+		Clock:       db.clock,
+		UseRDMARead: !db.opts.DisableRDMARead,
 	}
 	if db.opts.SharedPointerCache {
 		opts.Cache = db.caches[m%len(db.caches)]

@@ -1,10 +1,12 @@
 package hydradb
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
 
+	"hydradb/internal/kv"
 	"hydradb/internal/timing"
 )
 
@@ -93,6 +95,7 @@ func TestModesSmoke(t *testing.T) {
 		{"send-recv", func(o *Options) { o.SendRecv = true }},
 		{"no-rdma-read", func(o *Options) { o.DisableRDMARead = true }},
 		{"pipelined", func(o *Options) { o.Pipelined = true }},
+		{"send-recv+pipelined", func(o *Options) { o.SendRecv, o.Pipelined = true, true }},
 		{"private-cache", func(o *Options) { o.SharedPointerCache = false }},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -118,6 +121,48 @@ func TestModesSmoke(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestKeyTooLarge: a key past kv.MaxKeyLen would wrap the request header's
+// 16-bit key length — to 0 for a 65536-byte key, to 1 for a 65537-byte one,
+// which the shard would store as key "z" with the key's second byte as its
+// value. With mailboxes large enough to carry such keys, the client must
+// refuse them before encoding, synchronously and batched alike.
+func TestKeyTooLarge(t *testing.T) {
+	opts := DefaultOptions()
+	opts.ShardsPerMachine = 1
+	opts.ArenaBytesPerShard = 1 << 20
+	opts.MaxItemsPerShard = 4096
+	opts.MailboxBytes = 256 << 10
+	opts.Clock = timing.NewManualClock(1e9)
+	db, err := Start(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	c := db.NewClient()
+	for _, n := range []int{kv.MaxKeyLen + 1, kv.MaxKeyLen + 2} {
+		key := append([]byte("z"), bytes.Repeat([]byte("a"), n-1)...)
+		if err := c.Put(key, []byte("v")); err != kv.ErrKeyTooLarge {
+			t.Fatalf("%d-byte key: Put: %v, want ErrKeyTooLarge", n, err)
+		}
+		if _, err := c.Get(key); err != kv.ErrKeyTooLarge {
+			t.Fatalf("%d-byte key: Get: %v, want ErrKeyTooLarge", n, err)
+		}
+		if err := c.MultiPut([]KV{{Key: []byte("ok"), Val: []byte("v")}, {Key: key, Val: []byte("v")}}); err != kv.ErrKeyTooLarge {
+			t.Fatalf("%d-byte key: MultiPut: %v, want ErrKeyTooLarge", n, err)
+		}
+		if _, err := c.MultiGet([][]byte{key}); err != kv.ErrKeyTooLarge {
+			t.Fatalf("%d-byte key: MultiGet: %v, want ErrKeyTooLarge", n, err)
+		}
+	}
+	// Nothing truncated landed, and the batch neighbour did.
+	if _, err := c.Get([]byte("z")); err != ErrNotFound {
+		t.Fatalf("Get of the truncated key: %v, want ErrNotFound", err)
+	}
+	if v, err := c.Get([]byte("ok")); err != nil || string(v) != "v" {
+		t.Fatalf("batch neighbour: %q %v", v, err)
 	}
 }
 

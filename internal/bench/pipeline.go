@@ -10,18 +10,19 @@ import (
 )
 
 // PipelineMicro measures the live (real goroutines, simulated verbs) message
-// GET path under an increasing pipeline window. Window 1 is the sequential
-// synchronous client — the paper's single-slot protocol — and deeper windows
-// batch through MultiGet over the slot-ring mailboxes, so the table shows
-// directly what the ring depth buys. Run via: hydra-bench -fig pipeline.
+// GET path under an increasing mailbox ring depth, the one bound on requests
+// in flight per connection. Depth 1 is the sequential synchronous client
+// over the paper's single-slot protocol, and deeper rings batch through
+// MultiGet, so the table shows directly what the ring depth buys. Run via:
+// hydra-bench -fig pipeline.
 func PipelineMicro(s Scale) *stats.Table {
 	ops := s.Ops / 4
 	if ops < 4000 {
 		ops = 4000
 	}
 	tbl := &stats.Table{
-		Title:   "pipelined message GETs — live fabric, window sweep",
-		Headers: []string{"window", "ops/s", "ns/op", "vs window=1"},
+		Title:   "pipelined message GETs — live fabric, ring-depth sweep",
+		Headers: []string{"ring depth", "ops/s", "ns/op", "vs depth=1"},
 	}
 	var base float64
 	for _, w := range []int{1, 2, 4, 8, 16} {
@@ -30,7 +31,7 @@ func PipelineMicro(s Scale) *stats.Table {
 		opts.DisableRDMARead = true // isolate the message path
 		opts.ArenaBytesPerShard = 16 << 20
 		opts.MaxItemsPerShard = 1 << 16
-		opts.PipelineWindow = w
+		opts.RingDepth = w
 		db, err := hydradb.Start(opts)
 		if err != nil {
 			panic(err)

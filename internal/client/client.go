@@ -66,8 +66,6 @@ type Options struct {
 	// UseRDMARead enables the one-sided GET path (§4.2.2); disabled it
 	// degenerates to pure message passing ("RDMA Write Only", Fig. 10).
 	UseRDMARead bool
-	// ReadMarginNs is the lease safety margin for RDMA Reads.
-	ReadMarginNs int64
 	// Refresh is called on StatusWrongShard to obtain a newer RouteTable;
 	// nil disables rerouting.
 	Refresh func() *RouteTable
@@ -75,15 +73,11 @@ type Options struct {
 	MaxRetries int
 	// RequestTimeout bounds the wall-clock wait for a response; on expiry the
 	// client refreshes its routing table and retries (the shard may have
-	// failed and been promoted elsewhere). Zero selects 2 s.
-	RequestTimeout time.Duration
-	// WallClock supplies the liveness time base for RequestTimeout. It is
-	// distinct from Clock: lease arithmetic must follow the (possibly
+	// failed and been promoted elsewhere). Zero selects 2 s. It is measured
+	// on timing.Wall(), not Clock: lease arithmetic must follow the (possibly
 	// virtual) data-plane clock, while failure detection must keep moving
-	// even when that clock is a stalled ManualClock. Nil selects the shared
-	// real clock, timing.Wall(); deterministic harnesses may inject a
-	// ManualClock and drive timeouts explicitly.
-	WallClock timing.Clock
+	// even when that clock is a stalled ManualClock.
+	RequestTimeout time.Duration
 	// AtMostOnceWrites makes a timed-out Put/Delete return ErrMaybeApplied
 	// instead of transparently retrying. The default (false) retries after a
 	// routing refresh, which is at-LEAST-once: the first attempt's request
@@ -96,11 +90,11 @@ type Options struct {
 	// Counters, when non-nil, receives operation accounting (shared across
 	// clients when aggregating a machine).
 	Counters *stats.OpCounters
-	// PipelineWindow bounds the in-flight requests per connection for
-	// Pipeline/MultiGet/MultiPut. It is clamped to the mailbox ring depth at
-	// issue time; zero selects the full ring depth.
-	PipelineWindow int
 }
+
+// readMarginNs is the lease safety margin for RDMA Reads: clock skew
+// between client and shard that a one-sided read must tolerate.
+const readMarginNs = 10e6
 
 // Client is a HydraDB client instance. A client issues synchronous requests
 // and is not safe for concurrent use — run one per goroutine, exactly like
@@ -132,17 +126,11 @@ func New(table *RouteTable, opts Options) *Client {
 	if opts.Clock == nil {
 		panic("client: Options.Clock required")
 	}
-	if opts.ReadMarginNs == 0 {
-		opts.ReadMarginNs = 10e6 // 10 ms skew margin
-	}
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 8
 	}
 	if opts.RequestTimeout == 0 {
 		opts.RequestTimeout = 2 * time.Second
-	}
-	if opts.WallClock == nil {
-		opts.WallClock = timing.Wall()
 	}
 	cache := opts.Cache
 	if cache == nil {
@@ -157,7 +145,7 @@ func New(table *RouteTable, opts Options) *Client {
 		table:  table,
 		cache:  cache,
 		clock:  opts.Clock,
-		wall:   opts.WallClock,
+		wall:   timing.Wall(),
 		ctr:    ctr,
 		reqBuf: make([]byte, 64<<10),
 		rdBuf:  make([]byte, 64<<10),
@@ -176,7 +164,14 @@ func (c *Client) Table() *RouteTable { return c.table }
 // SetTable installs a new routing snapshot (epoch change).
 func (c *Client) SetTable(t *RouteTable) { c.table = t }
 
+// endpointFor routes key to its shard's connection. A key longer than the
+// request header's 16-bit length field can carry is refused here, before
+// any request is encoded, so neither the synchronous nor the pipelined path
+// can send a truncated key.
 func (c *Client) endpointFor(key []byte) (*shard.Endpoint, error) {
+	if len(key) > kv.MaxKeyLen {
+		return nil, kv.ErrKeyTooLarge
+	}
 	sid := c.table.Ring.OwnerOfKey(key)
 	ep, ok := c.table.Endpoints[sid]
 	if !ok {
@@ -199,10 +194,11 @@ func (c *Client) request(req *message.Request) (message.Response, error) {
 }
 
 // requestAppend is request with caller-controlled value memory: a response
-// value is appended to dst before the mailbox slot is released, resp.Val is
+// value is appended to dst before the response is released, resp.Val is
 // re-pointed at the appended region, and the (possibly grown) dst is returned
 // so callers can reuse one buffer across calls. dst == nil reproduces the
-// old copy-out behavior.
+// old copy-out behavior. The connection decides the transport; this loop is
+// the same for both.
 //
 // Responses whose seq does not match the outstanding request are dropped:
 // after a timeout-triggered retry, the late response of the abandoned
@@ -224,149 +220,75 @@ func (c *Client) requestAppend(req *message.Request, dst []byte) (message.Respon
 		}
 		n := req.EncodeTo(c.reqBuf[:need])
 
-		var resp message.Response
-		if ep.SendRecv {
-			if err := ep.QP.Send(c.reqBuf[:n]); err != nil {
-				// The request never left: nothing executed, so even a
-				// mutation retries safely. A dead shard's revoked mailbox
-				// surfaces here, turning a 150 ms-class timeout into an
-				// immediate reroute.
-				if c.opts.Refresh != nil {
-					c.ctr.RoutingRetries.Inc()
-					c.refreshTable()
-					continue
-				}
-				return message.Response{}, dst, err
-			}
-			deadline := c.wall.Now() + int64(c.opts.RequestTimeout)
-			var body []byte
-			for {
-				var ok bool
-				body, ok = ep.QP.TryRecv()
-				if ok {
-					r, derr := message.DecodeResponse(body)
-					if derr != nil {
-						return message.Response{}, dst, derr
-					}
-					if r.Seq != req.Seq {
-						continue // stale response of an abandoned attempt
-					}
-					resp = r
-					break
-				}
-				if ep.QP.Closed() {
-					return message.Response{}, dst, ErrRemote
-				}
-				if c.wall.Now() > deadline {
-					if c.opts.AtMostOnceWrites && mutates(req.Op) {
-						// Surface the ambiguity, but still refresh: the
-						// timeout is routing's failure signal, and the next
-						// operation must not re-target a dead shard.
-						if c.opts.Refresh != nil {
-							c.refreshTable()
-						}
-						return message.Response{}, dst, ErrMaybeApplied
-					}
-					if c.opts.Refresh == nil {
-						return message.Response{}, dst, ErrRemote
-					}
-					c.ctr.RoutingRetries.Inc()
-					c.refreshTable()
-					body = nil
-					break
-				}
-				runtime.Gosched()
-			}
-			if body == nil {
-				continue // timed out: retry against the refreshed table
-			}
-			if len(resp.Val) > 0 {
-				base := len(dst)
-				dst = append(dst, resp.Val...)
-				resp.Val = dst[base:]
-			}
-		} else {
-			if err := ep.ReqBox.WriteVia(ep.QP, c.reqBuf[:n], req.Seq); err != nil {
-				// Same as the two-sided send: the request write failed whole,
-				// so refresh and retry without at-most-once concern.
-				if c.opts.Refresh != nil {
-					c.ctr.RoutingRetries.Inc()
-					c.refreshTable()
-					continue
-				}
-				return message.Response{}, dst, err
-			}
-			// Sustained polling for the response (§4.2.1): the client CPU
-			// polls its response buffer. A real-time deadline covers shard
-			// failure: on expiry, refresh routing and retry.
-			var body []byte
-			deadline := c.wall.Now() + int64(c.opts.RequestTimeout)
-			timedOut := false
-			for spins := 0; ; spins++ {
-				var seq uint32
-				var ok bool
-				body, seq, ok = ep.RespBox.Poll()
-				if ok {
-					if seq != req.Seq {
-						// Stale response of an abandoned attempt: release the
-						// slot and keep polling for ours.
-						ep.RespBox.Consume()
-						continue
-					}
-					break
-				}
-				if spins&1023 == 1023 && c.wall.Now() > deadline {
-					timedOut = true
-					break
-				}
-				runtime.Gosched()
-			}
-			if timedOut {
-				if c.opts.AtMostOnceWrites && mutates(req.Op) {
-					// Same refresh-on-timeout as above: keep the ambiguity,
-					// drop the stale routing.
-					if c.opts.Refresh != nil {
-						c.refreshTable()
-					}
-					return message.Response{}, dst, ErrMaybeApplied
-				}
-				if c.opts.Refresh == nil {
-					return message.Response{}, dst, ErrRemote
-				}
+		if err := ep.Send(c.reqBuf[:n], req.Seq); err != nil {
+			// The request never left: nothing executed, so even a mutation
+			// retries safely. A dead shard's revoked mailbox surfaces here,
+			// turning a 150 ms-class timeout into an immediate reroute.
+			if c.opts.Refresh != nil {
 				c.ctr.RoutingRetries.Inc()
 				c.refreshTable()
 				continue
 			}
-			resp, err = message.DecodeResponse(body)
-			if err != nil {
-				ep.RespBox.Consume()
-				return message.Response{}, dst, err
-			}
-			if resp.Seq != req.Seq {
-				// Indicator seq matched but the framed header disagrees —
-				// treat like any mismatch and drop the message.
-				ep.RespBox.Consume()
+			return message.Response{}, dst, err
+		}
+		// Sustained polling for the response (§4.2.1): the client CPU polls
+		// its connection. A real-time deadline covers shard failure.
+		var resp message.Response
+		got := false
+		deadline := c.wall.Now() + int64(c.opts.RequestTimeout)
+		for spins := 0; !got; spins++ {
+			body, seq, ok := ep.Poll()
+			if !ok {
+				if spins&1023 == 1023 && c.wall.Now() > deadline {
+					break
+				}
+				runtime.Gosched()
 				continue
 			}
-			// Copy the value out before releasing the mailbox.
-			if len(resp.Val) > 0 {
-				base := len(dst)
-				dst = append(dst, resp.Val...)
-				resp.Val = dst[base:]
+			if seq == req.Seq {
+				resp, err = message.DecodeResponse(body)
+				if err != nil {
+					ep.Release()
+					return message.Response{}, dst, err
+				}
+				// A framed header that disagrees with the delivered seq is
+				// dropped like a stale response. Ours has its value copied
+				// out before the release.
+				if got = resp.Seq == req.Seq; got && len(resp.Val) > 0 {
+					base := len(dst)
+					dst = append(dst, resp.Val...)
+					resp.Val = dst[base:]
+				}
 			}
-			ep.RespBox.Consume()
+			// A stale response of an abandoned attempt is released unread,
+			// and polling continues for ours.
+			ep.Release()
 		}
-
+		if !got {
+			// Timed out: the timeout is routing's failure signal, so refresh
+			// even when surfacing the ambiguity of an unacknowledged write —
+			// the next operation must not re-target a dead shard.
+			if c.opts.AtMostOnceWrites && mutates(req.Op) {
+				if c.opts.Refresh != nil {
+					c.refreshTable()
+				}
+				return message.Response{}, dst, ErrMaybeApplied
+			}
+			if c.opts.Refresh == nil {
+				return message.Response{}, dst, ErrRemote
+			}
+			c.ctr.RoutingRetries.Inc()
+			c.refreshTable()
+			continue
+		}
 		if resp.Status == message.StatusWrongShard {
 			c.ctr.RoutingRetries.Inc()
 			if c.opts.Refresh == nil {
-				// hydralint:ignore published-escape resp.Val re-pointed at the private dst copy before Consume
 				return resp, dst, ErrRetries
 			}
 			c.refreshTable()
 			continue
 		}
-		// hydralint:ignore published-escape resp.Val re-pointed at the private dst copy before Consume
 		return resp, dst, nil
 	}
 	return message.Response{}, dst, ErrRetries
@@ -467,19 +389,14 @@ func (c *Client) getViaMessage(key, dst []byte) ([]byte, error) {
 	}
 }
 
-// readViaPointer attempts the one-sided fetch. ok=false flags a stale or
-// lease-expired pointer.
-func (c *Client) readViaPointer(key []byte, e *PtrEntry) ([]byte, bool, error) {
-	return c.readViaPointerInto(key, e, nil)
-}
-
-// readViaPointerInto is readViaPointer appending into dst. It reuses the
+// readViaPointerInto attempts the one-sided fetch, appending the value to
+// dst; ok=false flags a stale or lease-expired pointer. It reuses the
 // client's read scratch and word buffer so a hit performs no allocations.
 //
 // hydralint:hotpath
 func (c *Client) readViaPointerInto(key []byte, e *PtrEntry, dst []byte) ([]byte, bool, error) {
 	now := c.clock.Now()
-	if !lease.ValidForRead(e.LeaseExp, now, c.opts.ReadMarginNs) {
+	if !lease.ValidForRead(e.LeaseExp, now, readMarginNs) {
 		return dst, false, nil
 	}
 	ep, ok := c.table.Endpoints[e.Ptr.ShardID]

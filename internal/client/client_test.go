@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hydradb/internal/consistent"
 	"hydradb/internal/kv"
@@ -434,32 +435,54 @@ func TestConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPipelinedShardServesRequests drives the decoupled shard over each
+// transport, synchronously and batched. It answers each connection in
+// arrival order, so a batch is pumped whole — no response is dropped as out
+// of order and left to time out — and writes to one key land in submission
+// order.
 func TestPipelinedShardServesRequests(t *testing.T) {
-	clk := timing.NewManualClock(1e9)
-	f := rdma.NewFabric(rdma.Config{})
-	srvNIC := f.NewNIC("server")
-	cliNIC := f.NewNIC("clients")
-	sh := shard.New(shard.Config{
-		ID:    1,
-		NIC:   srvNIC,
-		Store: kv.Config{ArenaBytes: 1 << 20, MaxItems: 2048, Clock: clk},
-	})
-	pipe := shard.NewPipelined(sh, 2, 2)
-	go pipe.Run()
-	defer pipe.Stop()
+	for _, sendRecv := range []bool{false, true} {
+		clk := timing.NewManualClock(1e9)
+		f := rdma.NewFabric(rdma.Config{})
+		sh := shard.New(shard.Config{
+			ID:    1,
+			NIC:   f.NewNIC("server"),
+			Store: kv.Config{ArenaBytes: 1 << 20, MaxItems: 2048, Clock: clk},
+		})
+		pipe := shard.NewPipelined(sh, 2, 2)
+		go pipe.Run()
+		t.Cleanup(pipe.Stop)
 
-	ring := testutil.Must1(consistent.Build([]uint32{1}, 16))
-	table := &RouteTable{Ring: ring, Endpoints: map[uint32]*shard.Endpoint{
-		1: sh.Connect(cliNIC, false),
-	}}
-	c := New(table, Options{Clock: clk, UseRDMARead: false})
-	for i := 0; i < 50; i++ {
-		k := []byte(fmt.Sprintf("key%02d", i))
-		if err := c.Put(k, []byte("v")); err != nil {
-			t.Fatal(err)
+		ring := testutil.Must1(consistent.Build([]uint32{1}, 16))
+		table := &RouteTable{Ring: ring, Endpoints: map[uint32]*shard.Endpoint{
+			1: sh.Connect(f.NewNIC("clients"), sendRecv),
+		}}
+		c := New(table, Options{Clock: clk, UseRDMARead: false, RequestTimeout: time.Minute})
+		for i := 0; i < 50; i++ {
+			k := []byte(fmt.Sprintf("key%02d", i))
+			if err := c.Put(k, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := c.Get(k); err != nil || string(v) != "v" {
+				t.Fatalf("sendRecv=%v: get: %q %v", sendRecv, v, err)
+			}
 		}
-		if v, err := c.Get(k); err != nil || string(v) != "v" {
-			t.Fatalf("get: %q %v", v, err)
+		for round := 0; round < 10; round++ {
+			var pairs []KV
+			for i := 0; i < 32; i++ {
+				pairs = append(pairs, KV{Key: []byte("same"), Val: []byte(fmt.Sprintf("v%02d", i))})
+			}
+			if err := c.MultiPut(pairs); err != nil {
+				t.Fatal(err)
+			}
+			for i, st := range c.pipe.state {
+				if st != stateDone {
+					t.Fatalf("sendRecv=%v round %d: op %d left to the synchronous path", sendRecv, round, i)
+				}
+			}
+			if v, err := c.Get([]byte("same")); err != nil || string(v) != "v31" {
+				t.Fatalf("sendRecv=%v round %d: last write lost: %q %v", sendRecv, round, v, err)
+			}
 		}
 	}
 }

@@ -108,14 +108,14 @@ func (p *pipeScratch) connFor(ep *shard.Endpoint) int {
 	return len(p.conns) - 1
 }
 
-// Pipeline executes a batch of operations with up to Options.PipelineWindow
-// requests in flight per connection (clamped to the mailbox ring depth),
-// matching completions by seq. Ops are issued per connection strictly in
-// submission order and rings are FIFO both ways, so operations on the same
-// key — which always route to the same shard — retain their order. Any op
-// the pipeline cannot finish (epoch-stale routing, timeout, two-sided
-// transport, unsupported verb) falls back to the synchronous path with its
-// full retry/refresh machinery, again in submission order.
+// Pipeline executes a batch of operations with up to the connection's ring
+// depth of requests in flight per connection, matching completions by seq.
+// Ops are issued per connection strictly in submission order and both
+// directions are FIFO, so operations on the same key — which always route to
+// the same shard — retain their order. Any op the pipeline cannot finish
+// (unroutable key, epoch-stale routing, timeout, unsupported verb) falls back
+// to the synchronous path with its full retry/refresh machinery, again in
+// submission order.
 //
 // The returned slice and the values inside it are scratch, valid until the
 // next pipelined batch on this client.
@@ -157,7 +157,7 @@ func (c *Client) Pipeline(ops []Op) []Result {
 			continue
 		}
 		ep, err := c.endpointFor(op.Key)
-		if err != nil || ep.SendRecv {
+		if err != nil {
 			p.state[i] = stateRetry
 			continue
 		}
@@ -241,14 +241,10 @@ func (c *Client) pump(ops []Op) {
 		remaining := false
 		for ci := range p.conns {
 			pc := &p.conns[ci]
-			window := pc.ep.ReqBox.Depth()
-			if c.opts.PipelineWindow > 0 && c.opts.PipelineWindow < window {
-				window = c.opts.PipelineWindow
-			}
 			// Issue while the window is open. The credit rule — a new request
-			// only after an earlier response was consumed — keeps both rings
-			// overwrite-free with any window ≤ depth.
-			for !pc.stopped && pc.next < len(pc.queue) && pc.next-pc.head < window {
+			// only after an earlier response was released — keeps both rings
+			// overwrite-free with the window at the ring depth.
+			for !pc.stopped && pc.next < len(pc.queue) && pc.next-pc.head < pc.ep.Depth() {
 				i := pc.queue[pc.next]
 				if c.issueOne(pc, &ops[i], int(i)) {
 					progress = true
@@ -262,22 +258,22 @@ func (c *Client) pump(ops []Op) {
 					pc.head++
 					continue
 				}
-				body, seq, ok := pc.ep.RespBox.Poll()
+				body, seq, ok := pc.ep.Poll()
 				if !ok {
 					break
 				}
 				if seq != p.seqOf[i] {
 					// Stale leftover of an abandoned request: drop it.
-					pc.ep.RespBox.Consume()
+					pc.ep.Release()
 					continue
 				}
 				resp, derr := message.DecodeResponse(body)
 				if derr != nil || resp.Seq != p.seqOf[i] {
-					pc.ep.RespBox.Consume()
+					pc.ep.Release()
 					continue
 				}
 				c.completeOne(pc, &ops[i], int(i), &resp)
-				pc.ep.RespBox.Consume()
+				pc.ep.Release()
 				pc.head++
 				progress = true
 			}
@@ -312,7 +308,7 @@ func (c *Client) issueOne(pc *pipeConn, op *Op, i int) bool {
 	n := c.getReq.EncodeTo(buf)
 	c.getReq.Key = nil
 	c.getReq.Val = nil
-	if err := pc.ep.ReqBox.WriteVia(pc.ep.QP, buf[:n], p.seqOf[i]); err != nil {
+	if err := pc.ep.Send(buf[:n], p.seqOf[i]); err != nil {
 		p.state[i] = stateRetry
 		pc.queue[pc.next] = -1
 		return false
@@ -330,7 +326,7 @@ func (c *Client) pipeReqBuf(n int) []byte {
 }
 
 // completeOne records one matched response. The value is copied into the
-// batch arena before the mailbox slot is released; op-type counters are
+// batch arena before the response is released; op-type counters are
 // charged here — completion time — so pipelined and fallback executions
 // count exactly once each.
 func (c *Client) completeOne(pc *pipeConn, op *Op, i int, resp *message.Response) {

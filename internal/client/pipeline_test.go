@@ -65,39 +65,58 @@ func TestMultiPutMultiGet(t *testing.T) {
 }
 
 // TestPipelineSameKeyOrdering drives several ops against one key through a
-// single batch; FIFO rings plus in-order issue must serialize them.
+// single batch, over each transport; in-order issue into a FIFO connection
+// must serialize them.
 func TestPipelineSameKeyOrdering(t *testing.T) {
-	env := newLiveEnv(t, false)
-	c := env.newClient(t, Options{UseRDMARead: false})
-	k := []byte("ordered")
-	res := c.Pipeline([]Op{
-		{Code: message.OpPut, Key: k, Val: []byte("one")},
-		{Code: message.OpGet, Key: k},
-		{Code: message.OpPut, Key: k, Val: []byte("two")},
-		{Code: message.OpGet, Key: k},
-		{Code: message.OpDelete, Key: k},
-		{Code: message.OpGet, Key: k},
-	})
-	if res[0].Err != nil || res[2].Err != nil || res[4].Err != nil {
-		t.Fatalf("write errs: %v %v %v", res[0].Err, res[2].Err, res[4].Err)
-	}
-	if string(res[1].Val) != "one" {
-		t.Fatalf("first get: %q", res[1].Val)
-	}
-	if string(res[3].Val) != "two" {
-		t.Fatalf("second get: %q", res[3].Val)
-	}
-	if !res[4].Existed {
-		t.Fatal("delete of live key reported !Existed")
-	}
-	if res[5].Err != ErrNotFound {
-		t.Fatalf("get after delete: %v", res[5].Err)
+	for _, sendRecv := range []bool{false, true} {
+		env := newLiveEnv(t, sendRecv)
+		c := env.newClient(t, Options{UseRDMARead: false})
+		k := []byte("ordered")
+		res := c.Pipeline([]Op{
+			{Code: message.OpPut, Key: k, Val: []byte("one")},
+			{Code: message.OpGet, Key: k},
+			{Code: message.OpPut, Key: k, Val: []byte("two")},
+			{Code: message.OpGet, Key: k},
+			{Code: message.OpDelete, Key: k},
+			{Code: message.OpGet, Key: k},
+		})
+		if res[0].Err != nil || res[2].Err != nil || res[4].Err != nil {
+			t.Fatalf("sendRecv=%v: write errs: %v %v %v", sendRecv, res[0].Err, res[2].Err, res[4].Err)
+		}
+		if string(res[1].Val) != "one" {
+			t.Fatalf("sendRecv=%v: first get: %q", sendRecv, res[1].Val)
+		}
+		if string(res[3].Val) != "two" {
+			t.Fatalf("sendRecv=%v: second get: %q", sendRecv, res[3].Val)
+		}
+		if !res[4].Existed {
+			t.Fatalf("sendRecv=%v: delete of live key reported !Existed", sendRecv)
+		}
+		if res[5].Err != ErrNotFound {
+			t.Fatalf("sendRecv=%v: get after delete: %v", sendRecv, res[5].Err)
+		}
 	}
 }
 
+// TestPipelineWindowOption: a batch ten times the ring depth stays within
+// the depth-4 ring, the one bound on requests in flight per connection.
 func TestPipelineWindowOption(t *testing.T) {
-	env := newLiveEnv(t, false)
-	c := env.newClient(t, Options{UseRDMARead: false, PipelineWindow: 4})
+	clk := timing.NewManualClock(1e9)
+	f := rdma.NewFabric(rdma.Config{})
+	sh := shard.New(shard.Config{
+		ID:        1,
+		NIC:       f.NewNIC("server"),
+		Store:     kv.Config{ArenaBytes: 1 << 20, MaxItems: 2048, Clock: clk},
+		RingDepth: 4,
+	})
+	go sh.Run()
+	defer sh.Stop()
+	ep := sh.Connect(f.NewNIC("clients"), false)
+	if ep.Depth() != 4 {
+		t.Fatalf("endpoint depth %d, want 4", ep.Depth())
+	}
+	ring := testutil.Must1(consistent.Build([]uint32{1}, 16))
+	c := New(&RouteTable{Ring: ring, Endpoints: map[uint32]*shard.Endpoint{1: ep}}, Options{Clock: clk})
 	var pairs []KV
 	for i := 0; i < 40; i++ {
 		pairs = append(pairs, KV{Key: []byte(fmt.Sprintf("w%03d", i)), Val: []byte("v")})
@@ -182,9 +201,10 @@ func TestPipelineWrongShardFallsBack(t *testing.T) {
 	}
 }
 
-// TestPipelineSendRecvFallsBack: the two-sided baseline transport has no
-// mailbox ring, so batches run through the synchronous path transparently.
-func TestPipelineSendRecvFallsBack(t *testing.T) {
+// TestPipelineSendRecv: batches over the two-sided baseline transport are
+// pumped like mailbox batches — several requests in flight, matched by the
+// seq in the response header — not diverted to the synchronous path.
+func TestPipelineSendRecv(t *testing.T) {
 	env := newLiveEnv(t, true)
 	c := env.newClient(t, Options{UseRDMARead: false})
 	pairs := []KV{
@@ -200,6 +220,13 @@ func TestPipelineSendRecvFallsBack(t *testing.T) {
 	}
 	if string(vals[0]) != "1" || string(vals[1]) != "2" || vals[2] != nil {
 		t.Fatalf("vals: %q %q %q", vals[0], vals[1], vals[2])
+	}
+	// The pump marks what it completes done; a fallback op stays marked
+	// for the synchronous path.
+	for i, st := range c.pipe.state {
+		if st != stateDone {
+			t.Fatalf("op %d finished in state %d, want pumped (%d)", i, st, stateDone)
+		}
 	}
 }
 

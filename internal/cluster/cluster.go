@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -38,25 +39,27 @@ type Config struct {
 	Store kv.Config
 	// Fabric tunes the simulated verbs layer.
 	Fabric rdma.Config
-	// Log tunes replication rings.
-	Log replication.LogConfig
 	// MailboxBytes per mailbox slot.
 	MailboxBytes int
-	// RingDepth is the mailbox slot count per connection direction (pipeline
-	// window ceiling). Zero selects the shard default.
+	// RingDepth is the mailbox slot count per connection direction: the
+	// bound on requests in flight per connection. Zero selects the shard
+	// default.
 	RingDepth int
 	// VNodes for the consistent-hash ring.
 	VNodes int
-	// SWATSize is the watcher-team size (paper: an independent group; the
-	// ZooKeeper ensemble is 3–5 machines).
-	SWATSize int
-	// SessionTimeoutNs for coordination sessions.
-	SessionTimeoutNs int64
 	// SendRecv makes ALL client connections use the two-sided baseline.
 	SendRecv bool
 	// Pipelined runs shards under the decoupled execution model (§6.2.1).
 	Pipelined bool
 }
+
+const (
+	// swatSize is the watcher-team size (paper: an independent group; the
+	// ZooKeeper ensemble is 3–5 machines).
+	swatSize = 3
+	// sessionTimeoutNs bounds a coordination session's silence.
+	sessionTimeoutNs = 2e9
+)
 
 func (c *Config) withDefaults() Config {
 	cfg := *c
@@ -72,12 +75,6 @@ func (c *Config) withDefaults() Config {
 	if cfg.MailboxBytes == 0 {
 		cfg.MailboxBytes = 64 << 10
 	}
-	if cfg.SWATSize == 0 {
-		cfg.SWATSize = 3
-	}
-	if cfg.SessionTimeoutNs == 0 {
-		cfg.SessionTimeoutNs = 2e9
-	}
 	if cfg.Store.Clock == nil {
 		panic("cluster: Config.Store.Clock required")
 	}
@@ -90,7 +87,6 @@ func (c *Config) withDefaults() Config {
 type secondaryReplica struct {
 	machine int
 	store   *kv.Store
-	log     *replication.Log
 	sec     *replication.Secondary
 	running bool
 }
@@ -141,7 +137,7 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:       c,
 		clock:     c.Store.Clock,
 		fabric:    rdma.NewFabric(c.Fabric),
-		coord:     coord.NewServer(c.Store.Clock, c.SessionTimeoutNs),
+		coord:     coord.NewServer(c.Store.Clock, sessionTimeoutNs),
 		groups:    map[uint32]*group{},
 		promoting: map[uint32]bool{},
 	}
@@ -172,7 +168,7 @@ func New(cfg Config) (*Cluster, error) {
 	cl.ring = ring
 
 	// SWAT team watches shard liveness and reacts with promotion (§5.1).
-	team, err := swat.NewTeam(cl.coord, c.SWATSize, livePath, cl.react)
+	team, err := swat.NewTeam(cl.coord, swatSize, livePath, cl.react)
 	if err != nil {
 		return nil, err
 	}
@@ -183,28 +179,16 @@ func New(cfg Config) (*Cluster, error) {
 // startGroup creates a primary shard (and its secondaries) for partition id
 // on the given machine and launches its loops.
 func (cl *Cluster) startGroup(id uint32, machine int) error {
-	g := &group{id: id, machine: machine}
-	sh := shard.New(shard.Config{
-		ID:           id,
-		NIC:          cl.serverNICs[machine],
-		Store:        cl.cfg.Store,
-		MailboxBytes: cl.cfg.MailboxBytes,
-		RingDepth:    cl.cfg.RingDepth,
-	})
-	sh.SetEpoch(cl.epoch.Load())
-	g.shard = sh
-
-	if cl.cfg.Replicas > 0 {
-		logCfg := cl.cfg.Log
-		logCfg.Strict = cl.cfg.StrictReplication
-		primary := replication.NewPrimary(sh.NIC(), logCfg, cl.cfg.Replicas)
-		for r := 0; r < cl.cfg.Replicas; r++ {
-			secMachine := (machine + 1 + r) % cl.cfg.ServerMachines
-			if err := cl.addSecondary(g, primary, secMachine, logCfg); err != nil {
-				return err
-			}
+	g := cl.newGroup(id, machine, nil)
+	replicas := make([]*secondaryReplica, cl.cfg.Replicas)
+	for r := range replicas {
+		replicas[r] = &secondaryReplica{
+			machine: (machine + 1 + r) % cl.cfg.ServerMachines,
+			store:   kv.NewStore(cl.cfg.Store),
 		}
-		sh.AttachPrimary(primary)
+	}
+	if err := cl.wireSecondaries(g, replicas); err != nil {
+		return err
 	}
 
 	// Liveness registration: an ephemeral znode owned by the shard's own
@@ -220,32 +204,54 @@ func (cl *Cluster) startGroup(id uint32, machine int) error {
 	cl.mu.Lock()
 	cl.groups[id] = g
 	cl.mu.Unlock()
-
-	if cl.cfg.Pipelined {
-		g.pipe = shard.NewPipelined(sh, 2, 2)
-		go g.pipe.Run()
-	} else {
-		go sh.Run()
-	}
-	for _, sec := range g.secondaries {
-		sec.running = true
-		go sec.sec.Run()
-	}
+	cl.launch(g)
 	return nil
 }
 
-// addSecondary wires a fresh secondary replica on secMachine to primary.
-func (cl *Cluster) addSecondary(g *group, primary *replication.Primary, secMachine int, logCfg replication.LogConfig) error {
-	storeCfg := cl.cfg.Store
-	store := kv.NewStore(storeCfg)
-	secNIC := cl.serverNICs[secMachine]
-	qpP, qpS := rdma.Connect(cl.serverNICs[g.machine], secNIC, 16)
-	log := replication.NewLog(secNIC, logCfg)
-	ackIdx, err := primary.AddSecondary(qpP, log)
-	if err != nil {
-		return err
+// newGroup builds partition id's primary shard on machine under the current
+// epoch, with no secondaries yet. A non-nil store is adopted instead of a
+// fresh one: a promoted replica's, or a migrating shard's own.
+func (cl *Cluster) newGroup(id uint32, machine int, store *kv.Store) *group {
+	sh := shard.New(shard.Config{
+		ID:            id,
+		NIC:           cl.serverNICs[machine],
+		Store:         cl.cfg.Store,
+		MailboxBytes:  cl.cfg.MailboxBytes,
+		RingDepth:     cl.cfg.RingDepth,
+		ExistingStore: store,
+	})
+	sh.SetEpoch(cl.epoch.Load())
+	return &group{id: id, machine: machine, shard: sh}
+}
+
+// wireSecondaries attaches to g's shard a replication primary that feeds one
+// secondary per given replica: on the replica's machine, over its store,
+// through a fresh log (a log belongs to one primary's sequence space). Drain
+// loops are left stopped. With no replicas, g stays unreplicated.
+func (cl *Cluster) wireSecondaries(g *group, replicas []*secondaryReplica) error {
+	if len(replicas) == 0 {
+		return nil
 	}
-	applier := replication.ApplierFunc(func(seq uint64, r replication.Record) error {
+	logCfg := replication.LogConfig{Strict: cl.cfg.StrictReplication}
+	primary := replication.NewPrimary(g.shard.NIC(), logCfg, cl.cfg.Replicas)
+	for _, r := range replicas {
+		secNIC := cl.serverNICs[r.machine]
+		qpP, qpS := rdma.Connect(g.shard.NIC(), secNIC, 16)
+		log := replication.NewLog(secNIC, logCfg)
+		ackIdx, err := primary.AddSecondary(qpP, log)
+		if err != nil {
+			return err
+		}
+		sec := replication.NewSecondary(log, applyTo(r.store), qpS, primary.AckRegion(), ackIdx)
+		g.secondaries = append(g.secondaries, &secondaryReplica{machine: r.machine, store: r.store, sec: sec})
+	}
+	g.shard.AttachPrimary(primary)
+	return nil
+}
+
+// applyTo replays replicated records into a secondary's store.
+func applyTo(store *kv.Store) replication.ApplierFunc {
+	return func(seq uint64, r replication.Record) error {
 		switch r.Op {
 		case message.OpPut:
 			_, _, err := store.Put(r.Key, r.Val)
@@ -256,15 +262,59 @@ func (cl *Cluster) addSecondary(g *group, primary *replication.Primary, secMachi
 		default:
 			return fmt.Errorf("cluster: unexpected replicated op %v", r.Op)
 		}
-	})
-	sec := replication.NewSecondary(log, applier, qpS, primary.AckRegion(), ackIdx)
-	g.secondaries = append(g.secondaries, &secondaryReplica{
-		machine: secMachine,
-		store:   store,
-		log:     log,
-		sec:     sec,
-	})
-	return nil
+	}
+}
+
+// startSecondaries launches the drain loop of every secondary of g that is
+// not running yet.
+func startSecondaries(g *group) {
+	for _, sec := range g.secondaries {
+		if !sec.running {
+			sec.running = true
+			go sec.sec.Run()
+		}
+	}
+}
+
+// stopSecondaries joins every drain loop of g, then applies whatever its
+// ring still holds. Every record the primary acknowledged is in secondary
+// memory (the RDMA write completed before the client saw OK), so the drain
+// loses no acked write.
+func stopSecondaries(g *group) {
+	for _, sec := range g.secondaries {
+		if sec.running {
+			sec.sec.Stop()
+			sec.running = false
+		}
+		for sec.sec.PollOnce() {
+		}
+	}
+}
+
+// launch starts g's loops: the secondaries' drain loops not yet running,
+// then the primary — the decoupled pipeline under Config.Pipelined, the
+// single-threaded loop otherwise.
+func (cl *Cluster) launch(g *group) {
+	startSecondaries(g)
+	if cl.cfg.Pipelined {
+		g.pipe = shard.NewPipelined(g.shard, 2, 2)
+		go g.pipe.Run()
+	} else {
+		go g.shard.Run()
+	}
+}
+
+// install publishes g as its partition's group under a new routing epoch,
+// which every primary enforces from then on.
+func (cl *Cluster) install(g *group) {
+	epoch := cl.epoch.Add(1)
+	g.shard.SetEpoch(epoch)
+	cl.mu.Lock()
+	cl.groups[g.id] = g
+	for _, og := range cl.groups {
+		og.shard.SetEpoch(epoch)
+	}
+	cl.mu.Unlock()
 }
 
 // react is the SWAT reactor: a shard's liveness node vanished.
@@ -315,59 +365,31 @@ func (cl *Cluster) Promote(id uint32) error {
 		cl.mu.Unlock()
 	}()
 
-	// Stop drain loops, then drain the rings completely: every record the
-	// dead primary acknowledged is in secondary memory (the RDMA write
-	// completed before the client saw OK), so no acked write can be lost.
-	best := -1
-	var bestSeq uint64
+	// Drain the rings completely, then pick the most caught-up secondary.
+	stopSecondaries(g)
+	best := 0
 	for i, sec := range g.secondaries {
-		if sec.running {
-			sec.sec.Stop()
-			sec.running = false
-		}
-		for sec.sec.PollOnce() {
-		}
-		if seq := sec.sec.AppliedSeq(); best == -1 || seq > bestSeq {
-			best, bestSeq = i, seq
+		if sec.sec.AppliedSeq() > g.secondaries[best].sec.AppliedSeq() {
+			best = i
 		}
 	}
 	chosen := g.secondaries[best]
+	survivors := slices.Delete(slices.Clone(g.secondaries), best, best+1)
 
-	// New primary adopts the replica store on the secondary's machine.
-	newShard := shard.New(shard.Config{
-		ID:            id,
-		NIC:           cl.serverNICs[chosen.machine],
-		Store:         cl.cfg.Store,
-		MailboxBytes:  cl.cfg.MailboxBytes,
-		RingDepth:     cl.cfg.RingDepth,
-		ExistingStore: chosen.store,
-	})
-
-	// Re-establish replication with the surviving secondaries: fresh logs,
-	// then re-sync them from the promoted store (idempotent Puts).
-	newGroup := &group{id: id, machine: chosen.machine, shard: newShard}
-	logCfg := cl.cfg.Log
-	logCfg.Strict = cl.cfg.StrictReplication
-	if cl.cfg.Replicas > 0 && len(g.secondaries) > 1 {
-		primary := replication.NewPrimary(newShard.NIC(), logCfg, cl.cfg.Replicas)
-		for i, sec := range g.secondaries {
-			if i == best {
-				continue
-			}
-			if err := cl.reattachSecondary(newGroup, primary, sec, logCfg); err != nil {
-				return err
-			}
-		}
-		newShard.AttachPrimary(primary)
+	// The new primary adopts the replica store on the secondary's machine and
+	// re-establishes replication with the surviving secondaries.
+	newGroup := cl.newGroup(id, chosen.machine, chosen.store)
+	if err := cl.wireSecondaries(newGroup, survivors); err != nil {
+		return err
+	}
+	if primary := newGroup.shard.Primary(); primary != nil {
 		// Start the drain loops before re-sync: the replay can exceed the
 		// log window and needs live consumers.
-		for _, sec := range newGroup.secondaries {
-			sec.running = true
-			go sec.sec.Run()
-		}
-		// Re-sync: replay the promoted store into the new logs.
+		startSecondaries(newGroup)
+		// Re-sync: replay the promoted store into the new logs (idempotent
+		// Puts).
 		var syncErr error
-		newShard.Store().Range(func(k, v []byte) bool {
+		newGroup.shard.Store().Range(func(k, v []byte) bool {
 			if err := primary.Replicate(replication.Record{Op: message.OpPut, Key: k, Val: v}); err != nil {
 				syncErr = err
 				return false
@@ -378,63 +400,20 @@ func (cl *Cluster) Promote(id uint32) error {
 			// The drain loops above are already running but the group was
 			// never installed in cl.groups, so Stop would never reach them:
 			// join them here or they leak.
-			for _, sec := range newGroup.secondaries {
-				sec.sec.Stop()
-				sec.running = false
-			}
+			stopSecondaries(newGroup)
 			return syncErr
 		}
 	}
 
-	// Publish the new epoch, install the group, re-register liveness.
-	epoch := cl.epoch.Add(1)
-	newShard.SetEpoch(epoch)
-	cl.mu.Lock()
-	cl.groups[id] = newGroup
-	for _, og := range cl.groups {
-		og.shard.SetEpoch(epoch)
-	}
-	cl.mu.Unlock()
-
+	// Publish the new epoch, install the group, re-register liveness, and
+	// only then start the primary.
+	cl.install(newGroup)
 	newGroup.session = cl.coord.NewSession()
 	if _, err := newGroup.session.Create(fmt.Sprintf("%s/shard-%d", livePath, id), nil, coord.FlagEphemeral); err != nil {
 		return err
 	}
-	go newShard.Run()
+	cl.launch(newGroup)
 	cl.Promotions.Add(1)
-	return nil
-}
-
-// reattachSecondary rewires a surviving secondary to a new primary with a
-// fresh ring (the old ring belonged to the dead primary's sequence space).
-func (cl *Cluster) reattachSecondary(g *group, primary *replication.Primary, old *secondaryReplica, logCfg replication.LogConfig) error {
-	secNIC := cl.serverNICs[old.machine]
-	qpP, qpS := rdma.Connect(cl.serverNICs[g.machine], secNIC, 16)
-	log := replication.NewLog(secNIC, logCfg)
-	ackIdx, err := primary.AddSecondary(qpP, log)
-	if err != nil {
-		return err
-	}
-	store := old.store
-	applier := replication.ApplierFunc(func(seq uint64, r replication.Record) error {
-		switch r.Op {
-		case message.OpPut:
-			_, _, err := store.Put(r.Key, r.Val)
-			return err
-		case message.OpDelete:
-			store.Delete(r.Key)
-			return nil
-		default:
-			return fmt.Errorf("cluster: unexpected replicated op %v", r.Op)
-		}
-	})
-	sec := replication.NewSecondary(log, applier, qpS, primary.AckRegion(), ackIdx)
-	g.secondaries = append(g.secondaries, &secondaryReplica{
-		machine: old.machine,
-		store:   store,
-		log:     log,
-		sec:     sec,
-	})
 	return nil
 }
 
@@ -461,56 +440,19 @@ func (cl *Cluster) MoveShard(id uint32, targetMachine int) error {
 		g.pipe.Stop()
 	}
 	g.shard.Stop()
-	for _, sec := range g.secondaries {
-		if sec.running {
-			sec.sec.Stop()
-			sec.running = false
-		}
-		for sec.sec.PollOnce() {
-		}
-	}
+	stopSecondaries(g)
 
 	// Restart on the target machine, adopting the same store. Items keep
 	// their offsets; only the NIC registration changes, so stale client
 	// pointers hit the wrong (new connection's) arena region and fail the
 	// key check — same recovery path as failover.
-	newGroup := &group{id: id, machine: targetMachine}
-	newShard := shard.New(shard.Config{
-		ID:            id,
-		NIC:           cl.serverNICs[targetMachine],
-		Store:         cl.cfg.Store,
-		MailboxBytes:  cl.cfg.MailboxBytes,
-		RingDepth:     cl.cfg.RingDepth,
-		ExistingStore: g.shard.Store(),
-	})
-	newGroup.shard = newShard
-	if cl.cfg.Replicas > 0 && len(g.secondaries) > 0 {
-		logCfg := cl.cfg.Log
-		logCfg.Strict = cl.cfg.StrictReplication
-		primary := replication.NewPrimary(newShard.NIC(), logCfg, cl.cfg.Replicas)
-		for _, sec := range g.secondaries {
-			if err := cl.reattachSecondary(newGroup, primary, sec, logCfg); err != nil {
-				return err
-			}
-		}
-		newShard.AttachPrimary(primary)
-		for _, sec := range newGroup.secondaries {
-			sec.running = true
-			go sec.sec.Run()
-		}
+	newGroup := cl.newGroup(id, targetMachine, g.shard.Store())
+	if err := cl.wireSecondaries(newGroup, g.secondaries); err != nil {
+		return err
 	}
-
 	newGroup.session = g.session // liveness continuity: this is not a failure
-
-	epoch := cl.epoch.Add(1)
-	newShard.SetEpoch(epoch)
-	cl.mu.Lock()
-	cl.groups[id] = newGroup
-	for _, og := range cl.groups {
-		og.shard.SetEpoch(epoch)
-	}
-	cl.mu.Unlock()
-	go newShard.Run()
+	cl.install(newGroup)
+	cl.launch(newGroup)
 	return nil
 }
 
@@ -655,11 +597,7 @@ func (cl *Cluster) Stop() {
 		if !g.shard.Killed() {
 			g.shard.Stop()
 		}
-		for _, sec := range g.secondaries {
-			if sec.running {
-				sec.sec.Stop()
-			}
-		}
+		stopSecondaries(g)
 		g.session.Close()
 	}
 }

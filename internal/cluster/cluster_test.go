@@ -261,6 +261,57 @@ func TestPipelinedCluster(t *testing.T) {
 	}
 }
 
+// TestPipelinedSurvivesMoveAndPromotion: a partition rebuilt by MoveShard or
+// by SWAT promotion must come back under the execution model the cluster
+// was configured with, not the single-threaded loop, and keep every key.
+func TestPipelinedSurvivesMoveAndPromotion(t *testing.T) {
+	clk := timing.NewManualClock(1e9)
+	cfg := testConfig(clk)
+	cfg.ServerMachines = 3
+	cfg.ShardsPerMachine = 1
+	cfg.Replicas = 1
+	cfg.Pipelined = true
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+
+	c := cl.NewClient(0, client.Options{})
+	const n = 60
+	for i := 0; i < n; i++ {
+		if err := c.Put([]byte(fmt.Sprintf("pl%04d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := cl.ShardIDs()[0]
+	check := func(step string) {
+		t.Helper()
+		cl.mu.Lock()
+		pipelined := cl.groups[victim].pipe != nil
+		cl.mu.Unlock()
+		if !pipelined {
+			t.Fatalf("after %s: group %d runs the single-threaded loop", step, victim)
+		}
+		for i := 0; i < n; i++ {
+			k := []byte(fmt.Sprintf("pl%04d", i))
+			if v, err := c.Get(k); err != nil || string(v) != "v" {
+				t.Fatalf("after %s: get %s: %q %v", step, k, v, err)
+			}
+		}
+	}
+
+	if err := cl.MoveShard(victim, 2); err != nil {
+		t.Fatal(err)
+	}
+	check("move")
+	if err := cl.KillShard(victim); err != nil {
+		t.Fatal(err)
+	}
+	testutil.WaitUntil(t, 10*time.Second, func() bool { return cl.Promotions.Load() >= 1 }, "no promotion")
+	check("promotion")
+}
+
 // TestDoublePromotionRace fires two Promote calls for the same group
 // concurrently — the SWAT reactor and a chaos controller can both observe
 // one failure. Exactly the guarded outcomes are allowed: a success, and

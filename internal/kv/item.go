@@ -38,9 +38,10 @@ const (
 	MetaWordsPerItem = 2
 )
 
-// MaxKeyLen and MaxValLen bound item dimensions.
+// MaxKeyLen and MaxValLen bound item dimensions. A key length must fit the
+// 16-bit length field of the item header (and of the request header).
 const (
-	MaxKeyLen = 1 << 16
+	MaxKeyLen = 1<<16 - 1
 	MaxValLen = 1 << 24
 )
 

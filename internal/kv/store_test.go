@@ -371,6 +371,14 @@ func TestKeyValidation(t *testing.T) {
 	if _, _, err := s.Put(bytes.Repeat([]byte("k"), MaxKeyLen+1), []byte("v")); err != ErrKeyTooLarge {
 		t.Fatal("oversized key accepted")
 	}
+	// The longest key must fit the item's 16-bit key length and read back.
+	longest := bytes.Repeat([]byte("k"), MaxKeyLen)
+	if _, _, err := s.Put(longest, []byte("v")); err != nil {
+		t.Fatalf("MaxKeyLen key: %v", err)
+	}
+	if res, ok := s.Get(longest); !ok || string(res.Value) != "v" {
+		t.Fatalf("MaxKeyLen key read back %q, found=%v", res.Value, ok)
+	}
 }
 
 // TestRandomizedStoreAgainstModel drives a mixed workload with time advance

@@ -32,7 +32,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got.Op == req.Op && got.Seq == seq && got.Epoch == epoch &&
+		return got.Op == req.Op && got.Seq == seq && SeqOf(buf) == seq && got.Epoch == epoch &&
 			bytes.Equal(got.Key, key) && bytes.Equal(got.Val, val)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -59,6 +59,9 @@ func TestResponseRoundTrip(t *testing.T) {
 	if got.Status != StatusOK || !got.Existed || got.Seq != 77 || got.Epoch != 3 ||
 		got.LeaseExp != resp.LeaseExp || got.Ptr != resp.Ptr || string(got.Val) != "value-bytes" {
 		t.Fatalf("round trip mismatch: %+v", got)
+	}
+	if SeqOf(buf) != 77 || SeqOf(buf[:5]) != 0 {
+		t.Fatalf("SeqOf: %d on the response, %d on a 5-byte prefix", SeqOf(buf), SeqOf(buf[:5]))
 	}
 }
 

@@ -2,18 +2,30 @@ package shard
 
 import (
 	"runtime"
+	"time"
 
 	"hydradb/internal/timing"
 )
 
+// The shard loop's idle policy.
+const (
+	// idleSpins is the number of empty poll rounds before the loop naps.
+	idleSpins = 64
+	// napNs is the first nap once idle (paper: ~100 ns).
+	napNs = 100
+	// napMaxNs caps the doubling nap: the worst-case pickup delay for a
+	// fresh request arriving after a long idle period.
+	napMaxNs = int64(time.Millisecond)
+)
+
 // idleBackoff is the adaptive idle policy of the poll loops (§4.2.1),
-// replacing the fixed IdleSpins-then-Gosched pattern: the first IdleSpins
-// empty rounds yield the processor and re-poll immediately, so a fresh
-// request arriving during a burst is picked up at poll latency; after that
-// the loop naps, doubling the nap from NapNs up to NapMaxNs. An idle shard
-// therefore converges to one wakeup per NapMaxNs (negligible CPU), and the
-// worst-case pickup delay for a fresh request after an arbitrarily long idle
-// period stays bounded by one nap cap.
+// replacing the fixed spin-then-Gosched pattern: the first `spins` empty
+// rounds yield the processor and re-poll immediately, so a fresh request
+// arriving during a burst is picked up at poll latency; after that the loop
+// naps, doubling the nap from napNs up to napMaxNs. An idle shard therefore
+// converges to one wakeup per nap cap (negligible CPU), and the worst-case
+// pickup delay for a fresh request after an arbitrarily long idle period
+// stays bounded by one nap cap.
 type idleBackoff struct {
 	spins    int
 	napNs    int64
@@ -23,8 +35,8 @@ type idleBackoff struct {
 	nap    int64 // current nap length; 0 while still in the spin phase
 }
 
-func (s *Shard) newBackoff() idleBackoff {
-	return idleBackoff{spins: s.cfg.IdleSpins, napNs: s.cfg.NapNs, napMaxNs: s.cfg.NapMaxNs}
+func newBackoff() idleBackoff {
+	return idleBackoff{spins: idleSpins, napNs: napNs, napMaxNs: napMaxNs}
 }
 
 // reset returns to the spin phase after a productive poll round.

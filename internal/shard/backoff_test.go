@@ -7,9 +7,9 @@ import (
 	"hydradb/internal/message"
 )
 
-// TestIdleBackoffStateMachine pins the satellite-2 backoff shape: spin phase
-// for IdleSpins rounds, then naps doubling from NapNs to the NapMaxNs cap,
-// and full reset on progress.
+// TestIdleBackoffStateMachine pins the backoff shape: spin phase for `spins`
+// rounds, then naps doubling from napNs to the napMaxNs cap, and full reset
+// on progress.
 func TestIdleBackoffStateMachine(t *testing.T) {
 	b := idleBackoff{spins: 3, napNs: 100, napMaxNs: 800}
 	for i := 0; i < 3; i++ {
@@ -46,7 +46,7 @@ func TestFreshRequestAfterLongIdle(t *testing.T) {
 	ep := sh.Connect(f.NewNIC("client"), false)
 
 	// Warm once, then leave the shard idle long enough to reach the cap:
-	// with IdleSpins=64 and NapNs=100 doubling to 1 ms, ~150 ms of idleness
+	// with idleSpins=64 and napNs=100 doubling to 1 ms, ~150 ms of idleness
 	// is dozens of capped naps.
 	exchange(t, ep, message.Request{Op: message.OpPut, Seq: 1, Key: []byte("idle"), Val: []byte("v")})
 	time.Sleep(150 * time.Millisecond)

@@ -19,10 +19,13 @@ import (
 type Pipelined struct {
 	shard       *Shard
 	dispatchers int
-	workers     int
 
-	mu      sync.Mutex // serializes store access across workers
-	queue   chan pipelinedReq
+	mu sync.Mutex // serializes store access across workers
+	// queues holds one hand-off queue per worker. A connection always hands
+	// off to the same worker, so its requests are handled and answered in
+	// arrival order: a pipelining client drops an out-of-order response as
+	// the stale reply of an abandoned request.
+	queues  []chan pipelinedReq
 	stop    chan struct{}
 	done    chan struct{} // closed when Run (and every stage goroutine) has exited
 	started atomic.Bool
@@ -44,14 +47,20 @@ func NewPipelined(s *Shard, dispatchers, workers int) *Pipelined {
 	if workers <= 0 {
 		workers = 2
 	}
-	return &Pipelined{
+	p := &Pipelined{
 		shard:       s,
 		dispatchers: dispatchers,
-		workers:     workers,
-		queue:       make(chan pipelinedReq, 1024),
+		queues:      make([]chan pipelinedReq, workers),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
+	for w := range p.queues {
+		// Deep enough for 64 connections' full rings at the default depth
+		// of 16 to queue behind one worker while it waits for the store
+		// lock, so a dispatcher seldom blocks on a hand-off.
+		p.queues[w] = make(chan pipelinedReq, 1024)
+	}
+	return p
 }
 
 // Run starts dispatchers and workers and blocks until Stop.
@@ -64,15 +73,16 @@ func (p *Pipelined) Run() {
 		p.wg.Add(1)
 		go p.dispatch(d)
 	}
-	for w := 0; w < p.workers; w++ {
+	for _, q := range p.queues {
 		p.wg.Add(1)
-		go p.work()
+		go p.work(q)
 	}
 	p.wg.Wait()
 }
 
-// dispatch polls a stripe of connections and copies requests into the queue
-// (the hand-off copy is part of the cost the single-threaded design avoids).
+// dispatch polls a stripe of connections and copies each request into its
+// connection's worker queue (the hand-off copy is part of the cost the
+// single-threaded design avoids).
 func (p *Pipelined) dispatch(stripe int) {
 	defer p.wg.Done()
 	spawnDone := invariant.Spawned(fmt.Sprintf("pipelined/%p/dispatch/%d", p, stripe))
@@ -87,16 +97,16 @@ func (p *Pipelined) dispatch(stripe int) {
 		progress := false
 		for i := stripe; i < len(conns); i += p.dispatchers {
 			c := conns[i]
-			body, seq, ok := c.reqBox.Poll()
+			body, seq, ok := c.recv()
 			if !ok {
 				continue
 			}
 			progress = true
 			cp := make([]byte, len(body))
 			copy(cp, body)
-			c.reqBox.Consume()
+			c.release()
 			select {
-			case p.queue <- pipelinedReq{c: c, body: cp, seq: seq}:
+			case p.queues[i%len(p.queues)] <- pipelinedReq{c: c, body: cp, seq: seq}:
 			case <-p.stop:
 				return
 			}
@@ -107,7 +117,8 @@ func (p *Pipelined) dispatch(stripe int) {
 	}
 }
 
-func (p *Pipelined) work() {
+// work handles the requests of one queue against the shared store.
+func (p *Pipelined) work(queue <-chan pipelinedReq) {
 	defer p.wg.Done()
 	spawnDone := invariant.Spawned(fmt.Sprintf("pipelined/%p/work", p))
 	defer spawnDone()
@@ -117,19 +128,17 @@ func (p *Pipelined) work() {
 		select {
 		case <-p.stop:
 			return
-		case r := <-p.queue:
+		case r := <-queue:
 			p.mu.Lock()
 			n := p.shard.handle(r.body, respBuf, p.shard.epoch.Load())
 			handled++
 			if handled%p.shard.cfg.ReclaimEvery == 0 {
 				p.shard.store.ReclaimDue()
 			}
-			// The response write stays inside the critical section: the ring
-			// mailbox keeps a writer cursor, so concurrent WriteVia calls on
-			// one connection would race. More lock hold time is part of this
-			// baseline's documented cost.
+			// The reply stays inside the critical section: lock hold time
+			// per request is part of this baseline's documented cost.
 			//hydralint:ignore error-discipline response to a vanished client, as in the live shard loop
-			_ = r.c.respBox.WriteVia(r.c.qp, respBuf[:n], r.seq)
+			_ = r.c.reply(respBuf[:n], r.seq)
 			p.mu.Unlock()
 			p.shard.Handled.Inc()
 		}

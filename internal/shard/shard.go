@@ -41,17 +41,10 @@ type Config struct {
 	// MailboxBytes is the per-slot request/response buffer capacity.
 	MailboxBytes int
 	// RingDepth is the number of mailbox slots per connection direction — the
-	// maximum requests a client may keep in flight on one connection. Depth 1
-	// reproduces the paper's single-slot alternation protocol exactly.
+	// maximum requests a client may keep in flight on one connection, over
+	// either transport. Depth 1 reproduces the paper's single-slot
+	// alternation protocol exactly.
 	RingDepth int
-	// IdleSpins is the number of empty poll rounds before the loop naps.
-	IdleSpins int
-	// NapNs is the first nap length once idle (paper: ~100 ns); the adaptive
-	// backoff doubles it on consecutive idle rounds up to NapMaxNs.
-	NapNs int64
-	// NapMaxNs caps the exponential idle nap (default 1 ms): the worst-case
-	// pickup delay for a fresh request arriving after a long idle period.
-	NapMaxNs int64
 	// ReclaimEvery runs a reclamation pass after this many handled requests.
 	ReclaimEvery int
 	// ExistingStore, when non-nil, adopts an already-populated store instead
@@ -67,18 +60,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.RingDepth == 0 {
 		cfg.RingDepth = 16
-	}
-	if cfg.IdleSpins == 0 {
-		cfg.IdleSpins = 64
-	}
-	if cfg.NapNs == 0 {
-		cfg.NapNs = 100
-	}
-	if cfg.NapMaxNs == 0 {
-		cfg.NapMaxNs = int64(time.Millisecond)
-	}
-	if cfg.NapMaxNs < cfg.NapNs {
-		cfg.NapMaxNs = cfg.NapNs
 	}
 	if cfg.ReclaimEvery == 0 {
 		cfg.ReclaimEvery = 256
@@ -100,16 +81,87 @@ type Endpoint struct {
 	// ArenaMR is the shard's item region for RDMA-Read GETs.
 	ArenaMR *rdma.MemoryRegion
 	// SendRecv selects the two-sided baseline transport (§6.2 ablation):
-	// requests go via QP.Send and responses arrive via QP.Recv.
+	// requests go via QP.Send and responses arrive via QP.Recv. Callers use
+	// Send, Poll, Release and Depth, which serve either transport.
 	SendRecv bool
 }
 
+// Send delivers one encoded request carrying seq to the shard.
+//
+// hydralint:hotpath
+func (ep *Endpoint) Send(body []byte, seq uint32) error {
+	if ep.SendRecv {
+		return ep.QP.Send(body)
+	}
+	return ep.ReqBox.WriteVia(ep.QP, body, seq)
+}
+
+// Poll returns the next delivered response and its seq without blocking.
+// Responses arrive in the order the shard sent them. The body is valid until
+// Release, which must come before the next Poll: in mailbox mode it aliases
+// the response slot, in two-sided mode it is the received heap copy.
+//
+// hydralint:hotpath
+func (ep *Endpoint) Poll() (body []byte, seq uint32, ok bool) {
+	if ep.SendRecv {
+		body, ok = ep.QP.TryRecv()
+		return body, message.SeqOf(body), ok
+	}
+	return ep.RespBox.Poll()
+}
+
+// Release frees the response Poll last returned for the shard's next reply.
+//
+// hydralint:hotpath
+func (ep *Endpoint) Release() {
+	if !ep.SendRecv {
+		ep.RespBox.Consume()
+	}
+}
+
+// Depth is the most requests the client may keep in flight on this
+// connection: the mailbox ring depth, whichever transport carries them.
+func (ep *Endpoint) Depth() int { return ep.ReqBox.Depth() }
+
+// conn is the shard's end of one client connection.
 type conn struct {
 	reqBox   *message.Mailbox
 	respBox  *message.Mailbox
 	qp       *rdma.QP // shard's end: response writes
 	reqMR    *rdma.MemoryRegion
 	sendRecv bool
+}
+
+// recv returns the next delivered request and its seq without blocking. The
+// body is valid until release, which must come before the next recv.
+//
+// hydralint:hotpath
+func (c *conn) recv() (body []byte, seq uint32, ok bool) {
+	if c.sendRecv {
+		body, ok = c.qp.TryRecv()
+		return body, message.SeqOf(body), ok
+	}
+	return c.reqBox.Poll()
+}
+
+// release frees the request recv last returned: "the shard zeros out the
+// request buffer" (§4.2.1), which hands the slot back to the client.
+//
+// hydralint:hotpath
+func (c *conn) release() {
+	if !c.sendRecv {
+		c.reqBox.Consume()
+	}
+}
+
+// reply delivers the response to the request that carried seq.
+//
+// hydralint:hotpath
+func (c *conn) reply(body []byte, seq uint32) error {
+	if c.sendRecv {
+		return c.qp.Send(body)
+	}
+	return c.respBox.WriteVia(c.qp, body, seq)
 }
 
 // Shard is a live single-threaded shard.
@@ -235,7 +287,7 @@ func (s *Shard) Run() {
 	spawnDone := invariant.Spawned(fmt.Sprintf("shard/%p/run", s))
 	defer spawnDone()
 	respBuf := make([]byte, s.cfg.MailboxBytes)
-	back := s.newBackoff()
+	back := newBackoff()
 	handledSinceReclaim := 0
 	for {
 		select {
@@ -272,39 +324,26 @@ func (s *Shard) Run() {
 }
 
 // drainConn consumes every ready request of one connection — up to a full
-// ring (or its equivalent in two-sided receives) per poll round — and reports
-// how many it handled. Batching here is what turns the ring depth into
-// throughput: one poll round retires a whole pipeline window, and the epoch
-// check and reclamation accounting are amortized across the batch.
+// ring per poll round — and reports how many it handled. Batching here is
+// what turns the ring depth into throughput: one poll round retires a whole
+// pipeline window, and the epoch check and reclamation accounting are
+// amortized across the batch.
 //
 // hydralint:hotpath
 func (s *Shard) drainConn(c *conn, respBuf []byte, epoch uint32) int {
 	handled := 0
-	if c.sendRecv {
-		for handled < c.respBox.Depth() {
-			body, ok := c.qp.TryRecv()
-			if !ok {
-				break
-			}
-			n := s.handle(body, respBuf, epoch)
-			//hydralint:ignore error-discipline response to a vanished client; nothing to do but serve the next mailbox
-			_ = c.qp.Send(respBuf[:n])
-			handled++
-		}
-		return handled
-	}
 	for handled < c.reqBox.Depth() {
-		body, seq, ok := c.reqBox.Poll()
+		body, seq, ok := c.recv()
 		if !ok {
 			break
 		}
 		n := s.handle(body, respBuf, epoch)
 		// "the shard zeros out the request buffer and sends the response
-		// back" (§4.2.1). Consuming before the response write frees the slot
-		// for the client's next pipelined request.
-		c.reqBox.Consume()
+		// back" (§4.2.1). Releasing before the reply frees the slot for the
+		// client's next pipelined request.
+		c.release()
 		//hydralint:ignore error-discipline response to a vanished client; nothing to do but serve the next mailbox
-		_ = c.respBox.WriteVia(c.qp, respBuf[:n], seq)
+		_ = c.reply(respBuf[:n], seq)
 		handled++
 	}
 	return handled
