@@ -89,9 +89,13 @@ fuzz-smoke:
 # workload briefly untraced and traced and check that every workload
 # BENCHMARK.json names exists with the same description. A root-module
 # change that breaks benchmark/ fails here rather than when the benchmark
-# next runs.
+# next runs. The last line only keeps the fabric's parallel-read benchmark
+# compiling; a fixed count times nothing (RunParallel then refills its
+# shared iteration counter almost every op), so measure it with the default
+# -benchtime.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
+	$(GO) test -run '^$$' -bench Parallel -benchtime 1000x -cpu 1,2 ./internal/rdma
 
 # Runtime sanitizers: goroutine-ownership assertions, arena double-free /
 # use-after-free canaries, guardian-word validation at the fabric boundary.

@@ -16,9 +16,12 @@
 //  3. Two-sided Send/Recv involves the receiver's CPU: messages traverse a
 //     channel, paying scheduler wakeup just as interrupt-driven reception
 //     pays kernel wakeup.
-//  4. NICs are a finite resource: per-NIC op accounting plus an optional
-//     ops/sec ceiling and a per-QP-count overhead reproduce the device
-//     saturation and connection-scalability effects of §6.3.
+//  4. NICs are a finite resource: an optional ops/sec ceiling and a
+//     per-QP-count overhead reproduce the device saturation and
+//     connection-scalability effects of §6.3. Verb accounting is per QP
+//     end and summed per NIC on read, and a verb writes no word shared
+//     with other QPs unless that NIC cost model is armed, so, as on a real
+//     HCA, accounting adds no cross-core traffic to a verb.
 //
 // Latency injection is optional (zero by default: unit tests run at memory
 // speed); the discrete-event simulator models time separately and does not
@@ -35,7 +38,6 @@ import (
 
 	"hydradb/internal/arena"
 	"hydradb/internal/invariant"
-	"hydradb/internal/stats"
 	"hydradb/internal/timing"
 )
 
@@ -86,6 +88,10 @@ func NewFabric(cfg Config) *Fabric {
 	return &Fabric{cfg: cfg, clock: clock}
 }
 
+// nicArmed reports whether the NIC cost model charges service time, so that
+// verbs must run admission against the adaptors' shared busy horizons.
+func (c *Config) nicArmed() bool { return c.NICOpNs > 0 || c.QPExtraNs > 0 }
+
 // NIC models one RDMA adaptor. All queue pairs and memory regions of a node
 // hang off its NIC; collocated processes share it (and its ceilings).
 type NIC struct {
@@ -96,8 +102,35 @@ type NIC struct {
 	qps      atomic.Int32
 	nextFree atomic.Int64 // virtual NIC-busy horizon for the ops/sec ceiling
 
-	Ops   stats.Counter
-	Bytes stats.Counter
+	mu   sync.Mutex
+	ends []*QP // both ends of every connection made here; kept after Close so totals survive it
+
+	// Ops and Bytes count the verbs and payload bytes crossing this NIC,
+	// whichever end initiated them.
+	Ops, Bytes VerbTotal
+}
+
+// VerbTotal is a NIC-wide verb statistic: one per-QP-end counter summed over
+// every QP end attached to the NIC. Verbs never touch it; only Load does.
+type VerbTotal struct {
+	nic   *NIC
+	bytes bool // sum the ends' byte counters instead of their op counters
+}
+
+// Load returns the current total.
+func (t *VerbTotal) Load() int64 {
+	n := t.nic
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var sum int64
+	for _, qp := range n.ends {
+		if t.bytes {
+			sum += qp.bytes.Load()
+		} else {
+			sum += qp.ops.Load()
+		}
+	}
+	return sum
 }
 
 // NewNIC adds an adaptor to the fabric.
@@ -105,8 +138,18 @@ func (f *Fabric) NewNIC(name string) *NIC {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := &NIC{fabric: f, name: name, id: len(f.nics)}
+	n.Ops = VerbTotal{nic: n}
+	n.Bytes = VerbTotal{nic: n, bytes: true}
 	f.nics = append(f.nics, n)
 	return n
+}
+
+// attach records both ends of a new connection and counts it as a live QP.
+func (n *NIC) attach(qa, qb *QP) {
+	n.mu.Lock()
+	n.ends = append(n.ends, qa, qb)
+	n.mu.Unlock()
+	n.qps.Add(1)
 }
 
 // Name reports the NIC name.
@@ -127,11 +170,9 @@ func (n *NIC) serviceNs() int64 {
 	return s
 }
 
-// admit charges one op (plus nbytes) against the NIC, blocking (with
+// admit passes one op through the NIC's cost model, blocking (with
 // cooperative yielding) when the ops/sec ceiling is exceeded.
-func (n *NIC) admit(nbytes int) {
-	n.Ops.Inc()
-	n.Bytes.Add(int64(nbytes))
+func (n *NIC) admit() {
 	cost := n.serviceNs()
 	if cost <= 0 {
 		return
@@ -203,13 +244,39 @@ func (mr *MemoryRegion) Words() *arena.WordArea { return mr.words }
 func (mr *MemoryRegion) NIC() *NIC { return mr.nic }
 
 // QP is one end of a reliably connected queue pair.
+//
+// The first cache line holds the end's verb counters and nothing else: every
+// verb initiated here writes them, so a field that verbs read from another
+// core (the connection's closed flag above all) must not share their line.
+// QP fills whole lines, so ends allocated side by side keep it private.
+//
+// hydralint:layout size=192 align=8
+// hydralint:cacheline
 type QP struct {
+	// hydralint:owner initiator
+	ops, bytes atomic.Int64
+	_          [6]uint64 // pad: the counters get a private line
+
+	// Set by Connect and read by every verb.
+	// hydralint:owner connect
 	local, remote *NIC
-	sendCh        chan []byte // toward peer
-	recvCh        chan []byte // from peer
-	closed        atomic.Bool
-	peerClosed    *atomic.Bool
-	reorder       reorderBuf // chaos: held-back send (see faults.go)
+	fabric        *Fabric
+	closed        *atomic.Bool // the connection's flag, shared by both ends
+	sendCh        chan []byte  // toward peer
+	recvCh        chan []byte  // from peer
+	armed         bool         // either NIC's cost model is armed (Config.nicArmed)
+	reorder       reorderBuf   // chaos: held-back send (see faults.go)
+	_             [5]uint64    // pad: QP fills whole lines
+}
+
+// link is one connection: its two ends and the closed flag they share, in
+// one allocation of whole cache lines so each end's counter line is private.
+//
+// hydralint:layout size=448 align=8
+type link struct {
+	ends   [2]QP
+	closed atomic.Bool
+	_      [60]byte // pad: the flag gets a line of its own
 }
 
 // Connect wires two NICs together and returns the two QP ends.
@@ -219,16 +286,18 @@ func Connect(a, b *NIC, depth int) (*QP, *QP) {
 	}
 	ab := make(chan []byte, depth)
 	ba := make(chan []byte, depth)
-	qa := &QP{local: a, remote: b, sendCh: ab, recvCh: ba}
-	qb := &QP{local: b, remote: a, sendCh: ba, recvCh: ab}
-	qa.peerClosed = &qb.closed
-	qb.peerClosed = &qa.closed
-	a.qps.Add(1)
-	b.qps.Add(1)
+	armed := a.fabric.cfg.nicArmed() || b.fabric.cfg.nicArmed()
+	l := &link{}
+	l.ends[0] = QP{local: a, remote: b, fabric: a.fabric, closed: &l.closed, sendCh: ab, recvCh: ba, armed: armed}
+	l.ends[1] = QP{local: b, remote: a, fabric: b.fabric, closed: &l.closed, sendCh: ba, recvCh: ab, armed: armed}
+	qa, qb := &l.ends[0], &l.ends[1]
+	a.attach(qa, qb)
+	b.attach(qa, qb)
 	return qa, qb
 }
 
-// Close tears down this end. Double close is safe.
+// Close tears the connection down, whichever end it is called on; closing
+// either end again is a no-op.
 func (qp *QP) Close() {
 	if qp.closed.CompareAndSwap(false, true) {
 		qp.local.qps.Add(-1)
@@ -237,7 +306,7 @@ func (qp *QP) Close() {
 }
 
 // Closed reports whether either end is closed.
-func (qp *QP) Closed() bool { return qp.closed.Load() || qp.peerClosed.Load() }
+func (qp *QP) Closed() bool { return qp.closed.Load() }
 
 // LocalNIC and RemoteNIC expose endpoints.
 func (qp *QP) LocalNIC() *NIC { return qp.local }
@@ -268,9 +337,9 @@ func (qp *QP) checkTarget(mr *MemoryRegion) error {
 //
 // hydralint:hotpath
 func (qp *QP) fault(verb Verb, nbytes int) (drop bool, err error) {
-	out := qp.local.fabric.faultFor(verb, qp.local, qp.remote, nbytes)
+	out := qp.fabric.faultFor(verb, qp.local, qp.remote, nbytes)
 	if out.DelayNs > 0 {
-		qp.local.fabric.spinFor(out.DelayNs)
+		qp.fabric.spinFor(out.DelayNs)
 	}
 	if out.Err != nil {
 		return false, out.Err
@@ -282,6 +351,21 @@ func (qp *QP) fault(verb Verb, nbytes int) (drop bool, err error) {
 		return true, nil
 	}
 	return false, nil
+}
+
+// charge accounts one verb of nbytes to this end, passes it through both
+// NICs' cost model when that is armed, then waits out the verb's injected
+// latency.
+//
+// hydralint:hotpath
+func (qp *QP) charge(nbytes int, latencyNs int64) {
+	qp.ops.Add(1)
+	qp.bytes.Add(int64(nbytes))
+	if qp.armed {
+		qp.local.admit()
+		qp.remote.admit()
+	}
+	qp.fabric.spinFor(latencyNs)
 }
 
 // WriteBytes performs a one-sided RDMA Write of src into the remote region
@@ -300,9 +384,7 @@ func (qp *QP) WriteBytes(mr *MemoryRegion, off int, src []byte) error {
 	} else if drop {
 		return nil
 	}
-	qp.local.admit(len(src))
-	qp.remote.admit(len(src))
-	qp.local.fabric.spinFor(qp.local.fabric.cfg.WriteNs)
+	qp.charge(len(src), qp.fabric.cfg.WriteNs)
 	copy(mr.data[off:], src)
 	return nil
 }
@@ -322,9 +404,7 @@ func (qp *QP) WriteWord(mr *MemoryRegion, wordIdx int, val uint64) error {
 	} else if drop {
 		return nil
 	}
-	qp.local.admit(8)
-	qp.remote.admit(8)
-	qp.local.fabric.spinFor(qp.local.fabric.cfg.WriteNs)
+	qp.charge(8, qp.fabric.cfg.WriteNs)
 	if invariant.Enabled {
 		mr.words.Validate(wordIdx, val)
 	}
@@ -354,9 +434,7 @@ func (qp *QP) WriteIndicated(mr *MemoryRegion, off int, body []byte, tailIdx, he
 	} else if drop {
 		return nil
 	}
-	qp.local.admit(len(body) + 16)
-	qp.remote.admit(len(body) + 16)
-	qp.local.fabric.spinFor(qp.local.fabric.cfg.WriteNs)
+	qp.charge(len(body)+16, qp.fabric.cfg.WriteNs)
 	copy(mr.data[off:], body)
 	mr.words.Store(tailIdx, indicator)
 	mr.words.Store(headIdx, indicator)
@@ -406,9 +484,7 @@ func (qp *QP) ReadInto(mr *MemoryRegion, off int, dst []byte, words []uint64, wo
 	if _, err := qp.fault(VerbRead, len(dst)); err != nil {
 		return 0, err
 	}
-	qp.local.admit(len(dst))
-	qp.remote.admit(len(dst))
-	qp.local.fabric.spinFor(qp.local.fabric.cfg.ReadNs)
+	qp.charge(len(dst), qp.fabric.cfg.ReadNs)
 	n := copy(dst, mr.data[off:off+len(dst)])
 	for i, w := range wordIdxs {
 		words[i] = mr.words.Load(w)
@@ -425,9 +501,9 @@ func (qp *QP) Send(msg []byte) error {
 	if qp.Closed() {
 		return ErrClosed
 	}
-	out := qp.local.fabric.faultFor(VerbSend, qp.local, qp.remote, len(msg))
+	out := qp.fabric.faultFor(VerbSend, qp.local, qp.remote, len(msg))
 	if out.DelayNs > 0 {
-		qp.local.fabric.spinFor(out.DelayNs)
+		qp.fabric.spinFor(out.DelayNs)
 	}
 	if out.Err != nil {
 		return out.Err
@@ -435,9 +511,7 @@ func (qp *QP) Send(msg []byte) error {
 	if out.Drop {
 		return nil
 	}
-	qp.local.admit(len(msg))
-	qp.remote.admit(len(msg))
-	qp.local.fabric.spinFor(qp.local.fabric.cfg.SendNs)
+	qp.charge(len(msg), qp.fabric.cfg.SendNs)
 	buf := make([]byte, len(msg))
 	copy(buf, msg)
 	if out.Reorder && qp.reorder.hold(buf) {

@@ -207,14 +207,99 @@ func TestCloseSemantics(t *testing.T) {
 	if err := qa.WriteBytes(mrb, 0, []byte("x")); err != ErrClosed {
 		t.Fatalf("write on closed qp: %v", err)
 	}
+	// Closing the other end too tears nothing down twice.
+	qb.Close()
+	if a.QPCount() != 0 || b.QPCount() != 0 {
+		t.Fatalf("qp counts after closing both ends: %d %d", a.QPCount(), b.QPCount())
+	}
 }
 
+// TestNICAccounting checks that every verb charges exactly one op and its
+// payload bytes to both NICs it crosses, whichever end initiates it, that
+// concurrent initiators on distinct QPs sum exactly, and that the totals
+// survive the connections' Close.
 func TestNICAccounting(t *testing.T) {
-	qa, _, _, mrb := pair(t, Config{})
-	before := qa.LocalNIC().Bytes.Load()
-	testutil.Must(qa.WriteBytes(mrb, 0, make([]byte, 100)))
-	if got := qa.LocalNIC().Bytes.Load() - before; got != 100 {
-		t.Fatalf("byte accounting: %d", got)
+	const workers, rounds = 4, 200
+	body := make([]byte, 100)
+	// Each worker w has its own bytes at w*128 and words 2w, 2w+1, so that
+	// concurrent writers never overlap.
+	verbs := []struct {
+		name  string
+		bytes int64
+		do    func(qp *QP, mr *MemoryRegion, w int) error
+	}{
+		{"WriteBytes", 100, func(qp *QP, mr *MemoryRegion, w int) error {
+			return qp.WriteBytes(mr, w*128, body)
+		}},
+		{"WriteWord", 8, func(qp *QP, mr *MemoryRegion, w int) error {
+			return qp.WriteWord(mr, 2*w, 1)
+		}},
+		{"WriteIndicated", 100 + 16, func(qp *QP, mr *MemoryRegion, w int) error {
+			return qp.WriteIndicated(mr, w*128, body, 2*w+1, 2*w, 1)
+		}},
+		{"ReadInto", 54, func(qp *QP, mr *MemoryRegion, w int) error {
+			_, err := qp.ReadInto(mr, w*128, make([]byte, 54), make([]uint64, 2), 2*w, 2*w+1)
+			return err
+		}},
+		{"Send", 100, func(qp *QP, _ *MemoryRegion, _ int) error {
+			return qp.Send(body)
+		}},
+	}
+	for _, v := range verbs {
+		t.Run(v.name, func(t *testing.T) {
+			f := NewFabric(Config{})
+			client, server := f.NewNIC("client"), f.NewNIC("server")
+			clientMR := client.Register(make([]byte, 4096), arena.NewWordArea(16, 2))
+			serverMR := server.Register(make([]byte, 4096), arena.NewWordArea(16, 2))
+			var ends []*QP
+			qps := make([]*QP, workers)
+			for i := range qps {
+				// Deep enough that no Send waits for a receiver.
+				qa, qb := Connect(client, server, rounds+2)
+				qps[i] = qa
+				ends = append(ends, qa, qb)
+			}
+			expect := func(ops int64) {
+				t.Helper()
+				for _, n := range []*NIC{client, server} {
+					if got := n.Ops.Load(); got != ops {
+						t.Fatalf("%s ops = %d, want %d", n.Name(), got, ops)
+					}
+					if got := n.Bytes.Load(); got != ops*v.bytes {
+						t.Fatalf("%s bytes = %d, want %d", n.Name(), got, ops*v.bytes)
+					}
+				}
+			}
+
+			testutil.Must(v.do(qps[0], serverMR, 0))
+			expect(1)
+			testutil.Must(v.do(ends[1], clientMR, 0)) // from the server's end
+			expect(2)
+
+			var wg sync.WaitGroup
+			for w, qp := range qps {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for range rounds {
+						if err := v.do(qp, serverMR, w); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			expect(2 + workers*rounds)
+
+			for _, qp := range ends {
+				qp.Close()
+			}
+			expect(2 + workers*rounds)
+			if client.QPCount() != 0 || server.QPCount() != 0 {
+				t.Fatalf("qp counts after Close: %d %d", client.QPCount(), server.QPCount())
+			}
+		})
 	}
 }
 
@@ -293,6 +378,29 @@ func BenchmarkOneSidedRead64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		testutil.Must2(qa.Read(mrb, 0, dst, 0, 1))
 	}
+}
+
+// BenchmarkReadIntoParallel is the one-sided GET's verb under parallel load:
+// every goroutine has its own client NIC and QP and reads a 54-byte item plus
+// its guardian and lease words from one shared server region. Compare
+// aggregate ns/op across -cpu 1,2: a verb that wrote a word shared with
+// other QPs would make two cores slower than one.
+func BenchmarkReadIntoParallel(b *testing.B) {
+	f := NewFabric(Config{})
+	server := f.NewNIC("server")
+	mr := server.Register(make([]byte, 4096), arena.NewWordArea(16, 2))
+	b.RunParallel(func(pb *testing.PB) {
+		qp, _ := Connect(f.NewNIC("client"), server, 1)
+		// A whole cache line each, so the goroutines' buffers do not share one.
+		dst := make([]byte, 54, 64)
+		words := make([]uint64, 2, 8)
+		for pb.Next() {
+			if _, err := qp.ReadInto(mr, 64, dst, words, 0, 1); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 func BenchmarkSendRecv64(b *testing.B) {
