@@ -9,9 +9,11 @@ FUZZTIME  ?= 20s
 
 all: build test
 
+# The darwin vet keeps the !linux no-op of the huge-page advice compiling.
 build:
 	$(GO) build ./...
 	$(GO) build -tags hydradebug ./...
+	GOOS=darwin $(GO) vet ./internal/arena ./internal/hashtable ./internal/kv
 
 vet:
 	$(GO) vet ./...
@@ -92,10 +94,12 @@ fuzz-smoke:
 # next runs. The last line only keeps the fabric's parallel-read benchmark
 # compiling; a fixed count times nothing (RunParallel then refills its
 # shared iteration counter almost every op), so measure it with the default
-# -benchtime.
+# -benchtime. The store's uniform 1 M-key GET benchmark runs once to keep
+# its setup working; compare it across builds with a larger -benchtime.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 	$(GO) test -run '^$$' -bench Parallel -benchtime 1000x -cpu 1,2 ./internal/rdma
+	$(GO) test -run '^$$' -bench StoreGetUniform -benchtime 1000x ./internal/kv
 
 # Runtime sanitizers: goroutine-ownership assertions, arena double-free /
 # use-after-free canaries, guardian-word validation at the fabric boundary.

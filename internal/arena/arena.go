@@ -90,10 +90,12 @@ func New(capacity int) *Arena {
 	if capacity <= 0 {
 		panic("arena: capacity must be positive")
 	}
-	return &Arena{
+	a := &Arena{
 		data: make([]byte, capacity),
 		free: make([][]int, len(classSizes)),
 	}
+	AdviseHugePages(a.data)
+	return a
 }
 
 // Capacity reports the total byte capacity.

@@ -260,3 +260,42 @@ func BenchmarkAllocFree(b *testing.B) {
 		a.Free(off, 56)
 	}
 }
+
+func TestHugeInterior(t *testing.T) {
+	const mb = 1 << 20
+	for _, c := range []struct {
+		name   string
+		base   uintptr
+		n      int
+		lo, hi int
+	}{
+		{"aligned exact multiple", 8 * mb, 4 * mb, 0, 4 * mb},
+		{"aligned with tail", 8 * mb, 5 * mb, 0, 4 * mb},
+		{"misaligned start", 8*mb + 4096, 6 * mb, 2*mb - 4096, 6*mb - 4096},
+		{"misaligned both ends", 8*mb + 1, 4 * mb, 2*mb - 1, 4*mb - 1},
+		{"misaligned exact multiple", 3 * mb, 8 * mb, mb, 7 * mb},
+		{"at the floor", 2 * mb, 4 * mb, 0, 4 * mb},
+		{"below the floor, aligned", 8 * mb, 4*mb - 1, 0, 0},
+		{"below the floor, misaligned", 8*mb + 4096, 3 * mb, 0, 0},
+		{"empty", 0, 0, 0, 0},
+	} {
+		lo, hi := hugeInterior(c.base, c.n)
+		if lo != c.lo || hi != c.hi {
+			t.Errorf("%s: hugeInterior(%#x, %d) = [%d, %d), want [%d, %d)", c.name, c.base, c.n, lo, hi, c.lo, c.hi)
+		}
+	}
+}
+
+// TestAdviseHugePages pins the floor: nothing below 4 MB is advised. The
+// large calls assert nothing, because whether the kernel accepts the advice
+// depends on the host's THP setting; under -race they run checkptr over the
+// byte view of each element type the shard's regions use.
+func TestAdviseHugePages(t *testing.T) {
+	if AdviseHugePages([]byte(nil)) || AdviseHugePages(make([]byte, hugeMinBytes-1)) ||
+		AdviseHugePages(make([]uint64, hugeMinBytes/8-1)) {
+		t.Fatal("a region below the 4 MB floor was advised")
+	}
+	AdviseHugePages(make([]byte, 2*hugeMinBytes+3))
+	AdviseHugePages(make([]uint64, hugeMinBytes/8))
+	NewWordArea(hugeMinBytes/8, 1)
+}

@@ -16,8 +16,8 @@ import (
 // payload bytes and named words in one operation with a single latency
 // charge (see DESIGN.md §2).
 //
-// Words are allocated in fixed-size groups (guardian + lease for items; ring
-// indicators for replication logs).
+// Words are allocated in fixed-size groups (an item's guardian, lease,
+// location and popularity; ring indicators for replication logs).
 type WordArea struct {
 	words []atomic.Uint64 // hydralint:region the named-word companion area
 	free  []int           // free group start indices
@@ -34,10 +34,12 @@ func NewWordArea(capacity, groupSize int) *WordArea {
 	if capacity <= 0 || groupSize <= 0 {
 		panic("arena: word area capacity and group size must be positive")
 	}
-	return &WordArea{
+	w := &WordArea{
 		words: make([]atomic.Uint64, capacity*groupSize),
 		group: groupSize,
 	}
+	AdviseHugePages(w.words)
+	return w
 }
 
 // AllocGroup reserves one group and returns the index of its first word.

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 
+	"hydradb/internal/arena"
 	"hydradb/internal/hashx"
 )
 
@@ -87,10 +88,12 @@ func New(nBuckets int) *Table {
 	for n < uint64(nBuckets) {
 		n <<= 1
 	}
-	return &Table{
+	t := &Table{
 		main:     make([]uint64, n*wordsPerBucket),
 		nBuckets: n,
 	}
+	arena.AdviseHugePages(t.main)
+	return t
 }
 
 // Len reports the number of stored references.

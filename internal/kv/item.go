@@ -34,24 +34,36 @@ const (
 	GuardianLive uint64 = 0 // hydralint:publish storing this releases the item
 	GuardianDead uint64 = 1 // hydralint:unpublish storing this retracts the item
 
-	// MetaWordsPerItem is the word-group size: guardian + lease.
-	MetaWordsPerItem = 2
+	// MetaWordsPerItem is the word-group size. The group is the item's
+	// record, and the hash table's reference names it: [0] guardian and
+	// [1] lease, which a one-sided Read fetches with the item, then the
+	// owner-only [2] location (dataOff<<32 | dataLen) and [3] popularity
+	// (access<<32 | epoch). A group is 32 B and aligned, so it never
+	// straddles a cache line.
+	MetaWordsPerItem = 4
 )
 
+// hydralint:assert MetaWordsPerItem*8 == 32
+
 // MaxKeyLen and MaxValLen bound item dimensions. A key length must fit the
-// 16-bit length field of the item header (and of the request header).
+// 16-bit length field of the item header (and of the request header). An
+// item must fit the arena's largest size class (arena.MaxAlloc, 8 MB), so
+// MaxValLen is the largest value beside a one-byte key; a longer key lowers
+// the bound by its length.
 const (
 	MaxKeyLen = 1<<16 - 1
-	MaxValLen = 1 << 24
+	MaxValLen = 8<<20 - ItemHeaderSize - 1
 )
 
 var (
 	// ErrKeyTooLarge reports a key above MaxKeyLen.
 	ErrKeyTooLarge = errors.New("kv: key too large")
-	// ErrValTooLarge reports a value above MaxValLen.
+	// ErrValTooLarge reports an item whose ItemSize exceeds the arena's
+	// largest class (arena.MaxAlloc): a value above MaxValLen, or a value
+	// that does not fit beside its key.
 	ErrValTooLarge = errors.New("kv: value too large")
-	// ErrStoreFull reports arena or slab exhaustion that reclamation could
-	// not relieve.
+	// ErrStoreFull reports arena or word-area exhaustion that reclamation
+	// could not relieve.
 	ErrStoreFull = errors.New("kv: store full")
 )
 

@@ -21,7 +21,7 @@ var GuardianSpec = protocolspec.Spec{
 			"(*hydradb/internal/arena.WordArea).Store",
 			"(*hydradb/internal/arena.WordArea).CompareAndSwap",
 		},
-		Why: "guardian, lease, and indicator words share the registered word area; the area methods are the only direct stores, and call-level ordering is proven by the payload-before-release flow pass",
+		Why: "an item's guardian, lease, location and popularity words, and the rings' indicator words, share the registered word area; the area methods are the only direct stores, and call-level ordering is proven by the payload-before-release flow pass, which also puts the location word before the release",
 	}},
 	Edges: []protocolspec.Edge{
 		{

@@ -17,7 +17,8 @@ import (
 type Config struct {
 	// ArenaBytes is the byte capacity of the item region.
 	ArenaBytes int
-	// MaxItems bounds live + pending-reclaim items (slab and word area size).
+	// MaxItems bounds live + pending-reclaim items: it sizes the word
+	// area, one group per item.
 	MaxItems int
 	// Buckets is the main-branch size of the hash table; defaults to
 	// MaxItems/4 (≈4 entries across 7 slots).
@@ -56,29 +57,29 @@ func (c *Config) withDefaults() Config {
 	return cfg
 }
 
-type itemRecord struct {
-	dataOff uint32
-	dataLen uint32
-	metaIdx uint32
-	access  uint32 // popularity counter, lazily decayed
-	epoch   uint32 // decay epoch of the last access
-	hash    uint64 // cached key hashcode
-}
+// Word offsets within an item's group (see MetaWordsPerItem); the guardian
+// is word 0. Location and popularity are owner-only.
+const (
+	leaseWord = 1
+	locWord   = 2 // dataOff<<32 | dataLen
+	popWord   = 3 // access<<32 | epoch
+)
+
+// refOf and metaOf convert between a hash-table reference and the first word
+// of the item's group. References are 1-based.
+func refOf(meta int) uint64 { return uint64(meta/MetaWordsPerItem) + 1 }
+func metaOf(ref uint64) int { return int(ref-1) * MetaWordsPerItem }
 
 type reclaimEntry struct {
-	due int64
-	ref uint64
+	due  int64
+	meta int
 }
 
 // Store is the single-shard key-value store.
 type Store struct {
-	cfg    Config
-	arena  *arena.Arena
-	words  *arena.WordArea
-	table  *hashtable.Table
-	items  []itemRecord
-	free   []uint64
-	nextIt uint64
+	arena *arena.Arena
+	words *arena.WordArea
+	table *hashtable.Table
 
 	reclaim reclaimHeap
 
@@ -94,24 +95,19 @@ type Store struct {
 func NewStore(cfg Config) *Store {
 	c := cfg.withDefaults()
 	s := &Store{
-		cfg:    c,
 		arena:  arena.New(c.ArenaBytes),
 		words:  arena.NewWordArea(c.MaxItems, MetaWordsPerItem),
 		table:  hashtable.New(c.Buckets),
-		items:  make([]itemRecord, 0, minInt(c.MaxItems, 1<<16)),
 		clock:  c.Clock,
 		policy: c.Policy,
 		ctr:    c.Counters,
-		nextIt: 1,
 	}
 	s.match = func(ref uint64) bool {
-		rec := &s.items[ref-1]
-		data := s.arena.Bytes(rec.dataOff, int(rec.dataLen))
-		k, _, ok := DecodeItem(data)
+		k, _, ok := DecodeItem(s.itemBytes(s.ptr(metaOf(ref))))
 		return ok && bytes.Equal(k, s.probeKey)
 	}
 	if invariant.Enabled {
-		// Guardian words occupy the even slot of every item word group and
+		// Guardian words occupy the first slot of every item word group and
 		// only ever hold GuardianLive, GuardianDead, or zero (fresh group).
 		// Any other value crossing the fabric is a torn or misdirected write.
 		s.words.SetValidator(func(idx int, v uint64) {
@@ -121,13 +117,6 @@ func NewStore(cfg Config) *Store {
 		})
 	}
 	return s
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Len reports the number of live items.
@@ -148,46 +137,34 @@ func (s *Store) ArenaData() []byte { return s.arena.Data() }
 // Words exposes the metadata word area for NIC registration.
 func (s *Store) Words() *arena.WordArea { return s.words }
 
-func (s *Store) allocRecord() (uint64, error) {
-	if n := len(s.free); n > 0 {
-		ref := s.free[n-1]
-		s.free = s.free[:n-1]
-		return ref, nil
-	}
-	if int(s.nextIt) > s.cfg.MaxItems {
-		return 0, ErrStoreFull
-	}
-	s.items = append(s.items, itemRecord{})
-	ref := s.nextIt
-	s.nextIt++
-	return ref, nil
+// ptr reads the location word of the group at meta as the item's remote
+// pointer.
+func (s *Store) ptr(meta int) RemotePtr {
+	loc := s.words.Load(meta + locWord)
+	return RemotePtr{DataOff: uint32(loc >> 32), DataLen: uint32(loc), MetaIdx: uint32(meta)}
 }
 
-func (s *Store) freeRecord(ref uint64) {
-	s.items[ref-1] = itemRecord{}
-	s.free = append(s.free, ref)
-}
+// itemBytes returns the arena bytes of a live item.
+func (s *Store) itemBytes(p RemotePtr) []byte { return s.arena.Bytes(p.DataOff, int(p.DataLen)) }
 
-// touch updates popularity and lease of a live item and returns the lease
-// expiry.
-func (s *Store) touch(rec *itemRecord, now int64) int64 {
+// touch counts an access on top of popularity pop, stores the result in the
+// item's popularity word, renews its lease and returns the lease expiry.
+// Popularity belongs to the key, so an update passes the replaced item's
+// word. touch is the one writer of a published item's words
+// (lease.RenewalSpec).
+func (s *Store) touch(meta int, pop uint64, now int64) int64 {
 	ep := s.policy.Epoch(now)
-	rec.access = lease.Decay(rec.access, rec.epoch, ep)
-	rec.epoch = ep
-	if rec.access < ^uint32(0) {
-		rec.access++
+	access := lease.Decay(uint32(pop>>32), uint32(pop), ep)
+	if access < ^uint32(0) {
+		access++
 	}
-	leaseIdx := int(rec.metaIdx) + 1
-	cur := int64(s.words.Load(leaseIdx))
-	exp := s.policy.Extend(cur, now, rec.access)
+	s.words.Store(meta+popWord, uint64(access)<<32|uint64(ep))
+	cur := int64(s.words.Load(meta + leaseWord))
+	exp := s.policy.Extend(cur, now, access)
 	if exp != cur {
-		s.words.Store(leaseIdx, uint64(exp))
+		s.words.Store(meta+leaseWord, uint64(exp))
 	}
 	return exp
-}
-
-func (s *Store) remotePtr(rec *itemRecord) RemotePtr {
-	return RemotePtr{DataOff: rec.dataOff, DataLen: rec.dataLen, MetaIdx: rec.metaIdx}
 }
 
 // GetResult carries everything a server-aware GET returns to the client:
@@ -211,111 +188,96 @@ func (s *Store) Get(key []byte) (GetResult, bool) {
 	if !ok {
 		return GetResult{}, false
 	}
-	rec := &s.items[ref-1]
-	now := s.clock.Now()
-	exp := s.touch(rec, now)
-	data := s.arena.Bytes(rec.dataOff, int(rec.dataLen))
-	_, val, _ := DecodeItem(data)
-	return GetResult{Value: val, Ptr: s.remotePtr(rec), LeaseExp: exp}, true
+	meta := metaOf(ref)
+	exp := s.touch(meta, s.words.Load(meta+popWord), s.clock.Now())
+	p := s.ptr(meta)
+	_, val, _ := DecodeItem(s.itemBytes(p))
+	return GetResult{Value: val, Ptr: p, LeaseExp: exp}, true
 }
 
 // Put inserts or updates a key. Updates are strictly out-of-place: a new
-// area + fresh guardian/lease words are populated first, then the hash table
+// area + a fresh word group are populated first, then the hash table
 // slot is flipped to the new reference, then the old item's guardian is
 // flipped and its area queued for reclamation at lease expiry (§4.2.3).
 func (s *Store) Put(key, val []byte) (GetResult, bool, error) {
 	if len(key) == 0 || len(key) > MaxKeyLen {
 		return GetResult{}, false, ErrKeyTooLarge
 	}
-	if len(val) > MaxValLen {
+	size := ItemSize(len(key), len(val))
+	if size > arena.MaxAlloc() {
 		return GetResult{}, false, ErrValTooLarge
 	}
-	size := ItemSize(len(key), len(val))
 	now := s.clock.Now()
 
-	dataOff, metaIdx, ref, err := s.allocItem(size, now)
+	dataOff, metaIdx, err := s.allocItem(size)
 	if err != nil {
 		return GetResult{}, false, err
 	}
-	// Populate everything — payload bytes, then the lease word — before the
-	// guardian store publishes the item: a remote Read that wins the race
-	// against PUT must observe either no item or a fully formed one (§4.2.3).
+	// Populate everything — payload bytes, then the location and lease
+	// words — before the guardian store publishes the item: a remote Read
+	// that wins the race against PUT must observe either no item or a fully
+	// formed one (§4.2.3).
 	EncodeItem(s.arena.Bytes(dataOff, size), key, val)
-	s.words.Store(metaIdx+1, uint64(now+s.policy.Term(0)))
+	s.words.Store(metaIdx+locWord, uint64(dataOff)<<32|uint64(size))
+	s.words.Store(metaIdx+leaseWord, uint64(now+s.policy.Term(0)))
 	s.words.Store(metaIdx, GuardianLive)
 
-	rec := &s.items[ref-1]
-	h := hashx.Hash(key)
-	*rec = itemRecord{
-		dataOff: dataOff,
-		dataLen: uint32(size),
-		metaIdx: uint32(metaIdx),
-		epoch:   s.policy.Epoch(now),
-		hash:    h,
-	}
-
 	s.probeKey = key
-	oldRef, replaced, err := s.table.Insert(h, ref, s.match)
+	oldRef, replaced, err := s.table.Insert(hashx.Hash(key), refOf(metaIdx), s.match)
 	if err != nil {
-		// Reference overflow cannot happen with slab-bounded refs, but roll
-		// back defensively — and retract the guardian before recycling the
-		// memory, so a racing remote Read of the just-published item cannot
-		// validate against a zeroed (hence Live-looking) recycled group.
+		// Reference overflow cannot happen with word-area-bounded refs, but
+		// roll back defensively — and retract the guardian before recycling
+		// the memory, so a racing remote Read of the just-published item
+		// cannot validate against a zeroed (hence Live-looking) recycled
+		// group.
 		s.words.Store(metaIdx, GuardianDead)
 		s.arena.Free(dataOff, size)
 		s.words.FreeGroup(metaIdx)
-		s.freeRecord(ref)
 		return GetResult{}, false, err
 	}
+	var pop uint64
 	if replaced {
 		s.ctr.Updates.Inc()
-		old := &s.items[oldRef-1]
-		// Popularity belongs to the key: carry it over.
-		rec.access = old.access
-		rec.epoch = old.epoch
-		s.detach(oldRef, now)
+		old := metaOf(oldRef)
+		pop = s.words.Load(old + popWord)
+		s.detach(old, now)
 	} else {
 		s.ctr.Inserts.Inc()
 	}
-	exp := s.touch(rec, now)
-	return GetResult{Ptr: s.remotePtr(rec), LeaseExp: exp}, replaced, nil
+	exp := s.touch(metaIdx, pop, now)
+	return GetResult{Ptr: s.ptr(metaIdx), LeaseExp: exp}, replaced, nil
 }
 
-// allocItem reserves arena space, a word group and an item record, running a
-// reclamation pass and retrying once when any of them is exhausted.
-func (s *Store) allocItem(size int, now int64) (dataOff uint32, metaIdx int, ref uint64, err error) {
+// allocItem reserves arena space and a word group, running a reclamation
+// pass and retrying once when either is exhausted.
+func (s *Store) allocItem(size int) (dataOff uint32, metaIdx int, err error) {
 	for attempt := 0; ; attempt++ {
 		dataOff, err = s.arena.Alloc(size)
 		if err == nil {
 			metaIdx, err = s.words.AllocGroup()
 			if err == nil {
-				ref, err = s.allocRecord()
-				if err == nil {
-					return dataOff, metaIdx, ref, nil
-				}
-				s.words.FreeGroup(metaIdx)
+				return dataOff, metaIdx, nil
 			}
 			s.arena.Free(dataOff, size)
 		}
 		if attempt > 0 {
-			return 0, 0, 0, ErrStoreFull
+			return 0, 0, ErrStoreFull
 		}
 		// Force-expire nothing; only collect entries already due. If nothing
 		// was due, give up: leases guard client RDMA Reads and must not be
 		// broken to satisfy allocation.
 		if s.ReclaimDue() == 0 {
-			return 0, 0, 0, ErrStoreFull
+			return 0, 0, ErrStoreFull
 		}
 	}
 }
 
 // detach flips the guardian of a replaced/deleted item and schedules its
 // memory for reclamation after the lease runs out.
-func (s *Store) detach(ref uint64, now int64) {
-	rec := &s.items[ref-1]
-	s.words.Store(int(rec.metaIdx), GuardianDead)
-	exp := int64(s.words.Load(int(rec.metaIdx) + 1))
-	s.reclaim.push(reclaimEntry{due: s.policy.ReclaimAt(exp, now), ref: ref})
+func (s *Store) detach(meta int, now int64) {
+	s.words.Store(meta, GuardianDead)
+	exp := int64(s.words.Load(meta + leaseWord))
+	s.reclaim.push(reclaimEntry{due: s.policy.ReclaimAt(exp, now), meta: meta})
 }
 
 // Delete removes a key. The memory is reclaimed after lease expiry.
@@ -327,7 +289,7 @@ func (s *Store) Delete(key []byte) bool {
 	if !ok {
 		return false
 	}
-	s.detach(ref, s.clock.Now())
+	s.detach(metaOf(ref), s.clock.Now())
 	return true
 }
 
@@ -343,8 +305,8 @@ func (s *Store) RenewLease(key []byte) (int64, bool) {
 		return 0, false
 	}
 	s.ctr.LeaseRenewals.Inc()
-	rec := &s.items[ref-1]
-	return s.touch(rec, s.clock.Now()), true
+	meta := metaOf(ref)
+	return s.touch(meta, s.words.Load(meta+popWord), s.clock.Now()), true
 }
 
 // ReclaimDue frees every detached item whose lease (plus grace) has expired.
@@ -355,10 +317,9 @@ func (s *Store) ReclaimDue() int {
 	n := 0
 	for len(s.reclaim) > 0 && s.reclaim[0].due <= now {
 		e := s.reclaim.pop()
-		rec := &s.items[e.ref-1]
-		s.arena.Free(rec.dataOff, int(rec.dataLen))
-		s.words.FreeGroup(int(rec.metaIdx))
-		s.freeRecord(e.ref)
+		p := s.ptr(e.meta)
+		s.arena.Free(p.DataOff, int(p.DataLen))
+		s.words.FreeGroup(e.meta)
 		n++
 	}
 	if n > 0 {
@@ -379,9 +340,7 @@ func (s *Store) NextReclaimDue() (int64, bool) {
 // Range iterates over live items, passing arena-aliasing key/value views.
 func (s *Store) Range(fn func(key, val []byte) bool) {
 	s.table.Range(func(ref uint64) bool {
-		rec := &s.items[ref-1]
-		data := s.arena.Bytes(rec.dataOff, int(rec.dataLen))
-		k, v, ok := DecodeItem(data)
+		k, v, ok := DecodeItem(s.itemBytes(s.ptr(metaOf(ref))))
 		if !ok {
 			return true
 		}
@@ -394,7 +353,7 @@ func (s *Store) Range(fn func(key, val []byte) bool) {
 func (s *Store) Guardian(metaIdx uint32) uint64 { return s.words.Load(int(metaIdx)) }
 
 // Lease returns the lease expiry word of an item by meta index.
-func (s *Store) Lease(metaIdx uint32) int64 { return int64(s.words.Load(int(metaIdx) + 1)) }
+func (s *Store) Lease(metaIdx uint32) int64 { return int64(s.words.Load(int(metaIdx) + leaseWord)) }
 
 // ReadAt simulates the data plane of a one-sided RDMA Read against this
 // store's region: it copies the item bytes and atomically loads guardian and
@@ -402,7 +361,7 @@ func (s *Store) Lease(metaIdx uint32) int64 { return int64(s.words.Load(int(meta
 // is involved, mirroring §4.2.2.
 func (s *Store) ReadAt(p RemotePtr, dst []byte) (n int, guardian uint64, leaseExp int64, err error) {
 	end := int(p.DataOff) + int(p.DataLen)
-	if end > s.arena.Capacity() || int(p.MetaIdx)+1 >= s.words.Len() {
+	if end > s.arena.Capacity() || int(p.MetaIdx)+leaseWord >= s.words.Len() {
 		return 0, 0, 0, fmt.Errorf("kv: remote pointer out of range: %v", p)
 	}
 	// Slice the raw region rather than arena.Bytes: a stale remote pointer
@@ -410,7 +369,7 @@ func (s *Store) ReadAt(p RemotePtr, dst []byte) (n int, guardian uint64, leaseEx
 	// it), so the hydradebug use-after-free canary must not fire here.
 	n = copy(dst, s.arena.Data()[p.DataOff:end])
 	guardian = s.words.Load(int(p.MetaIdx))
-	leaseExp = int64(s.words.Load(int(p.MetaIdx) + 1))
+	leaseExp = int64(s.words.Load(int(p.MetaIdx) + leaseWord))
 	return n, guardian, leaseExp, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hydradb/internal/arena"
 	"hydradb/internal/lease"
 	"hydradb/internal/stats"
 	"hydradb/internal/testutil"
@@ -381,22 +382,108 @@ func TestKeyValidation(t *testing.T) {
 	}
 }
 
+func TestPutRejectsItemAboveLargestClass(t *testing.T) {
+	if got := ItemSize(1, MaxValLen); got != arena.MaxAlloc() {
+		t.Fatalf("ItemSize(1, MaxValLen) = %d, want the largest arena class %d", got, arena.MaxAlloc())
+	}
+	clk := timing.NewManualClock(0)
+	var ctr stats.OpCounters
+	s := NewStore(Config{ArenaBytes: 1 << 20, MaxItems: 64, Clock: clk, Counters: &ctr})
+	// Leave a reclaim due, so a pointless reclamation pass would show.
+	testutil.Must2(s.Put([]byte("k"), []byte("v1")))
+	testutil.Must2(s.Put([]byte("k"), []byte("v2")))
+	clk.Advance(100e9)
+
+	for _, c := range []struct {
+		key    []byte
+		valLen int
+	}{
+		{[]byte("k"), 9 << 20},
+		{[]byte("k"), MaxValLen + 1},
+		{[]byte("kk"), MaxValLen},
+	} {
+		if _, _, err := s.Put(c.key, make([]byte, c.valLen)); err != ErrValTooLarge {
+			t.Fatalf("Put(%q, %d B) = %v, want ErrValTooLarge", c.key, c.valLen, err)
+		}
+	}
+	if n := ctr.Snapshot().Reclaims; n != 0 {
+		t.Fatalf("rejecting an oversized value ran a reclamation pass (%d reclaimed)", n)
+	}
+	if s.PendingReclaims() != 1 {
+		t.Fatalf("pending reclaims = %d, want 1", s.PendingReclaims())
+	}
+}
+
+// TestWordAreaBoundsItems pins MaxItems as the item bound: every live or
+// pending-reclaim item holds one word group, and nothing else does.
+func TestWordAreaBoundsItems(t *testing.T) {
+	clk := timing.NewManualClock(0)
+	s := NewStore(Config{ArenaBytes: 1 << 20, MaxItems: 8, Clock: clk})
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%d", i)) }
+	for i := 0; i < 8; i++ {
+		testutil.Must2(s.Put(key(i), []byte("v")))
+	}
+	if _, _, err := s.Put(key(8), []byte("v")); err != ErrStoreFull {
+		t.Fatalf("9th distinct insert: %v, want ErrStoreFull", err)
+	}
+	if _, _, err := s.Put(key(0), []byte("v'")); err != ErrStoreFull {
+		t.Fatalf("update with every group taken: %v, want ErrStoreFull", err)
+	}
+
+	// Two deletes free two groups once their leases run out; the next
+	// insert collects them through the reclaim-retry path.
+	s.Delete(key(0))
+	s.Delete(key(1))
+	clk.Advance(100e9)
+	testutil.Must2(s.Put(key(8), []byte("v")))
+	if s.PendingReclaims() != 0 {
+		t.Fatalf("pending reclaims = %d after the retry pass", s.PendingReclaims())
+	}
+	// An update takes the last free group and pins the old one under its
+	// lease, so the area is full again until that lease expires.
+	testutil.Must2(s.Put(key(8), []byte("v'")))
+	if _, _, err := s.Put(key(9), []byte("v")); err != ErrStoreFull {
+		t.Fatalf("insert while the old version is leased: %v, want ErrStoreFull", err)
+	}
+	clk.Advance(100e9)
+	if n := s.ReclaimDue(); n != 1 {
+		t.Fatalf("reclaimed %d items, want 1", n)
+	}
+	testutil.Must2(s.Put(key(9), []byte("v")))
+	if got := s.Len() + s.PendingReclaims(); got != 8 {
+		t.Fatalf("live + pending = %d, want 8", got)
+	}
+	if res, ok := s.Get(key(8)); !ok || string(res.Value) != "v'" {
+		t.Fatalf("updated key read back %q, found=%v", res.Value, ok)
+	}
+}
+
 // TestRandomizedStoreAgainstModel drives a mixed workload with time advance
 // and compares against a map model, with reclamation active throughout.
 func TestRandomizedStoreAgainstModel(t *testing.T) {
+	const maxItems = 2048
 	clk := timing.NewManualClock(0)
-	s := NewStore(Config{ArenaBytes: 1 << 20, MaxItems: 2048, Clock: clk})
+	s := NewStore(Config{ArenaBytes: 1 << 20, MaxItems: maxItems, Clock: clk})
 	model := map[string]string{}
 	rng := rand.New(rand.NewSource(11))
+	checkPtr := func(step int, p RemotePtr) {
+		if p.MetaIdx%MetaWordsPerItem != 0 {
+			t.Fatalf("step %d: MetaIdx %d is not the start of a word group", step, p.MetaIdx)
+		}
+	}
 	for step := 0; step < 30000; step++ {
+		if n := s.Len() + s.PendingReclaims(); n > maxItems {
+			t.Fatalf("step %d: live %d + pending %d exceeds MaxItems", step, s.Len(), s.PendingReclaims())
+		}
 		key := fmt.Sprintf("user%03d", rng.Intn(300))
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3:
 			val := fmt.Sprintf("v%d", step)
-			_, existed, err := s.Put([]byte(key), []byte(val))
+			res, existed, err := s.Put([]byte(key), []byte(val))
 			if err != nil {
 				t.Fatalf("step %d put: %v", step, err)
 			}
+			checkPtr(step, res.Ptr)
 			if _, inModel := model[key]; inModel != existed {
 				t.Fatalf("step %d put existed=%v, model=%v", step, existed, !existed)
 			}
@@ -406,6 +493,9 @@ func TestRandomizedStoreAgainstModel(t *testing.T) {
 			mv, mok := model[key]
 			if ok != mok || (ok && string(res.Value) != mv) {
 				t.Fatalf("step %d get %s: (%q,%v) model (%q,%v)", step, key, res.Value, ok, mv, mok)
+			}
+			if ok {
+				checkPtr(step, res.Ptr)
 			}
 		case 8:
 			ok := s.Delete([]byte(key))
@@ -480,6 +570,35 @@ func BenchmarkStoreGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := s.Get(keys[i&(n-1)]); !ok {
+			b.Fatal("miss")
+		}
+	}
+}
+
+// BenchmarkStoreGetUniform reads 1 M items (16 B keys, 32 B values) in a
+// seeded random order, so each GET misses cache on the bucket, the word
+// group and the item bytes: the read_msg shape, unlike BenchmarkStoreGet,
+// whose 64 k in-order keys stay cache-resident.
+func BenchmarkStoreGetUniform(b *testing.B) {
+	const n, keyLen = 1 << 20, 16
+	clk := timing.NewManualClock(0)
+	s := NewStore(Config{ArenaBytes: n * 64, MaxItems: n, Clock: clk})
+	val := bytes.Repeat([]byte("v"), 32)
+	var key []byte
+	for i := 0; i < n; i++ {
+		key = fmt.Appendf(key[:0], "user%012d", i)
+		testutil.Must2(s.Put(key, val))
+	}
+	// Lay the keys out in read order, so walking them streams and only the
+	// store's own accesses are random.
+	keys := make([]byte, 0, n*keyLen)
+	for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
+		keys = fmt.Appendf(keys, "user%012d", i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % n * keyLen
+		if _, ok := s.Get(keys[j : j+keyLen]); !ok {
 			b.Fatal("miss")
 		}
 	}

@@ -19,7 +19,7 @@ var RenewalSpec = protocolspec.Spec{
 		Name:    "hydradb/internal/arena.WordArea.words[]",
 		Role:    protocolspec.LeaseWord,
 		Writers: []string{"(*hydradb/internal/kv.Store).touch"},
-		Why:     "the lease expiry occupies metaIdx+1 of the item's word group; touch renews it in place on the just-published item",
+		Why:     "the lease expiry occupies metaIdx+1 of the item's word group and the owner-only popularity metaIdx+3; touch renews both in place on the just-published item, including the popularity an update carries over from the replaced one",
 	}},
 	Guards: []protocolspec.Guard{{
 		Reader: "hydradb/internal/lease.ValidForRead",
