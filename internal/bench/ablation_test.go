@@ -9,6 +9,7 @@ import (
 
 func TestAblationSubsharding(t *testing.T) {
 	tbl := AblationSubsharding(tiny)
+	pinTable(t, tbl, "65b41b7d73eeeb28")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -35,6 +36,7 @@ func TestAblationSubshardingRelievesQPBottleneck(t *testing.T) {
 	// 2x4 configuration (120 QPs, under threshold) must beat 8x1 (480 QPs).
 	s := Scale{Name: "subsh", Records: 8000, Ops: 30000, Clients: 20}
 	tbl := AblationSubsharding(s)
+	pinTable(t, tbl, "7d5c3db9fac4cbc9")
 	var m8x1, m2x4 float64
 	for _, row := range tbl.Rows {
 		if row[0] == "8x1" {
@@ -51,6 +53,7 @@ func TestAblationSubshardingRelievesQPBottleneck(t *testing.T) {
 
 func TestAblationPointerSharing(t *testing.T) {
 	tbl := AblationPointerSharing(tiny)
+	pinTable(t, tbl, "d66f59dc518cb0a3")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -78,6 +81,7 @@ func TestAblationPointerSharing(t *testing.T) {
 
 func TestAblationLeasePolicy(t *testing.T) {
 	tbl := AblationLeasePolicy(tiny)
+	pinTable(t, tbl, "f9771b36843e431d")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -91,6 +95,7 @@ func TestAblationLeasePolicy(t *testing.T) {
 
 func TestAblationNUMA(t *testing.T) {
 	tbl := AblationNUMA(tiny)
+	pinTable(t, tbl, "625ff4cc10123848")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}

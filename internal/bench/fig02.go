@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hydradb/internal/sim"
-	"hydradb/internal/simcluster"
 	"hydradb/internal/stats"
 )
 
@@ -193,6 +192,3 @@ func Fig03(s Scale) *stats.Table {
 	}
 	return t
 }
-
-// ensure simcluster is linked for cost-model documentation cross-refs.
-var _ = simcluster.DefaultCostModel
