@@ -49,7 +49,7 @@ type BaselineSim struct {
 	cfg     BaselineConfig
 	eng     *sim.Engine
 	server  *machine
-	clients []*simClient
+	clients []*client
 
 	// architecture resources
 	workers   *sim.Resource   // memcached worker pool / ramcloud workers
@@ -92,7 +92,7 @@ func NewBaselineSim(cfg BaselineConfig) (*BaselineSim, error) {
 		clientMachines[i] = &machine{id: i + 1, nic: sim.NewResource(b.eng, fmt.Sprintf("cli-nic-%d", i), 1)}
 	}
 	for i := 0; i < cfg.Clients; i++ {
-		b.clients = append(b.clients, &simClient{id: i, m: clientMachines[i%len(clientMachines)]})
+		b.clients = append(b.clients, &client{id: i, m: clientMachines[i%len(clientMachines)]})
 	}
 
 	c := &cfg.Cost
@@ -128,25 +128,17 @@ func NewBaselineSim(cfg BaselineConfig) (*BaselineSim, error) {
 	return b, nil
 }
 
-// tcpNicCost is the per-message NIC+stack service under IPoIB.
-func (b *BaselineSim) tcpNicCost(bytes int) int64 {
-	c := &b.cfg.Cost
-	return c.NICOpNs + int64(float64(bytes)*c.TCPByteNs)
-}
-
-// tcpHop models an IPoIB message: NIC service both ends, wire, plus the
-// kernel/protocol latency that dominates the TCP baselines.
+// tcpHop models an IPoIB message: NIC service both ends with the stack's
+// copies, wire, plus the kernel/protocol latency that dominates the TCP
+// baselines.
 func (b *BaselineSim) tcpHop(a, to *machine, bytes int, cont func()) {
 	c := &b.cfg.Cost
-	cost := b.tcpNicCost(bytes)
-	rawHop(b.eng, a, to, cost, cost, c.WireNs+c.TCPExtraNs, cont)
+	hop(b.eng, c, a, to, bytes, c.TCPByteNs, c.TCPExtraNs, cont)
 }
 
 // verbsHop is the native InfiniBand Send/Recv transport (RAMCloud).
 func (b *BaselineSim) verbsHop(a, to *machine, bytes int, cont func()) {
-	c := &b.cfg.Cost
-	cost := c.NICOpNs + int64(float64(bytes)*c.NICByteNs)
-	rawHop(b.eng, a, to, cost, cost, c.WireNs, cont)
+	hop(b.eng, &b.cfg.Cost, a, to, bytes, b.cfg.Cost.NICByteNs, 0, cont)
 }
 
 // Run executes the workload and reports the result.
@@ -171,7 +163,7 @@ func (b *BaselineSim) Run(label string) Result {
 	return r
 }
 
-func (b *BaselineSim) step(cl *simClient) {
+func (b *BaselineSim) step(cl *client) {
 	if b.nextOp >= len(b.cfg.Workload.Requests) {
 		return
 	}
@@ -183,7 +175,7 @@ func (b *BaselineSim) step(cl *simClient) {
 	b.dispatchOp(cl, key, isGet, start)
 }
 
-func (b *BaselineSim) dispatchOp(cl *simClient, key string, isGet bool, start int64) {
+func (b *BaselineSim) dispatchOp(cl *client, key string, isGet bool, start int64) {
 	c := &b.cfg.Cost
 	wl := b.cfg.Workload
 	reqBytes := 40 + len(key)
