@@ -15,9 +15,9 @@ func wl(t testing.TB, records int64, ops, readPct int, dist ycsb.Distribution) *
 	return w
 }
 
-func runHydra(t testing.TB, mode Mode, w *ycsb.Workload, mut func(*HydraConfig)) Result {
+func runHydra(t testing.TB, mode Mode, w *ycsb.Workload, mut func(*FleetConfig)) Result {
 	t.Helper()
-	cfg := HydraConfig{
+	cfg := FleetConfig{
 		Machines:         8,
 		ServerMachines:   []int{0},
 		ShardsPerMachine: 4,
@@ -31,11 +31,12 @@ func runHydra(t testing.TB, mode Mode, w *ycsb.Workload, mut func(*HydraConfig))
 	if mut != nil {
 		mut(&cfg)
 	}
-	h, err := NewHydraSim(cfg)
+	s, err := NewFleetSim(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h.Run(mode.String())
+	s.Run()
+	return s.Result(mode.String())
 }
 
 func TestHydraRunCompletesAllOps(t *testing.T) {
@@ -154,18 +155,18 @@ func TestReplicationLatencyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := runHydra(t, ModeWriteOnly, w, func(c *HydraConfig) {
+	base := runHydra(t, ModeWriteOnly, w, func(c *FleetConfig) {
 		c.ShardsPerMachine = 1
 		c.Clients = 8
 		c.MaxItemsPerShard = 40000
 	})
-	logging := runHydra(t, ModeWriteOnly, w, func(c *HydraConfig) {
+	logging := runHydra(t, ModeWriteOnly, w, func(c *FleetConfig) {
 		c.ShardsPerMachine = 1
 		c.Clients = 8
 		c.Replicas = 1
 		c.MaxItemsPerShard = 40000
 	})
-	strict := runHydra(t, ModeWriteOnly, w, func(c *HydraConfig) {
+	strict := runHydra(t, ModeWriteOnly, w, func(c *FleetConfig) {
 		c.ShardsPerMachine = 1
 		c.Clients = 8
 		c.Replicas = 1
@@ -239,7 +240,7 @@ func TestScaleUpQPOverheadSaturates(t *testing.T) {
 	// the NIC ceiling flatten the curve.
 	w := wl(t, 20000, 40000, 50, ycsb.Uniform)
 	tput := func(shards int) float64 {
-		r := runHydra(t, ModeWriteOnly, w, func(c *HydraConfig) {
+		r := runHydra(t, ModeWriteOnly, w, func(c *FleetConfig) {
 			c.ShardsPerMachine = shards
 			c.Clients = 60
 		})
@@ -260,7 +261,7 @@ func TestScaleOutUniform(t *testing.T) {
 	// Fig. 12(a): uniform workloads scale with server machines.
 	w := wl(t, 20000, 40000, 50, ycsb.Uniform)
 	tput := func(servers []int) float64 {
-		r := runHydra(t, ModeWriteRead, w, func(c *HydraConfig) {
+		r := runHydra(t, ModeWriteRead, w, func(c *FleetConfig) {
 			c.ServerMachines = servers
 			c.ShardsPerMachine = 1
 			c.Clients = 60
