@@ -1,7 +1,8 @@
-// Command hydrasim runs named fleet-simulator scenarios: shared-clock
-// multi-machine runs with statistically modeled bulk traffic (millions of
-// simulated clients in seconds) and full-fidelity tracer clients, emitting
-// canonical JSON with a determinism hash and invariant verdicts.
+// Command hydrasim runs the named fleet scenarios of the cluster simulator:
+// multi-machine runs on one event heap with statistically modeled bulk
+// traffic (millions of simulated clients in seconds) and full-fidelity
+// tracer clients, emitting canonical JSON with a determinism hash and
+// invariant verdicts.
 //
 // Examples:
 //

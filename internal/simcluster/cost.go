@@ -1,11 +1,11 @@
-// Package simcluster models a HydraDB testbed in virtual time: machines
-// with finite NICs, single-threaded shard CPUs, clients, replication and
-// the three Figure-9 baseline architectures. Actors execute the real
-// hydradb data structures (kv stores, guardians, leases, pointer caches) so
-// workload-dependent effects are computed, not assumed; only per-operation
-// costs are parameters, grounded in the paper's testbed numbers (§6) and,
-// for the fleet simulator's read-path classes, two GET latencies once
-// measured on the live middleware (calibration.go).
+// Package simcluster models a HydraDB testbed in virtual time: one
+// simulator (FleetSim, on one event heap) for the paper's figures and the
+// fleet scenarios, plus the three Figure-9 baseline architectures. Actors
+// execute the real hydradb data structures (kv stores, guardians, leases,
+// pointer caches) so workload-dependent effects are computed, not assumed;
+// only per-operation costs are parameters, grounded in the paper's testbed
+// numbers (§6) and, for the cohort's read-path classes, two GET latencies
+// once measured on the live middleware (calibration.go).
 package simcluster
 
 // CostModel parameterizes the virtual testbed. All values are nanoseconds

@@ -1,10 +1,6 @@
 package simcluster
 
-import (
-	"fmt"
-
-	"hydradb/internal/stats"
-)
+import "hydradb/internal/stats"
 
 // Result summarizes one simulated run.
 type Result struct {
@@ -32,12 +28,6 @@ type Result struct {
 	// MaxPendingReclaims is the peak count of detached items awaiting
 	// lease expiry on any one shard (the memory price of leases, §4.2.3).
 	MaxPendingReclaims int
-}
-
-// String renders a compact summary.
-func (r Result) String() string {
-	return fmt.Sprintf("%s: %.3f Mops/s get=%.1fus upd=%.1fus (hits=%d stale=%d miss=%d)",
-		r.Label, r.ThroughputMops, r.GetMeanUs, r.UpdMeanUs, r.Hits, r.Stale, r.Misses)
 }
 
 // finalize computes derived fields from histograms.
