@@ -1,8 +1,8 @@
 // Command hydramc is HydraDB's exhaustive interleaving checker: it runs
 // small models of the lock-free protocols — built on the real
-// internal/kv, internal/lease, internal/message and internal/replication
-// code — under every thread interleaving up to a bound, asserting the
-// invariants of DESIGN.md §9.
+// internal/kv, internal/lease, internal/message, internal/replication and
+// internal/client code — under every thread interleaving up to a bound,
+// asserting the invariants of DESIGN.md §9.
 //
 //	hydramc -list                  enumerate models
 //	hydramc -all                   explore every model, then self-test that

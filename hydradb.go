@@ -38,7 +38,6 @@ import (
 	"hydradb/internal/client"
 	"hydradb/internal/cluster"
 	"hydradb/internal/kv"
-	"hydradb/internal/lfmap"
 	"hydradb/internal/rdma"
 	"hydradb/internal/stats"
 	"hydradb/internal/timing"
@@ -117,7 +116,7 @@ type DB struct {
 	opts    Options
 	cluster *cluster.Cluster
 	clock   timing.Clock
-	caches  []*lfmap.Map[client.PtrEntry] // one shared cache per client machine
+	caches  []*client.PtrCache // one shared cache per client machine
 	nextCli int
 }
 

@@ -2,7 +2,10 @@
 // consistent-hash routing, RDMA-Write message passing with response polling,
 // remote-pointer caching with RDMA-Read GETs, stale-read detection via the
 // guardian word, lease tracking and renewal, and optional pointer sharing
-// among collocated clients through a lock-free cache (§4.2.2–§4.2.4).
+// among collocated clients (§4.2.2–§4.2.4). The pointer cache (PtrCache)
+// keeps tag, remote pointer and lease inline in 32 B seqlock slots, two to
+// a cache line, so a hit loads one line; it is bounded and drops in O(1) on
+// an epoch change.
 package client
 
 import (
@@ -10,13 +13,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"hydradb/internal/consistent"
 	"hydradb/internal/kv"
 	"hydradb/internal/lease"
-	"hydradb/internal/lfmap"
 	"hydradb/internal/message"
 	"hydradb/internal/shard"
 	"hydradb/internal/stats"
@@ -35,21 +36,6 @@ var (
 	ErrMaybeApplied = errors.New("hydradb: write may or may not have been applied")
 )
 
-// PtrEntry is a cached remote pointer plus its lease (§4.2.2). Once
-// published in a cache it never changes except for Access: a fresher lease
-// is published as a new entry, because collocated clients read it
-// concurrently.
-type PtrEntry struct {
-	Ptr      kv.RemotePtr
-	LeaseExp int64
-	Access   atomic.Uint32 // client-side popularity for renewal decisions
-}
-
-// NewCache builds a remote-pointer cache. Handed to one client it is that
-// client's private cache; handed to every client of a machine it is their
-// shared lock-free cache (§4.2.4).
-func NewCache() *lfmap.Map[PtrEntry] { return lfmap.New[PtrEntry](0) }
-
 // RouteTable snapshots the cluster topology under one epoch.
 type RouteTable struct {
 	Epoch     uint32
@@ -62,7 +48,7 @@ type Options struct {
 	// Clock is required (shared with the cluster for lease arithmetic).
 	Clock timing.Clock
 	// Cache holds remote pointers; nil selects a private cache.
-	Cache *lfmap.Map[PtrEntry]
+	Cache *PtrCache
 	// UseRDMARead enables the one-sided GET path (§4.2.2); disabled it
 	// degenerates to pure message passing ("RDMA Write Only", Fig. 10).
 	UseRDMARead bool
@@ -103,7 +89,7 @@ const readMarginNs = 10e6
 type Client struct {
 	opts   Options
 	table  *RouteTable
-	cache  *lfmap.Map[PtrEntry]
+	cache  *PtrCache
 	clock  timing.Clock
 	wall   timing.Clock
 	ctr    *stats.OpCounters
@@ -156,7 +142,7 @@ func New(table *RouteTable, opts Options) *Client {
 func (c *Client) Counters() *stats.OpCounters { return c.ctr }
 
 // Cache exposes the pointer cache (hit analysis, Fig. 11).
-func (c *Client) Cache() *lfmap.Map[PtrEntry] { return c.cache }
+func (c *Client) Cache() *PtrCache { return c.cache }
 
 // Table reports the current routing snapshot.
 func (c *Client) Table() *RouteTable { return c.table }
@@ -302,33 +288,15 @@ func (c *Client) requestAppend(req *message.Request, dst []byte) (message.Respon
 func (c *Client) refreshTable() {
 	old := c.table
 	c.table = c.opts.Refresh()
-	if c.table.Epoch == old.Epoch {
-		return
+	if c.table.Epoch != old.Epoch {
+		c.cache.Reset()
 	}
-	c.cache.Range(func(key string, e *PtrEntry) bool {
-		c.cache.CompareAndDelete(key, e)
-		return true
-	})
 }
 
-// cachePointer installs/overwrites the pointer for key. The cache copies the
-// key into a string only on the key's first insert.
+// cachePointer installs/overwrites the pointer for key. It allocates only
+// on the key's first insert.
 func (c *Client) cachePointer(key []byte, ptr kv.RemotePtr, leaseExp int64) {
-	if ptr.Zero() {
-		return
-	}
-	e := &PtrEntry{Ptr: ptr, LeaseExp: leaseExp}
-	e.Access.Store(1)
-	c.cache.PutBytes(key, e)
-}
-
-// extendLease republishes e with the later expiry exp, unless another client
-// replaced e first. Entries are shared and read without locks, so a lease is
-// never written in place; the rare allocation lives here, off the hot path.
-func (c *Client) extendLease(key []byte, e *PtrEntry, exp int64) {
-	ne := &PtrEntry{Ptr: e.Ptr, LeaseExp: exp}
-	ne.Access.Store(e.Access.Load())
-	c.cache.CompareAndSwapBytes(key, e, ne)
+	c.cache.Put(key, PtrEntry{Ptr: ptr, LeaseExp: leaseExp})
 }
 
 // Get returns the value for key. Previously accessed keys with a valid
@@ -348,17 +316,17 @@ func (c *Client) Get(key []byte) ([]byte, error) {
 func (c *Client) GetInto(key, dst []byte) ([]byte, error) {
 	c.ctr.Gets.Inc()
 	if c.opts.UseRDMARead {
-		if e, ok := c.cache.GetBytes(key); ok {
-			out, ok, err := c.readViaPointerInto(key, e, dst)
+		if ref, e, ok := c.cache.lookup(key); ok {
+			out, ok, err := c.readViaPointerInto(key, ref, e, dst)
 			if err == nil && ok {
 				c.ctr.RDMAReadHits.Inc()
-				e.Access.Add(1)
+				ref.touch()
 				return out, nil
 			}
 			// Invalid hit: outdated item observed — drop the pointer and
 			// issue a message GET for the latest version (§4.2.3).
 			c.ctr.RDMAReadStale.Inc()
-			c.cache.CompareAndDeleteBytes(key, e)
+			ref.drop()
 		} else {
 			c.ctr.PointerMisses.Inc()
 		}
@@ -389,12 +357,13 @@ func (c *Client) getViaMessage(key, dst []byte) ([]byte, error) {
 	}
 }
 
-// readViaPointerInto attempts the one-sided fetch, appending the value to
-// dst; ok=false flags a stale or lease-expired pointer. It reuses the
-// client's read scratch and word buffer so a hit performs no allocations.
+// readViaPointerInto attempts the one-sided fetch of e, the entry ref hit,
+// appending the value to dst; ok=false flags a stale or lease-expired
+// pointer. It reuses the client's read scratch and word buffer so a hit
+// performs no allocations.
 //
 // hydralint:hotpath
-func (c *Client) readViaPointerInto(key []byte, e *PtrEntry, dst []byte) ([]byte, bool, error) {
+func (c *Client) readViaPointerInto(key []byte, ref slotRef, e PtrEntry, dst []byte) ([]byte, bool, error) {
 	now := c.clock.Now()
 	if !lease.ValidForRead(e.LeaseExp, now, readMarginNs) {
 		return dst, false, nil
@@ -420,7 +389,7 @@ func (c *Client) readViaPointerInto(key []byte, e *PtrEntry, dst []byte) ([]byte
 	}
 	// Refresh the lease view fetched with the item.
 	if exp := int64(c.wordBuf[1]); exp > e.LeaseExp {
-		c.extendLease(key, e, exp)
+		ref.refresh(PtrEntry{Ptr: e.Ptr, LeaseExp: exp})
 	}
 	dst = append(dst, gotVal...)
 	return dst, true, nil
@@ -458,7 +427,7 @@ func (c *Client) Delete(key []byte) error {
 	if err != nil {
 		return err
 	}
-	c.cache.DeleteBytes(key)
+	c.cache.Delete(key)
 	switch resp.Status {
 	case message.StatusOK:
 		return nil
@@ -470,7 +439,10 @@ func (c *Client) Delete(key []byte) error {
 }
 
 // Renew extends the lease of key on the server (periodic renewal of popular
-// keys, §4.2.3). It republishes the cached entry with the new expiry.
+// keys, §4.2.3). The server renews the key's current item and names it in
+// the response; that pointer and its lease are cached. A cached pointer
+// the response does not name may be an
+// older, detached version, whose lease the renewal did not extend.
 func (c *Client) Renew(key []byte) error {
 	resp, err := c.request(&message.Request{Op: message.OpRenewLease, Key: key})
 	if err != nil {
@@ -478,12 +450,12 @@ func (c *Client) Renew(key []byte) error {
 	}
 	if resp.Status != message.StatusOK {
 		// Outdated or deleted: drop the pointer.
-		c.cache.DeleteBytes(key)
+		c.cache.Delete(key)
 		return ErrNotFound
 	}
 	c.ctr.LeaseRenewals.Inc()
-	if e, ok := c.cache.GetBytes(key); ok && resp.LeaseExp > e.LeaseExp {
-		c.extendLease(key, e, resp.LeaseExp)
+	if c.opts.UseRDMARead {
+		c.cache.Put(key, PtrEntry{Ptr: resp.Ptr, LeaseExp: resp.LeaseExp})
 	}
 	return nil
 }
@@ -494,8 +466,8 @@ func (c *Client) Renew(key []byte) error {
 func (c *Client) RenewPopular(minAccess uint32, windowNs int64) int {
 	now := c.clock.Now()
 	keys := c.renewKeys[:0]
-	c.cache.Range(func(key string, e *PtrEntry) bool {
-		if e.Access.Load() >= minAccess && e.LeaseExp-now < windowNs {
+	c.cache.Range(func(key string, e PtrEntry, access uint32) bool {
+		if access >= minAccess && e.LeaseExp-now < windowNs {
 			keys = append(keys, key)
 		}
 		return true

@@ -227,8 +227,8 @@ func TestSharedCacheAcrossClients(t *testing.T) {
 // TestSharedLeaseRefreshUnderReaders: two clients read one key one-sided
 // through a shared cache while a third client's message GETs keep extending
 // its lease, so the readers keep seeing a later lease than the cached one.
-// A cached entry must never be written in place (run under -race); the
-// fresher lease is republished as a new entry instead.
+// Readers republish the fresher lease through the slot's seqlock while the
+// other reader loads it (run under -race), and the pointer stays the same.
 func TestSharedLeaseRefreshUnderReaders(t *testing.T) {
 	env := newLiveEnv(t, false)
 	shared := NewCache()
@@ -239,7 +239,7 @@ func TestSharedLeaseRefreshUnderReaders(t *testing.T) {
 	extender := env.newClient(t, Options{UseRDMARead: false})
 	key := []byte("hot")
 	testutil.Must(readers[0].Put(key, []byte("v")))
-	first, _ := shared.GetBytes(key)
+	first, _ := shared.Get(key)
 
 	var extended atomic.Bool
 	get := func(c *Client) bool {
@@ -278,7 +278,7 @@ func TestSharedLeaseRefreshUnderReaders(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	last, ok := shared.GetBytes(key)
+	last, ok := shared.Get(key)
 	if !ok || last.Ptr != first.Ptr || last.LeaseExp <= first.LeaseExp {
 		t.Fatalf("lease not republished: first expiry %d, last entry %+v (found %v)", first.LeaseExp, last, ok)
 	}
@@ -347,7 +347,7 @@ func TestRenewLease(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		testutil.Must1(c.Get([]byte("k")))
 	}
-	e, ok := c.Cache().Get("k")
+	e, ok := c.Cache().Get([]byte("k"))
 	if !ok {
 		t.Fatal("no cached pointer")
 	}
@@ -357,7 +357,7 @@ func TestRenewLease(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("renewed %d keys, want 1", n)
 	}
-	e2, _ := c.Cache().Get("k")
+	e2, _ := c.Cache().Get([]byte("k"))
 	if e2.LeaseExp <= before {
 		t.Fatalf("lease not extended: %d <= %d", e2.LeaseExp, before)
 	}
@@ -366,8 +366,45 @@ func TestRenewLease(t *testing.T) {
 	if err := c.Renew([]byte("k")); err != ErrNotFound {
 		t.Fatalf("renew deleted: %v", err)
 	}
-	if _, ok := c.Cache().Get("k"); ok {
+	if _, ok := c.Cache().Get([]byte("k")); ok {
 		t.Fatal("pointer survived failed renewal")
+	}
+}
+
+// TestRenewCachesTheRenewedItem: the server renews the key's current item,
+// which need not be the one a client has cached. Client A caches k, a second
+// client updates k, and A renews k half a second later. A must now hold the
+// renewed item's pointer, never the detached version's pointer under the
+// renewed lease: the store reclaims that version at its own, shorter lease.
+func TestRenewCachesTheRenewedItem(t *testing.T) {
+	env := newLiveEnv(t, false)
+	a := env.newClient(t, Options{UseRDMARead: true})
+	b := env.newClient(t, Options{UseRDMARead: true})
+	key := []byte("k")
+	testutil.Must(a.Put(key, []byte("v1")))
+	testutil.Must(b.Put(key, []byte("v2")))
+	cur, ok := b.Cache().Get(key)
+	if !ok {
+		t.Fatal("no cached pointer for the live item")
+	}
+	env.clk.Advance(500e6)
+	testutil.Must(a.Renew(key))
+	e, ok := a.Cache().Get(key)
+	if !ok {
+		t.Fatal("no cached pointer after the renewal")
+	}
+	if word := env.shard.Store().Lease(e.Ptr.MetaIdx); e.LeaseExp > word {
+		t.Fatalf("cached %v with lease %d, past the server's lease word %d for that item", e.Ptr, e.LeaseExp, word)
+	}
+	if e.Ptr != cur.Ptr {
+		t.Fatalf("renewal cached %v, want the renewed live item %v", e.Ptr, cur.Ptr)
+	}
+	// The renewed pointer serves the next GET one-sided.
+	if v := testutil.Must1(a.Get(key)); string(v) != "v2" {
+		t.Fatalf("get after renewal: %q", v)
+	}
+	if snap := a.Counters().Snapshot(); snap.RDMAReadHits != 1 || snap.RDMAReadStale != 0 {
+		t.Fatalf("get after renewal did not hit one-sided: %+v", snap)
 	}
 }
 

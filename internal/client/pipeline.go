@@ -130,21 +130,21 @@ func (c *Client) Pipeline(ops []Op) []Result {
 		switch op.Code {
 		case message.OpGet:
 			if c.opts.UseRDMARead {
-				if e, ok := c.cache.GetBytes(op.Key); ok {
+				if ref, e, ok := c.cache.lookup(op.Key); ok {
 					base := len(p.vals)
-					out, hit, err := c.readViaPointerInto(op.Key, e, p.vals)
+					out, hit, err := c.readViaPointerInto(op.Key, ref, e, p.vals)
 					p.vals = out
 					if err == nil && hit {
 						c.ctr.Gets.Inc()
 						c.ctr.RDMAReadHits.Inc()
-						e.Access.Add(1)
+						ref.touch()
 						p.valOff[i] = int32(base)
 						p.valLen[i] = int32(len(p.vals) - base)
 						p.state[i] = stateDone
 						continue
 					}
 					c.ctr.RDMAReadStale.Inc()
-					c.cache.CompareAndDeleteBytes(op.Key, e)
+					ref.drop()
 				} else {
 					c.ctr.PointerMisses.Inc()
 				}
@@ -370,7 +370,7 @@ func (c *Client) completeOne(pc *pipeConn, op *Op, i int, resp *message.Response
 		}
 	case message.OpDelete:
 		c.ctr.Deletes.Inc()
-		c.cache.DeleteBytes(op.Key)
+		c.cache.Delete(op.Key)
 		switch resp.Status {
 		case message.StatusOK:
 			r.Existed = true

@@ -18,7 +18,7 @@ func TestRenewerScanOnce(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		testutil.Must1(worker.Get([]byte("hot")))
 	}
-	e, ok := shared.Get("hot")
+	e, ok := shared.Get([]byte("hot"))
 	if !ok {
 		t.Fatal("no cached pointer")
 	}
@@ -30,7 +30,7 @@ func TestRenewerScanOnce(t *testing.T) {
 	if n := r.ScanOnce(); n != 1 {
 		t.Fatalf("renewed %d keys, want 1", n)
 	}
-	e2, _ := shared.Get("hot")
+	e2, _ := shared.Get([]byte("hot"))
 	if e2.LeaseExp <= before {
 		t.Fatal("lease not extended through the shared cache")
 	}
@@ -80,7 +80,7 @@ func TestRenewerAgainstReaders(t *testing.T) {
 	if renewed == 0 {
 		t.Fatal("agent renewed nothing")
 	}
-	if e, ok := shared.GetBytes(key); !ok || e.Access.Load() == 0 {
+	if n, ok := accessOf(shared, key); !ok || n == 0 {
 		t.Fatalf("entry lost or its access count reset: %v", ok)
 	}
 }
@@ -123,4 +123,15 @@ func TestRenewerBackgroundLoop(t *testing.T) {
 	if snap.RDMAReadStale != 0 {
 		t.Fatalf("renewed key went stale: %+v", snap)
 	}
+}
+
+// accessOf reports key's access count in c, found through Range.
+func accessOf(c *PtrCache, key []byte) (n uint32, ok bool) {
+	c.Range(func(k string, _ PtrEntry, access uint32) bool {
+		if k == string(key) {
+			n, ok = access, true
+		}
+		return !ok
+	})
+	return n, ok
 }

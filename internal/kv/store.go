@@ -294,19 +294,22 @@ func (s *Store) Delete(key []byte) bool {
 }
 
 // RenewLease extends the lease of a live key (client-driven renewal,
-// §4.2.3). It fails for absent or outdated keys, preventing outdated leases
-// from being extended.
-func (s *Store) RenewLease(key []byte) (int64, bool) {
+// §4.2.3) and returns the renewed item's pointer and lease. The item is the
+// key's current version, which need not be the one the caller has cached.
+// It fails for absent or outdated keys, preventing outdated leases from
+// being extended.
+func (s *Store) RenewLease(key []byte) (GetResult, bool) {
 	h := hashx.Hash(key)
 	s.probeKey = key
 	ref, ok := s.table.Lookup(h, s.match)
 	if !ok {
 		s.ctr.LeaseRejects.Inc()
-		return 0, false
+		return GetResult{}, false
 	}
 	s.ctr.LeaseRenewals.Inc()
 	meta := metaOf(ref)
-	return s.touch(meta, s.words.Load(meta+popWord), s.clock.Now()), true
+	exp := s.touch(meta, s.words.Load(meta+popWord), s.clock.Now())
+	return GetResult{Ptr: s.ptr(meta), LeaseExp: exp}, true
 }
 
 // ReclaimDue frees every detached item whose lease (plus grace) has expired.

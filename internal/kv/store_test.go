@@ -252,9 +252,14 @@ func TestRenewLease(t *testing.T) {
 	var ctr stats.OpCounters
 	s := NewStore(Config{ArenaBytes: 1 << 20, MaxItems: 1024, Clock: clk, Counters: &ctr})
 	testutil.Must2(s.Put([]byte("k"), []byte("v")))
-	exp, ok := s.RenewLease([]byte("k"))
-	if !ok || exp <= clk.Now() {
-		t.Fatalf("renew: exp=%d ok=%v", exp, ok)
+	put, _ := s.Get([]byte("k"))
+	res, ok := s.RenewLease([]byte("k"))
+	if !ok || res.LeaseExp <= clk.Now() {
+		t.Fatalf("renew: exp=%d ok=%v", res.LeaseExp, ok)
+	}
+	if res.Ptr != put.Ptr || res.LeaseExp != s.Lease(res.Ptr.MetaIdx) {
+		t.Fatalf("renew named %v with lease %d; the live item is %v with lease word %d",
+			res.Ptr, res.LeaseExp, put.Ptr, s.Lease(put.Ptr.MetaIdx))
 	}
 	if _, ok := s.RenewLease([]byte("nope")); ok {
 		t.Fatal("renewal of absent key succeeded")

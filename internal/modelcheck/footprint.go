@@ -55,6 +55,20 @@ var footprints = []Footprint{
 		AtomicWords: []string{"hydradb/internal/replication.Secondary.applied", "hydradb/internal/replication.Secondary.started"},
 		SchedTags:   []string{},
 	},
+	{
+		Model:    "ptrcache",
+		Packages: []string{"hydradb/internal/client"},
+		AtomicWords: []string{
+			"hydradb/internal/client.Slot.ver",
+			"hydradb/internal/client.Slot.w[]",
+			"hydradb/internal/client.slotSide.key",
+			"hydradb/internal/client.slotSide.home",
+			"hydradb/internal/client.slotSide.hits",
+			"hydradb/internal/client.ptrTable.used",
+			"hydradb/internal/client.PtrCache.cur",
+		},
+		SchedTags: []string{},
+	},
 }
 
 // Footprints returns the declared coverage table.

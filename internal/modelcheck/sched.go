@@ -1,14 +1,16 @@
 // Package modelcheck is HydraDB's exhaustive interleaving checker: a
 // deterministic, bounded, DPOR-style (sleep-set) scheduler that runs small
 // models of the lock-free protocols — guardian-word GET vs. out-of-place PUT,
-// lease-based deferred reclamation, the depth-N mailbox slot ring, and the
-// replication log's relaxed-ack/rollback rule — under *every* thread
-// interleaving up to a bound, asserting the invariants of DESIGN.md §9.
+// lease-based deferred reclamation, the depth-N mailbox slot ring, the
+// replication log's relaxed-ack/rollback rule, and the client pointer
+// cache's slot seqlock — under *every* thread interleaving up to a bound,
+// asserting the invariants of DESIGN.md §9.
 //
 // The models are thin drivers over the real implementations in internal/kv,
-// internal/lease, internal/message and internal/replication. Each model
-// thread is an ordinary goroutine run cooperatively: exactly one thread
-// executes at a time, suspended at explicit yield points (Thread.Step /
+// internal/lease, internal/message, internal/replication and
+// internal/client. Each model thread is an ordinary goroutine run
+// cooperatively: exactly one thread executes at a time, suspended at
+// explicit yield points (Thread.Step /
 // Thread.Await), so an execution is fully determined by the sequence of
 // scheduling choices. The explorer enumerates those sequences by stateless
 // depth-first search with replay: a schedule prefix is re-executed from a
@@ -125,7 +127,7 @@ type Model struct {
 
 // Models returns the registered protocol models in display order.
 func Models() []Model {
-	return []Model{guardianModel, leaseModel, mailboxModel, replicationModel}
+	return []Model{guardianModel, leaseModel, mailboxModel, replicationModel, ptrcacheModel}
 }
 
 // Lookup finds a model by name.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"hydradb/internal/client"
 	"hydradb/internal/kv"
 	"hydradb/internal/lease"
 	"hydradb/internal/message"
@@ -23,6 +24,7 @@ func Specs() []protocolspec.Spec {
 		lease.RenewalSpec,
 		message.RingSpec,
 		replication.ReadySpec,
+		client.SlotSpec,
 	}
 }
 

@@ -427,13 +427,15 @@ func (s *Shard) apply(req message.Request, resp *message.Response) {
 		}
 
 	case message.OpRenewLease:
-		exp, ok := s.store.RenewLease(req.Key)
+		res, ok := s.store.RenewLease(req.Key)
 		if !ok {
 			resp.Status = message.StatusNotFound
 			return
 		}
 		resp.Status = message.StatusOK
-		resp.LeaseExp = exp
+		resp.LeaseExp = res.LeaseExp
+		resp.Ptr = res.Ptr
+		resp.Ptr.ShardID = s.id
 
 	default:
 		resp.Status = message.StatusError

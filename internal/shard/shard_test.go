@@ -81,7 +81,7 @@ func TestShardServesOps(t *testing.T) {
 		t.Fatalf("get: %+v", get)
 	}
 	ren := exchange(t, ep, message.Request{Op: message.OpRenewLease, Seq: 3, Key: []byte("k")})
-	if ren.Status != message.StatusOK || ren.LeaseExp < get.LeaseExp {
+	if ren.Status != message.StatusOK || ren.LeaseExp < get.LeaseExp || ren.Ptr != get.Ptr {
 		t.Fatalf("renew: %+v", ren)
 	}
 	del := exchange(t, ep, message.Request{Op: message.OpDelete, Seq: 4, Key: []byte("k")})
