@@ -19,7 +19,8 @@ const (
 	// initialSlots sizes a new table: 128 KB of slots, a large allocation
 	// the Go allocator page-aligns, so every two-slot bucket is one line.
 	initialSlots = 1 << 12
-	// maxSlots caps the table at 32 MB of slots; past it, inserts evict.
+	// maxSlots caps the table at 32 MB of slots and 16 MB of side records;
+	// past it, inserts evict.
 	maxSlots = 1 << 20
 	// accessCap is where a slot's access count saturates. It clears every
 	// renewal threshold in use (1 and 2), and once reached a hit on the key
