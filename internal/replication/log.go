@@ -128,6 +128,9 @@ type Secondary struct {
 	Applied  stats.Counter
 	Discards stats.Counter
 	Nacks    stats.Counter
+	// EmptyPolls counts the rounds of Run that found nothing to do; each
+	// one yields or naps.
+	EmptyPolls stats.Counter
 }
 
 // NewSecondary wires a drain loop to log, applying via applier and
@@ -275,7 +278,21 @@ func (s *Secondary) sendAckWord(w uint64) {
 	_ = s.ackQP.WriteWord(s.ackMR, s.ackIdx, w)
 }
 
-// Run drains the log until Stop; for the live shard process.
+// idleShape is the drain loop's idle policy. Every strict put waits on its
+// ack, so a strict secondary serves a request path and takes the shard
+// loop's yield-first shape. In logging mode no put waits on the secondary
+// except when the window fills or at Flush, so it naps as soon as its ring
+// is empty and leaves the cores to the clients and primaries.
+func (c LogConfig) idleShape() timing.IdleShape {
+	if c.Strict {
+		return timing.YieldFirst
+	}
+	return timing.NapFirst
+}
+
+// Run drains the log until Stop; for the live shard process. It polls
+// while records or doorbells keep arriving and backs off when the ring is
+// empty.
 func (s *Secondary) Run() {
 	s.started.Store(true)
 	defer close(s.done)
@@ -283,15 +300,19 @@ func (s *Secondary) Run() {
 	// close a joining Stop waits on, so AssertDrained after Stop is exact.
 	spawnDone := invariant.Spawned(fmt.Sprintf("replication.Secondary/%p", s))
 	defer spawnDone()
+	back := timing.NewBackoff(s.log.cfg.idleShape())
 	for {
 		select {
 		case <-s.stop:
 			return
 		default:
 		}
-		if !s.PollOnce() {
-			runtime.Gosched()
+		if s.PollOnce() {
+			back.Reset()
+			continue
 		}
+		s.EmptyPolls.Inc()
+		back.Idle()
 	}
 }
 

@@ -62,6 +62,19 @@ func TestReadyWordEncoding(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+	// The field edges: the largest slot size and sequence number the word
+	// holds, each beside the ack flag and beside an all-zero neighbour.
+	const maxSize, maxSeq = 1<<15 - 1, uint64(1)<<48 - 1
+	for _, tc := range []struct {
+		seq  uint64
+		size int
+	}{{maxSeq, maxSize}, {maxSeq, 0}, {0, maxSize}, {1, maxSize}, {maxSeq, 1}} {
+		for _, flag := range []bool{false, true} {
+			if gs, gz, gf := splitReady(makeReady(tc.seq, tc.size, flag)); gs != tc.seq || gz != tc.size || gf != flag {
+				t.Fatalf("ready(%d, %d, %v) round-tripped to (%d, %d, %v)", tc.seq, tc.size, flag, gs, gz, gf)
+			}
+		}
+	}
 }
 
 func TestAckWordEncoding(t *testing.T) {
@@ -652,4 +665,74 @@ func TestGapCatchUpWithTwoSecondaries(t *testing.T) {
 			t.Fatalf("secondary %d applied %d, want 3", si, got)
 		}
 	}
+}
+
+// TestIdleShapeFollowsStrict pins the one place the drain loop's idle
+// policy is chosen: a strict log's secondary answers every put, so it yields
+// first like the shard loop; a logging-mode log's secondary naps at once.
+func TestIdleShapeFollowsStrict(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  LogConfig
+		want timing.IdleShape
+	}{
+		{LogConfig{}, timing.NapFirst},
+		{LogConfig{Slots: 16, AckEvery: 4}, timing.NapFirst},
+		{LogConfig{Strict: true}, timing.YieldFirst},
+		{LogConfig{Slots: 16, AckEvery: 4, Strict: true}, timing.YieldFirst},
+	} {
+		f := rdma.NewFabric(rdma.Config{})
+		if got := NewLog(f.NewNIC("sec"), tc.cfg).Config().idleShape(); got != tc.want {
+			t.Errorf("%+v: idle shape %d, want %d", tc.cfg, got, tc.want)
+		}
+	}
+}
+
+// TestIdleSecondaryNaps: a started secondary left on an empty log polls a
+// bounded number of times. Naps from 10 µs doubling to 1 ms make ~110
+// empty polls in 100 ms; a loop that only yields makes millions.
+func TestIdleSecondaryNaps(t *testing.T) {
+	env := newReplEnv(t, LogConfig{}, 1)
+	sec := env.secs[0]
+	go sec.Run()
+	time.Sleep(100 * time.Millisecond)
+	sec.Stop()
+	got := sec.EmptyPolls.Load()
+	t.Logf("idle secondary made %d empty polls in 100ms", got)
+	if got == 0 || got > 300 {
+		t.Fatalf("idle secondary made %d empty polls in 100ms, want 1..300", got)
+	}
+}
+
+// TestWindowSurvivesNappingSecondary: a burst of four windows' worth of
+// records, replicated back to back into a secondary asleep at its nap cap,
+// is applied completely and in order, and Flush confirms it.
+func TestWindowSurvivesNappingSecondary(t *testing.T) {
+	env := newReplEnv(t, LogConfig{}, 1)
+	sec, p := env.secs[0], env.primary
+	go sec.Run()
+	defer sec.Stop()
+	// The eighth nap of the logging shape is the first at the 1 ms cap.
+	testutil.WaitUntil(t, 5*time.Second, func() bool { return sec.EmptyPolls.Load() >= 10 },
+		"secondary never reached its nap cap")
+
+	n := 4 * sec.log.Config().Slots
+	for i := 0; i < n; i++ {
+		if err := p.Replicate(put(fmt.Sprintf("k%04d", i), "v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	sec.Stop()
+	seqs := env.apps[0].seqs
+	if len(seqs) != n {
+		t.Fatalf("applied %d records, want %d", len(seqs), n)
+	}
+	for i, s := range seqs {
+		if s != uint64(i+1) {
+			t.Fatalf("out-of-order apply at %d: %d", i, s)
+		}
+	}
+	t.Logf("%d records into a %d-slot window cost %d ack waits", n, sec.log.Config().Slots, p.AckWaits.Load())
 }

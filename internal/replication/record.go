@@ -72,9 +72,9 @@ func DecodeRecord(buf []byte) (Record, error) {
 	return r, nil
 }
 
-// Ready-word layout: bit 63 = ack request flag, bits 62..32 reserved for the
-// body size, bits 31..0 unused... kept simple: bit 63 flag, bits 0..47 = seq,
-// bits 48..62 = body size in 8-byte units (slot-capped).
+// Ready-word layout: bit 63 = ack request flag; bits 48..62 = body size in
+// bytes (15 bits, which is why withDefaults caps SlotSize below 1<<15);
+// bits 0..47 = sequence number.
 const (
 	ackReqBit = uint64(1) << 63
 	seqMask   = (uint64(1) << 48) - 1

@@ -2,11 +2,11 @@ package shard
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"hydradb/internal/invariant"
+	"hydradb/internal/timing"
 )
 
 // Pipelined is the decoupled execution model of Fig. 5(a), implemented as
@@ -87,6 +87,7 @@ func (p *Pipelined) dispatch(stripe int) {
 	defer p.wg.Done()
 	spawnDone := invariant.Spawned(fmt.Sprintf("pipelined/%p/dispatch/%d", p, stripe))
 	defer spawnDone()
+	back := timing.NewBackoff(timing.YieldFirst)
 	for {
 		select {
 		case <-p.stop:
@@ -111,8 +112,10 @@ func (p *Pipelined) dispatch(stripe int) {
 				return
 			}
 		}
-		if !progress {
-			runtime.Gosched()
+		if progress {
+			back.Reset()
+		} else {
+			back.Idle()
 		}
 	}
 }

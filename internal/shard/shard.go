@@ -287,7 +287,7 @@ func (s *Shard) Run() {
 	spawnDone := invariant.Spawned(fmt.Sprintf("shard/%p/run", s))
 	defer spawnDone()
 	respBuf := make([]byte, s.cfg.MailboxBytes)
-	back := newBackoff()
+	back := timing.NewBackoff(timing.YieldFirst)
 	handledSinceReclaim := 0
 	for {
 		select {
@@ -314,10 +314,10 @@ func (s *Shard) Run() {
 			handledSinceReclaim = 0
 		}
 		if progress {
-			back.reset()
+			back.Reset()
 			continue
 		}
-		if back.idle() {
+		if back.Idle() {
 			s.store.ReclaimDue()
 		}
 	}
