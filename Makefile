@@ -57,13 +57,12 @@ lint-sarif:
 	$(GO) run ./cmd/hydralint -sarif hydralint.sarif ./...
 
 # The declarative-spec loop (DESIGN.md §16): the spec engine's self-tests
-# (seeded-bug fixtures, the publication-order golden, README table sync),
-# the generated-vs-hand-written footprint test, and the hydramc -footprints
-# diff on the command line.
+# (seeded-bug fixtures, the publication-order golden, README table sync) and
+# the modelcheck test that pairs every spec with a registered hydramc model
+# in both directions.
 lint-spec:
 	$(GO) test -count=1 -run 'Spec|Golden|ReadmeSync' ./cmd/hydralint
-	$(GO) test -count=1 -run 'TestGeneratedFootprintsMatchHandWritten' ./internal/modelcheck
-	$(GO) run ./cmd/hydramc -footprints
+	$(GO) test -count=1 -run Spec ./internal/modelcheck
 
 # Nightly deep verification (.github/workflows/nightly.yml): the budgeted
 # lint plus a hydramc exploration an order of magnitude past the smoke

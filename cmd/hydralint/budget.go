@@ -17,14 +17,12 @@ import (
 // regenerates the file. The stale-suppression check closes the loop from the
 // other side by flagging ignore directives that no longer filter anything.
 //
-// Since format version 2, hydralint:ignore directives are keyed by
-// check + package + enclosing symbol rather than counted as one repo-wide
+// The baseline (format version 2) keys hydralint:ignore directives by
+// check + package + enclosing symbol rather than counting one repo-wide
 // total. Moving a suppression to another file or line inside the same
 // declaration changes nothing; adding one to a new symbol — or renaming the
 // check it suppresses — shows up as a new key the baseline does not cover
-// and fails the ratchet. Version-1 baselines (a single "ignore N" total) are
-// still read and compared by total, so the transition does not break older
-// checkouts.
+// and fails the ratchet.
 
 // ignoreKey identifies one budgeted suppression site nominally.
 type ignoreKey struct {
@@ -45,23 +43,14 @@ type SuppressionCounts struct {
 	Plainread int
 	Daemon    int
 	Spins     int
-
-	// legacyIgnore carries the aggregate total of a version-1 baseline file;
-	// legacy is set when the file had no keyed entries to compare against.
-	legacyIgnore int
-	legacy       bool
 }
 
-func (c SuppressionCounts) IgnoreTotal() int {
-	n := 0
+func (c SuppressionCounts) Total() int {
+	n := c.Holds + c.Aliases + c.Plainread + c.Daemon + c.Spins
 	for _, v := range c.Ignore {
 		n += v
 	}
 	return n
-}
-
-func (c SuppressionCounts) Total() int {
-	return c.IgnoreTotal() + c.Holds + c.Aliases + c.Plainread + c.Daemon + c.Spins
 }
 
 // aggregates orders the non-keyed categories deterministically.
@@ -138,18 +127,19 @@ func matchesMarker(text, marker string) bool {
 	return ok
 }
 
-// parseBudget reads a baseline file ('#' comments and blank lines allowed).
-// Version 2 files carry a "version 2" line and keyed entries
-// "ignore <check> <pkg> <symbol> <count>"; version 1 files carry a single
-// "ignore <total>" and are compared by total only. A missing file is an
-// error: the ratchet cannot hold against nothing — regenerate the baseline
-// with -budget-write.
+// parseBudget reads a baseline file ('#' comments and blank lines allowed):
+// a "version 2" line and keyed entries "ignore <check> <pkg> <symbol>
+// <count>". A missing file, or one without the version line, is an error:
+// the ratchet cannot hold against nothing — regenerate the baseline with
+// -budget-write.
 func parseBudget(path string) (SuppressionCounts, error) {
-	c := SuppressionCounts{Ignore: map[ignoreKey]int{}, legacy: true}
+	const noVersion = `no "version 2" line before the entries; the version-1 format is no longer read (regenerate with -budget-write)`
+	c := SuppressionCounts{Ignore: map[ignoreKey]int{}}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return c, fmt.Errorf("suppression baseline unreadable (regenerate with -budget-write): %w", err)
 	}
+	versioned := false
 	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -159,29 +149,24 @@ func parseBudget(path string) (SuppressionCounts, error) {
 		bad := func(why string) (SuppressionCounts, error) {
 			return c, fmt.Errorf("%s:%d: %s: %q", path, i+1, why, line)
 		}
+		if !versioned && fields[0] != "version" {
+			return bad(noVersion)
+		}
 		switch fields[0] {
 		case "version":
 			if len(fields) != 2 || fields[1] != "2" {
-				return bad("unsupported budget format version")
+				return bad("unsupported budget format version (regenerate with -budget-write)")
 			}
-			c.legacy = false
+			versioned = true
 		case "ignore":
-			switch len(fields) {
-			case 2: // version-1 aggregate
-				n, err := strconv.Atoi(fields[1])
-				if err != nil {
-					return bad("bad count")
-				}
-				c.legacyIgnore += n
-			case 5:
-				n, err := strconv.Atoi(fields[4])
-				if err != nil {
-					return bad("bad count")
-				}
-				c.Ignore[ignoreKey{Check: fields[1], Pkg: fields[2], Symbol: fields[3]}] += n
-			default:
+			if len(fields) != 5 {
 				return bad("malformed line (want \"ignore <check> <pkg> <symbol> <count>\")")
 			}
+			n, err := strconv.Atoi(fields[4])
+			if err != nil {
+				return bad("bad count")
+			}
+			c.Ignore[ignoreKey{Check: fields[1], Pkg: fields[2], Symbol: fields[3]}] += n
 		case "holds", "aliases", "plainread", "daemon", "spins":
 			if len(fields) != 2 {
 				return bad("malformed line (want \"category count\")")
@@ -205,6 +190,9 @@ func parseBudget(path string) (SuppressionCounts, error) {
 		default:
 			return bad("unknown category")
 		}
+	}
+	if !versioned {
+		return c, fmt.Errorf("%s: %s", path, noVersion)
 	}
 	return c, nil
 }
@@ -237,39 +225,24 @@ func formatBudget(c SuppressionCounts) string {
 // know) and notes (budget can be tightened); an empty failures slice means
 // the ratchet holds.
 func checkBudget(current, baseline SuppressionCounts) (failures, notes []string) {
-	if baseline.legacy {
-		// Version-1 baseline: only the total is comparable.
-		cur, base := current.IgnoreTotal(), baseline.legacyIgnore
+	for k, n := range current.Ignore {
+		allowed, known := baseline.Ignore[k]
 		switch {
-		case cur > base:
+		case !known:
 			failures = append(failures, fmt.Sprintf(
-				"suppression budget exceeded: %d hydralint:ignore directives, version-1 baseline allows %d — remove the new suppression or regenerate the baseline (now keyed) in this change",
-				cur, base))
-		case cur < base:
+				"suppression budget exceeded: hydralint:ignore %s in %s (%s) is not in the baseline — a new or renamed suppression needs the budget consciously raised in the same change",
+				k.Check, k.Pkg, k.Symbol))
+		case n > allowed:
+			failures = append(failures, fmt.Sprintf(
+				"suppression budget exceeded: %d hydralint:ignore %s in %s (%s), baseline allows %d",
+				n, k.Check, k.Pkg, k.Symbol, allowed))
+		}
+	}
+	for k, allowed := range baseline.Ignore {
+		if n := current.Ignore[k]; n < allowed {
 			notes = append(notes, fmt.Sprintf(
-				"budget for hydralint:ignore can be tightened: %d in tree, baseline says %d (run -budget-write; the new baseline is keyed per check+package+symbol)",
-				cur, base))
-		}
-	} else {
-		for k, n := range current.Ignore {
-			allowed, known := baseline.Ignore[k]
-			switch {
-			case !known:
-				failures = append(failures, fmt.Sprintf(
-					"suppression budget exceeded: hydralint:ignore %s in %s (%s) is not in the baseline — a new or renamed suppression needs the budget consciously raised in the same change",
-					k.Check, k.Pkg, k.Symbol))
-			case n > allowed:
-				failures = append(failures, fmt.Sprintf(
-					"suppression budget exceeded: %d hydralint:ignore %s in %s (%s), baseline allows %d",
-					n, k.Check, k.Pkg, k.Symbol, allowed))
-			}
-		}
-		for k, allowed := range baseline.Ignore {
-			if n := current.Ignore[k]; n < allowed {
-				notes = append(notes, fmt.Sprintf(
-					"budget for hydralint:ignore %s in %s (%s) can be tightened: %d in tree, baseline says %d (run -budget-write)",
-					k.Check, k.Pkg, k.Symbol, n, allowed))
-			}
+				"budget for hydralint:ignore %s in %s (%s) can be tightened: %d in tree, baseline says %d (run -budget-write)",
+				k.Check, k.Pkg, k.Symbol, n, allowed))
 		}
 	}
 	for i, cur := range current.aggregates() {

@@ -24,12 +24,9 @@ type Program struct {
 	markers *progMarkers
 
 	// specModel is the parsed protocolspec.Spec view plus its computed
-	// findings, built once and shared by the four spec-* checks (each
-	// check emits only its own category).
+	// findings, built once and shared by the four spec-* checks and
+	// model-conformance (each check emits only its own category).
 	specModel *specModel
-	// fps is the memoized Footprint-literal parse (model-conformance
-	// reports its errors; spec-drift reads the declarations).
-	fps *fpParse
 }
 
 // FuncInfo is one source-loaded function or method declaration.

@@ -10,297 +10,63 @@ import (
 )
 
 // model-conformance: keep the hydramc models in lockstep with the lock-free
-// code they check. Each internal/modelcheck model declares a Footprint — the
-// packages it covers, the nominal atomic words those packages may touch, and
-// the invariant.SchedPoint tags they may yield at. This pass parses the
-// declarations statically, extracts the real atomic footprint of every
-// covered package (direct sync/atomic calls, methods on sync/atomic types,
-// and constant SchedPoint tags, production files only), and diffs the two:
+// code they check. A model's coverage is read from the protocolspec.Spec
+// literals whose Model names it: the union of their Packages, their
+// Footprint-marked words and their SchedTags. The spec engine's sweep records
+// every atomic word and constant invariant.SchedPoint tag of each spec'd
+// package (production files only); this pass reports the code -> spec
+// direction:
 //
-//	undeclared  an atomic word or tag appears in covered code but in no
-//	            footprint covering that package — the model no longer
+//	undeclared  an atomic word or tag in a covered package that some
+//	            covering model's specs do not mark: that model no longer
 //	            exercises the full interleaving surface (silent rot)
-//	stale       a footprint declares a word or tag no covered package
-//	            accesses — the declaration has drifted from the code
 //
-// Refactors that add an atomic word or a scheduling point therefore fail
-// lint until the owning model (and its Footprint) is updated.
+// The spec -> code direction (a declared word or tag nothing touches) is
+// spec-drift's, so a stale declaration is reported once. Refactors that add
+// an atomic word or a scheduling point therefore fail lint until the owning
+// spec (and its model) is updated.
 
-// fpDecl is one parsed Footprint literal.
-type fpDecl struct {
-	p     *Package
-	pos   token.Pos
-	model string
-	pkgs  []string
-	words map[string]token.Pos
-	tags  map[string]token.Pos
+// modelCov is one hydramc model's coverage, accumulated over its specs.
+type modelCov struct {
+	name  string
+	pkgs  map[string]bool
+	words map[string]bool
+	tags  map[string]bool
 }
 
-func runModelConformance(prog *Program, rep func(*Package) *Reporter) {
-	fps := parseFootprints(prog)
-	for _, e := range fps.errs {
-		rep(e.p).report("model-conformance", e.pos, "%s", e.msg)
-	}
-	decls := fps.decls
-	if len(decls) == 0 {
-		return
-	}
-	covered := map[string][]*fpDecl{}
-	for _, d := range decls {
-		for _, path := range d.pkgs {
-			covered[path] = append(covered[path], d)
-		}
-	}
-
-	type site struct {
-		p   *Package
-		pos token.Pos
-	}
-	actualWords := map[string]map[string]site{} // pkg path -> word -> first site
-	actualTags := map[string]map[string]site{}
-	seen := map[string]bool{}
-	for _, p := range prog.Pkgs {
-		if covered[p.ImportPath] == nil || seen[p.ImportPath] {
-			continue
-		}
-		seen[p.ImportPath] = true
-		words, tags := map[string]site{}, map[string]site{}
-		for _, f := range p.Files {
-			if p.isTestFile(f) {
-				continue
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if id, pos, ok := atomicAccessWord(p, call); ok {
-					if _, dup := words[id]; !dup {
-						words[id] = site{p, pos}
-					}
-					return true
-				}
-				if tag, pos, ok, bad := schedPointTag(prog, p, call); ok {
-					if bad {
-						rep(p).report("model-conformance", pos,
-							"invariant.SchedPoint tag must be a constant string so model footprints can be checked statically")
-					} else if _, dup := tags[tag]; !dup {
-						tags[tag] = site{p, pos}
-					}
-				}
-				return true
-			})
-		}
-		actualWords[p.ImportPath] = words
-		actualTags[p.ImportPath] = tags
-	}
-
-	// Direction 1: every actual word/tag must be declared by some footprint
-	// covering its package.
-	for path, words := range actualWords {
-		for id, s := range words {
-			if !declaresWord(covered[path], id) {
-				rep(s.p).report("model-conformance", s.pos,
-					"atomic word %s is not declared in any modelcheck footprint covering %s; update the owning model (%s) and its Footprint",
-					id, path, modelNames(covered[path]))
-			}
-		}
-	}
-	for path, tags := range actualTags {
-		for tag, s := range tags {
-			if !declaresTag(covered[path], tag) {
-				rep(s.p).report("model-conformance", s.pos,
-					"SchedPoint tag %q is not declared in any modelcheck footprint covering %s; update the owning model (%s) and its Footprint",
-					tag, path, modelNames(covered[path]))
-			}
-		}
-	}
-
-	// Direction 2: every declared word/tag must appear in some covered
-	// package (only judged when at least one covered package was loaded).
-	for _, d := range decls {
-		loaded := false
-		for _, path := range d.pkgs {
-			if seen[path] {
-				loaded = true
-			}
-		}
-		if !loaded {
-			continue
-		}
-		for id, pos := range d.words {
-			found := false
-			for _, path := range d.pkgs {
-				if _, ok := actualWords[path][id]; ok {
-					found = true
-				}
-			}
-			if !found {
-				rep(d.p).report("model-conformance", pos,
-					"footprint for model %q declares atomic word %s, but no covered package accesses it; the declaration is stale", d.model, id)
-			}
-		}
-		for tag, pos := range d.tags {
-			found := false
-			for _, path := range d.pkgs {
-				if _, ok := actualTags[path][tag]; ok {
-					found = true
-				}
-			}
-			if !found {
-				rep(d.p).report("model-conformance", pos,
-					"footprint for model %q declares SchedPoint tag %q, but no covered package yields at it; the declaration is stale", d.model, tag)
-			}
-		}
-	}
-}
-
-func declaresWord(decls []*fpDecl, id string) bool {
-	for _, d := range decls {
-		if _, ok := d.words[id]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-func declaresTag(decls []*fpDecl, tag string) bool {
-	for _, d := range decls {
-		if _, ok := d.tags[tag]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-func modelNames(decls []*fpDecl) string {
-	var names []string
-	for _, d := range decls {
-		names = append(names, d.model)
-	}
-	return strings.Join(names, ", ")
-}
-
-// fpErr is a footprint parse problem; runModelConformance reports each as
-// a model-conformance finding (the parse is memoized on the Program, so
-// spec-drift can consume the declarations without double-reporting).
-type fpErr struct {
+// specSite is the first production site of a word or tag in a package.
+type specSite struct {
 	p   *Package
 	pos token.Pos
-	msg string
 }
 
-// fpParse is the memoized result of parsing every Footprint literal.
-type fpParse struct {
-	decls []*fpDecl
-	errs  []fpErr
+// checkConformance reports every recorded word and tag of a covered package
+// that a covering model leaves undeclared.
+func (sm *specModel) checkConformance(sw *specSweep) {
+	for path, models := range sm.coveredBy {
+		for w, s := range sw.words[path] {
+			sm.undeclared(s, path, "atomic word "+w, models, func(mc *modelCov) bool { return mc.words[w] })
+		}
+		for tag, s := range sw.tags[path] {
+			sm.undeclared(s, path, fmt.Sprintf("SchedPoint tag %q", tag), models, func(mc *modelCov) bool { return mc.tags[tag] })
+		}
+	}
 }
 
-// parseFootprints statically reads every Footprint composite literal declared
-// in an internal/modelcheck package. Entries that are not constant strings
-// are findings: the conformance diff is only as trustworthy as the parse.
-func parseFootprints(prog *Program) *fpParse {
-	if prog.fps != nil {
-		return prog.fps
-	}
-	fps := &fpParse{}
-	seen := map[string]bool{}
-	for _, p := range prog.Pkgs {
-		if p.RelPath != "internal/modelcheck" || seen[p.ImportPath] {
-			continue
-		}
-		seen[p.ImportPath] = true
-		for _, f := range p.Files {
-			if p.isTestFile(f) {
-				continue
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				cl, ok := n.(*ast.CompositeLit)
-				if !ok || !isFootprintLit(p, cl) {
-					return true
-				}
-				fps.decls = append(fps.decls, parseFootprintLit(p, fps, cl))
-				return false // field literals inside are not footprints
-			})
+// undeclared reports one word or tag at its first site, naming the covering
+// models whose specs do not declare it.
+func (sm *specModel) undeclared(s specSite, path, what string, models []*modelCov, declares func(*modelCov) bool) {
+	var missing []string
+	for _, mc := range models {
+		if !declares(mc) {
+			missing = append(missing, mc.name)
 		}
 	}
-	prog.fps = fps
-	return fps
-}
-
-// isFootprintLit reports whether cl's type is the Footprint struct declared
-// in the same modelcheck package.
-func isFootprintLit(p *Package, cl *ast.CompositeLit) bool {
-	tv, ok := p.Info.Types[cl]
-	if !ok || tv.Type == nil {
-		return false
+	if len(missing) > 0 {
+		sm.add(s.p, s.pos, "model-conformance", "",
+			"%s is not declared by the specs of model %s, which cover %s; mark it in the owning protocolspec.Spec and update the model",
+			what, strings.Join(missing, ", "), path)
 	}
-	named, ok := types.Unalias(tv.Type).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Footprint" && obj.Pkg() != nil && obj.Pkg() == p.Pkg
-}
-
-func (fps *fpParse) errf(p *Package, pos token.Pos, format string, args ...any) {
-	fps.errs = append(fps.errs, fpErr{p: p, pos: pos, msg: fmt.Sprintf(format, args...)})
-}
-
-func parseFootprintLit(p *Package, fps *fpParse, cl *ast.CompositeLit) *fpDecl {
-	d := &fpDecl{p: p, pos: cl.Pos(), words: map[string]token.Pos{}, tags: map[string]token.Pos{}}
-	for _, elt := range cl.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok {
-			fps.errf(p, elt.Pos(),
-				"Footprint literals must use keyed fields so the conformance pass can parse them statically")
-			continue
-		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		switch key.Name {
-		case "Model":
-			if s, ok := constString(p, kv.Value); ok {
-				d.model = s
-			} else {
-				fps.errf(p, kv.Value.Pos(), "Footprint.Model must be a literal string")
-			}
-		case "Packages":
-			d.pkgs = parseStringList(p, fps, kv.Value, "Footprint.Packages", nil)
-		case "AtomicWords":
-			parseStringList(p, fps, kv.Value, "Footprint.AtomicWords", d.words)
-		case "SchedTags":
-			parseStringList(p, fps, kv.Value, "Footprint.SchedTags", d.tags)
-		}
-	}
-	return d
-}
-
-// parseStringList reads a []string composite literal of constant strings,
-// optionally recording each element's position into at.
-func parseStringList(p *Package, fps *fpParse, e ast.Expr, what string, at map[string]token.Pos) []string {
-	cl, ok := unparen(e).(*ast.CompositeLit)
-	if !ok {
-		fps.errf(p, e.Pos(), "%s must be a literal []string so it can be parsed statically", what)
-		return nil
-	}
-	var out []string
-	for _, elt := range cl.Elts {
-		s, ok := constString(p, elt)
-		if !ok {
-			fps.errf(p, elt.Pos(), "%s entries must be literal strings", what)
-			continue
-		}
-		out = append(out, s)
-		if at != nil {
-			if _, dup := at[s]; !dup {
-				at[s] = elt.Pos()
-			}
-		}
-	}
-	return out
 }
 
 func constString(p *Package, e ast.Expr) (string, bool) {

@@ -86,8 +86,8 @@ var allChecks = []Check{
 	},
 	{
 		Name:       "model-conformance",
-		Desc:       "the atomic words and SchedPoint tags of covered packages must match the modelcheck Footprint declarations (whole-program)",
-		Short:      "hydramc footprints match the real atomic surface",
+		Desc:       "every atomic word and SchedPoint tag of a package a hydramc model covers must be declared by the protocolspec.Specs naming that model (whole-program)",
+		Short:      "hydramc coverage, read from the specs, spans the real atomic surface",
 		RunProgram: runModelConformance,
 	},
 	{
@@ -104,8 +104,8 @@ var allChecks = []Check{
 	},
 	{
 		Name:       "spec-drift",
-		Desc:       "protocolspec.Spec declarations must name only atomic words, functions, marker constants, and hydramc footprints that still exist (whole-program)",
-		Short:      "specs name only words, functions, and models that exist",
+		Desc:       "protocolspec.Spec declarations must name only atomic words, SchedPoint tags, functions, marker constants, and edge kinds that still exist (whole-program)",
+		Short:      "specs name only words, tags, and functions that exist",
 		RunProgram: runSpecDrift,
 	},
 	{

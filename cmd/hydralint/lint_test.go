@@ -1150,7 +1150,7 @@ func (g *Gate) Sneak() { g.ready.Store(7) }
 		name:  "spec-stale-word",
 		path:  "internal/spf3/spf3.go",
 		check: "spec-drift",
-		want:  1,
+		want:  2,
 		src: `package spf3
 
 import (
@@ -1164,6 +1164,9 @@ var spec = protocolspec.Spec{
 	Words: []protocolspec.Word{
 		{Name: "hydradb/internal/spf3.Flag.live", Role: "pub-word", Writers: []string{"(*hydradb/internal/spf3.Flag).Set"}},
 		{Name: "hydradb/internal/spf3.Flag.gone", Role: "pub-word"},
+	},
+	Edges: []protocolspec.Edge{
+		{Kind: "flush-before-flip", From: "hydradb/internal/spf3.Flag.live", To: "hydradb/internal/spf3.Flag.live"},
 	},
 }
 
@@ -1247,27 +1250,29 @@ func (l *Log) Commit(seq uint64) {
 	},
 
 	// --- model-conformance -------------------------------------------------
+	// The fixture model's coverage is read from this spec: mcfix.go touches
+	// one atomic word the spec omits (model-conformance), and the spec
+	// declares one word nothing touches (spec-drift).
 	{
 		name:  "conformance-stale-declaration",
-		path:  "internal/modelcheck/mc.go",
-		check: "model-conformance",
+		path:  "internal/mcfix/spec.go",
+		check: "spec-drift",
 		want:  1,
-		src: `package modelcheck
+		src: `package mcfix
 
-type Footprint struct {
-	Model       string
-	Packages    []string
-	AtomicWords []string
-	SchedTags   []string
+import "hydradb/internal/protocolspec"
+
+var spec = protocolspec.Spec{
+	Name:     "mcfix",
+	Model:    "fixture",
+	Packages: []string{"hydradb/internal/mcfix"},
+	Words: []protocolspec.Word{
+		{Name: "hydradb/internal/mcfix.ops", Footprint: true, Writers: []string{"hydradb/internal/mcfix.Tick"}},
+		{Name: "hydradb/internal/mcfix.gone", Footprint: true},
+	},
 }
 
-var fixtureFootprint = Footprint{
-	Model:       "fixture",
-	Packages:    []string{"hydradb/internal/mcfix"},
-	AtomicWords: []string{"hydradb/internal/mcfix.ops", "hydradb/internal/mcfix.gone"},
-}
-
-var _ = fixtureFootprint
+var _ = spec
 `,
 	},
 	{
@@ -1745,9 +1750,6 @@ func Handoff() {}
 	if err != nil {
 		t.Fatalf("parseBudget: %v", err)
 	}
-	if back.legacy {
-		t.Errorf("formatBudget output parsed as legacy v1")
-	}
 	if !reflect.DeepEqual(back.Ignore, got.Ignore) || back.Holds != got.Holds {
 		t.Errorf("round trip = %+v, want %+v", back, got)
 	}
@@ -1755,9 +1757,8 @@ func Handoff() {}
 
 // TestBudgetRatchetEdgeCases pins the behaviors the keyed ratchet exists for:
 // a suppression that moves between files under the same symbol is free, a
-// renamed check shows up as an uncovered key and fails, a version-1 baseline
-// still compares by total, and a missing baseline file is an error rather
-// than a silently-passing ratchet.
+// renamed check shows up as an uncovered key and fails, and a version-1 or
+// missing baseline file is an error rather than a silently-passing ratchet.
 func TestBudgetRatchetEdgeCases(t *testing.T) {
 	key := func(check, sym string) ignoreKey {
 		return ignoreKey{Check: check, Pkg: "hydradb/internal/kv", Symbol: sym}
@@ -1787,25 +1788,14 @@ func TestBudgetRatchetEdgeCases(t *testing.T) {
 		}
 	})
 
-	t.Run("legacy v1 baseline", func(t *testing.T) {
+	t.Run("v1 file rejected", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), ".hydralint-budget")
 		if err := os.WriteFile(path, []byte("ignore 2\nholds 0\naliases 0\nplainread 0\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		baseline, err := parseBudget(path)
-		if err != nil {
-			t.Fatalf("parseBudget(v1): %v", err)
-		}
-		if !baseline.legacy || baseline.legacyIgnore != 2 {
-			t.Fatalf("v1 parse = %+v, want legacy total 2", baseline)
-		}
-		within := SuppressionCounts{Ignore: map[ignoreKey]int{key("x", "A"): 1, key("y", "B"): 1}}
-		if fails, _ := checkBudget(within, baseline); len(fails) != 0 {
-			t.Errorf("v1 total met: fails=%v, want none", fails)
-		}
-		over := SuppressionCounts{Ignore: map[ignoreKey]int{key("x", "A"): 3}}
-		if fails, _ := checkBudget(over, baseline); len(fails) != 1 {
-			t.Errorf("v1 total exceeded: fails=%v, want one", fails)
+		_, err := parseBudget(path)
+		if err == nil || !strings.Contains(err.Error(), "-budget-write") {
+			t.Errorf("parseBudget(v1) = %v, want an error that says to regenerate with -budget-write", err)
 		}
 	})
 
@@ -1985,54 +1975,60 @@ func copyRepoGoTree(t *testing.T) string {
 	return dst
 }
 
-// TestFootprintDriftFailsLint desyncs the checked-in modelcheck footprints —
-// renaming the word-area entry the guardian and mailbox models declare — and
-// asserts the model-conformance pass fails the drifted tree in both
-// directions: the real atomic word becomes undeclared, the renamed one stale.
+// TestFootprintDriftFailsLint desyncs model coverage from the code by
+// renaming names in checked-in protocolspec.Specs — the mailbox spec's
+// word-area word and the guardian spec's SchedPoint tag — and asserts the
+// lint fails the drifted tree in both directions for each, under one check
+// per direction: the real word or tag is no longer declared for its model
+// (model-conformance) and the renamed one names nothing (spec-drift).
+// Both drifts share one tree and one lint run; their findings are disjoint.
 func TestFootprintDriftFailsLint(t *testing.T) {
 	root := copyRepoGoTree(t)
-	fp := filepath.Join(root, "internal", "modelcheck", "footprint.go")
-	src, err := os.ReadFile(fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const real, bogus = `"hydradb/internal/arena.WordArea.words[]"`, `"hydradb/internal/arena.WordArea.retired[]"`
-	drifted := strings.ReplaceAll(string(src), real, bogus)
-	if drifted == string(src) {
-		t.Fatalf("footprint.go no longer declares %s; update this test's drift target", real)
-	}
-	if err := os.WriteFile(fp, []byte(drifted), 0o644); err != nil {
-		t.Fatal(err)
+	for _, e := range []struct{ file, real, bogus string }{
+		{"internal/message/protocol.go", `"hydradb/internal/arena.WordArea.words[]"`, `"hydradb/internal/arena.WordArea.retired[]"`},
+		{"internal/kv/protocol.go", `SchedTags: []string{"word"}`, `SchedTags: []string{"wrod"}`},
+	} {
+		path := filepath.Join(root, filepath.FromSlash(e.file))
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drifted := strings.ReplaceAll(string(src), e.real, e.bogus)
+		if drifted == string(src) {
+			t.Fatalf("%s no longer declares %s; update this test's drift target", e.file, e.real)
+		}
+		if err := os.WriteFile(path, []byte(drifted), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	res, err := RunLint(root, []string{"./..."}, []string{"model-conformance"}, true)
+	res, err := RunLint(root, []string{"./..."}, []string{"model-conformance", "spec-drift"}, true)
 	if err != nil {
 		t.Fatalf("RunLint on drifted tree: %v", err)
 	}
-	var undeclared, stale, mailbox int
+	want := []struct{ check, msg, model string }{
+		{"model-conformance", "atomic word hydradb/internal/arena.WordArea.words[] is not declared", "model mailbox"},
+		{"spec-drift", "declares atomic word hydradb/internal/arena.WordArea.retired[], but no loaded package accesses it", ""},
+		{"model-conformance", `SchedPoint tag "word" is not declared`, "model guardian"},
+		{"spec-drift", `declares SchedPoint tag "wrod", but none of its packages yields at it`, ""},
+	}
+	got := make([]int, len(want))
 	for _, d := range res.Diags {
-		if d.Check != "model-conformance" {
-			t.Errorf("unexpected %s finding: %+v", d.Check, d)
-			continue
+		matched := false
+		for i, w := range want {
+			if d.Check == w.check && strings.Contains(d.Msg, w.msg) && strings.Contains(d.Msg, w.model) {
+				got[i]++
+				matched = true
+			}
 		}
-		if strings.Contains(d.Msg, "is not declared in any modelcheck footprint") {
-			undeclared++
-		}
-		if strings.Contains(d.Msg, "the declaration is stale") {
-			stale++
-		}
-		if strings.Contains(d.Msg, "mailbox") {
-			mailbox++
+		if !matched {
+			t.Errorf("unexpected finding: %+v", d)
 		}
 	}
-	if undeclared == 0 {
-		t.Error("drifted footprint produced no undeclared-word finding")
-	}
-	if stale == 0 {
-		t.Error("drifted footprint produced no stale-declaration finding")
-	}
-	if mailbox == 0 {
-		t.Error("no finding names the mailbox model whose footprint drifted")
+	for i, w := range want {
+		if got[i] != 1 {
+			t.Errorf("%d %s findings matching %q (%s), want 1", got[i], w.check, w.msg, w.model)
+		}
 	}
 }
 

@@ -67,14 +67,13 @@
 //	                   constants), and derived from a `hydralint:offset-source`
 //	                   allocator result; `hydralint:aligned <n>` pins word
 //	                   alignment.
-//	model-conformance  whole-program diff of each covered package's atomic
-//	                   footprint — the atomic words it touches and the
-//	                   invariant.SchedPoint tags it declares — against the
-//	                   Footprint declarations shipped by internal/modelcheck.
-//	                   Drift in either direction (an undeclared access, or a
-//	                   stale declaration nothing implements) fails the lint,
-//	                   so the hydramc models provably talk about the code as
-//	                   written.
+//	model-conformance  a hydramc model covers the Packages, Footprint-marked
+//	                   words and SchedTags of every protocolspec.Spec whose
+//	                   Model names it. Every atomic word a covered package
+//	                   touches and every invariant.SchedPoint tag it yields
+//	                   at must be declared for each covering model, so the
+//	                   models provably talk about the code as written (the
+//	                   stale direction is spec-drift's).
 //	spec-order         the happens-before edges declared in protocolspec.Spec
 //	                   literals hold on every code path. The
 //	                   payload-before-release leg is the out-of-place PUT
@@ -92,8 +91,8 @@
 //	                   declares must be sanctioned — by a Writers entry, a
 //	                   covering apply edge, a publish/unpublish constant, or
 //	                   a publishes/unpublishes function the flow pass orders.
-//	spec-drift         a spec may only name atomic words, functions, marker
-//	                   constants, edge kinds, and hydramc footprints that
+//	spec-drift         a spec may only name atomic words, SchedPoint tags,
+//	                   functions, marker constants, and edge kinds that
 //	                   still exist; a declaration nothing implements fails
 //	                   the lint (specs must not rot).
 //	spec-guard         the declared torn-read guards still compare against

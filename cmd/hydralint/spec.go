@@ -11,9 +11,9 @@ import (
 
 // The spec-driven verification engine. Packages declare their lock-free
 // publication protocols as protocolspec.Spec literals (pure Go literals,
-// parsed statically like modelcheck.Footprint); this engine checks the
-// declarations against the real code on the def-use/summary layer and
-// splits its findings across four checks:
+// parsed statically); this engine checks the declarations against the real
+// code on the def-use/summary layer and splits its findings across five
+// checks:
 //
 //	spec-order     the declared happens-before edges hold on every code
 //	               path: the payload-before-release flow pass (allocation
@@ -24,14 +24,17 @@ import (
 //	               Writers entry, a covering apply edge, or a
 //	               publish/unpublish constant / publishes function the
 //	               flow pass orders
-//	spec-drift     the spec names only words, functions, markers, and
-//	               hydramc footprints that still exist (a spec that rots
-//	               is worse than no spec)
+//	spec-drift     the spec names only words, tags, functions, and markers
+//	               that still exist (a spec that rots is worse than no
+//	               spec)
 //	spec-guard     the declared torn-read guards still compare against
 //	               their bound, and reclaimers call their quiescence gate
 //	               before any free
+//	model-conformance  every atomic word and SchedPoint tag of a package a
+//	               hydramc model covers is declared by that model's specs
+//	               (check_conformance.go)
 //
-// All four share one specModel computed once per Program; each check
+// All five share one specModel computed once per Program; each check
 // emits only its own category, so restricted runs stay restricted.
 
 // specFinding is one computed finding, held until its check is emitted.
@@ -101,6 +104,9 @@ type specModel struct {
 	// pkgSpec attributes flow findings: import path -> first covering
 	// spec name ("" for marker-only packages).
 	pkgSpec map[string]string
+	// coveredBy maps an import path to the hydramc models whose specs
+	// list it, in first-seen spec order.
+	coveredBy map[string][]*modelCov
 }
 
 func (sm *specModel) add(p *Package, pos token.Pos, check, spec, format string, args ...any) {
@@ -118,12 +124,14 @@ func specModelFor(prog *Program) *specModel {
 		writers:      map[string]map[string]bool{},
 		leaseWriters: map[string]bool{},
 		pkgSpec:      map[string]string{},
+		coveredBy:    map[string][]*modelCov{},
 	}
 	prog.specModel = sm
 	sm.parse(prog)
-	accessed, stores := sm.sweep(prog)
-	sm.checkDrift(prog, accessed)
-	sm.checkCoverage(prog, stores)
+	sw := sm.sweep(prog)
+	sm.checkDrift(prog, sw)
+	sm.checkCoverage(prog, sw.stores)
+	sm.checkConformance(sw)
 	sm.checkGuards(prog)
 	sm.checkRetractOrder(prog)
 	sm.checkApplyOrder(prog)
@@ -150,6 +158,9 @@ func runSpecDrift(prog *Program, rep func(*Package) *Reporter) {
 }
 func runSpecGuard(prog *Program, rep func(*Package) *Reporter) {
 	emitSpecFindings(prog, rep, "spec-guard")
+}
+func runModelConformance(prog *Program, rep func(*Package) *Reporter) {
+	emitSpecFindings(prog, rep, "model-conformance")
 }
 
 // ---------------------------------------------------------------------------
@@ -209,6 +220,31 @@ func (sm *specModel) parse(prog *Program) {
 			if _, taken := sm.pkgSpec[path]; !taken {
 				sm.pkgSpec[path] = d.name
 			}
+		}
+	}
+	models := map[string]*modelCov{}
+	for _, d := range sm.specs {
+		if d.model == "" {
+			continue
+		}
+		mc := models[d.model]
+		if mc == nil {
+			mc = &modelCov{name: d.model, pkgs: map[string]bool{}, words: map[string]bool{}, tags: map[string]bool{}}
+			models[d.model] = mc
+		}
+		for _, path := range d.pkgs {
+			if !mc.pkgs[path] {
+				mc.pkgs[path] = true
+				sm.coveredBy[path] = append(sm.coveredBy[path], mc)
+			}
+		}
+		for _, w := range d.words {
+			if w.footprint {
+				mc.words[w.name] = true
+			}
+		}
+		for _, t := range d.tags {
+			mc.tags[t] = true
 		}
 	}
 }
@@ -379,7 +415,7 @@ func (sm *specModel) parseSpecElems(p *Package, d *specDecl, e ast.Expr, what st
 }
 
 // ---------------------------------------------------------------------------
-// The atomic sweep (shared by drift and coverage)
+// The atomic sweep (shared by drift, coverage, and model-conformance)
 
 // specStore is one atomic write to a spec'd word in production code.
 type specStore struct {
@@ -390,17 +426,39 @@ type specStore struct {
 	enclosing string // FullName of the enclosing function, "" at file scope
 }
 
-// sweep walks every loaded package's production files once, collecting the
-// set of nominal atomic words actually accessed (drift's existence oracle)
-// and every write into a spec'd word (coverage's work list).
-func (sm *specModel) sweep(prog *Program) (accessed map[string]bool, stores []specStore) {
-	accessed = map[string]bool{}
+// specSweep is what one pass over every production file records.
+type specSweep struct {
+	// accessed is every nominal atomic word any package accesses
+	// (drift's existence oracle); stores is every write into a spec'd
+	// word (coverage's work list).
+	accessed map[string]bool
+	stores   []specStore
+	// words and tags hold, for each loaded package a spec lists, the
+	// first site of every atomic word and constant SchedPoint tag.
+	words map[string]map[string]specSite
+	tags  map[string]map[string]specSite
+}
+
+// sweep walks every loaded package's production files once. A
+// non-constant SchedPoint tag in a spec'd package is a model-conformance
+// finding: coverage is only as trustworthy as the tags are static.
+func (sm *specModel) sweep(prog *Program) *specSweep {
+	sw := &specSweep{
+		accessed: map[string]bool{},
+		words:    map[string]map[string]specSite{},
+		tags:     map[string]map[string]specSite{},
+	}
 	seen := map[string]bool{}
 	for _, p := range prog.Pkgs {
 		if seen[p.ImportPath] {
 			continue
 		}
 		seen[p.ImportPath] = true
+		_, spec := sm.pkgSpec[p.ImportPath]
+		words, tags := map[string]specSite{}, map[string]specSite{}
+		if spec {
+			sw.words[p.ImportPath], sw.tags[p.ImportPath] = words, tags
+		}
 		for _, f := range p.Files {
 			if p.isTestFile(f) {
 				continue
@@ -419,18 +477,30 @@ func (sm *specModel) sweep(prog *Program) (accessed map[string]bool, stores []sp
 					}
 					id, pos, ok := atomicAccessWord(p, call)
 					if !ok {
+						if !spec {
+							return true
+						}
+						if tag, pos, ok, bad := schedPointTag(prog, p, call); bad {
+							sm.add(p, pos, "model-conformance", "",
+								"invariant.SchedPoint tag must be a constant string so model coverage can be checked statically")
+						} else if _, dup := tags[tag]; ok && !dup {
+							tags[tag] = specSite{p, pos}
+						}
 						return true
 					}
-					accessed[id] = true
+					sw.accessed[id] = true
+					if _, dup := words[id]; !dup {
+						words[id] = specSite{p, pos}
+					}
 					if len(sm.wordDecls[id]) > 0 && atomicOpWrites(call) {
-						stores = append(stores, specStore{p: p, call: call, pos: pos, word: id, enclosing: full})
+						sw.stores = append(sw.stores, specStore{p: p, call: call, pos: pos, word: id, enclosing: full})
 					}
 					return true
 				})
 			}
 		}
 	}
-	return accessed, stores
+	return sw
 }
 
 // ---------------------------------------------------------------------------
@@ -443,7 +513,7 @@ var specRoles = map[string]bool{
 
 var specEdgeKinds = map[string]bool{
 	"payload-before-release": true, "retract-before-free": true,
-	"apply-after-replicate": true, "flush-before-flip": true,
+	"apply-after-replicate": true,
 }
 
 // specOwnerPkg extracts the owning import path from a nominal word or
@@ -473,17 +543,12 @@ func (sm *specModel) checkFunc(prog *Program, loaded map[string]bool, d *specDec
 	}
 }
 
-func (sm *specModel) checkDrift(prog *Program, accessed map[string]bool) {
+func (sm *specModel) checkDrift(prog *Program, sw *specSweep) {
 	loaded := map[string]bool{}
-	modelcheckLoaded := false
 	for _, p := range prog.Pkgs {
 		loaded[p.ImportPath] = true
-		if p.RelPath == "internal/modelcheck" {
-			modelcheckLoaded = true
-		}
 	}
 	m := prog.markersFor()
-	fps := parseFootprints(prog)
 
 	for _, d := range sm.specs {
 		declared := map[string]*specWordDecl{}
@@ -493,7 +558,7 @@ func (sm *specModel) checkDrift(prog *Program, accessed map[string]bool) {
 				sm.add(d.p, w.pos, "spec-drift", d.name,
 					"spec %s declares unknown word role %q; the vocabulary is guardian, payload-group, pub-word, ready-word, commit-word, lease-word", d.name, w.role)
 			}
-			if owner := specOwnerPkg(w.name); owner != "" && loaded[owner] && !accessed[w.name] {
+			if owner := specOwnerPkg(w.name); owner != "" && loaded[owner] && !sw.accessed[w.name] {
 				sm.add(d.p, w.pos, "spec-drift", d.name,
 					"spec %s declares atomic word %s, but no loaded package accesses it; the declaration is stale", d.name, w.name)
 			}
@@ -504,7 +569,7 @@ func (sm *specModel) checkDrift(prog *Program, accessed map[string]bool) {
 		for _, e := range d.edges {
 			if !specEdgeKinds[e.kind] {
 				sm.add(d.p, e.pos, "spec-drift", d.name,
-					"spec %s declares unknown edge kind %q; the vocabulary is payload-before-release, retract-before-free, apply-after-replicate, flush-before-flip", d.name, e.kind)
+					"spec %s declares unknown edge kind %q; the vocabulary is payload-before-release, retract-before-free, apply-after-replicate", d.name, e.kind)
 				continue
 			}
 			switch e.kind {
@@ -533,45 +598,25 @@ func (sm *specModel) checkDrift(prog *Program, accessed map[string]bool) {
 					sm.add(d.p, e.pos, "spec-drift", d.name,
 						"spec %s edge targets word %s, which the spec's Words do not declare", d.name, e.to)
 				}
-			case "flush-before-flip":
-				// Reserved for the durability tier; vocabulary-checked only.
 			}
 		}
 		for _, g := range d.guards {
 			sm.checkFunc(prog, loaded, d, g.pos, g.reader)
 		}
-
-		// The generation loop's static side: a spec that feeds a hydramc
-		// model must agree with the checked-in footprint.go (whose own
-		// agreement with the generated footprints a modelcheck test and
-		// `hydramc -footprints` enforce).
-		if d.model == "" || !modelcheckLoaded {
-			continue
-		}
-		var fp *fpDecl
-		for _, cand := range fps.decls {
-			if cand.model == d.model {
-				fp = cand
-			}
-		}
-		if fp == nil {
-			sm.add(d.p, d.pos, "spec-drift", d.name,
-				"spec %s feeds hydramc model %q, but internal/modelcheck declares no footprint for it", d.name, d.model)
-			continue
-		}
-		for _, w := range d.words {
-			if !w.footprint {
-				continue
-			}
-			if _, ok := fp.words[w.name]; !ok {
-				sm.add(d.p, w.pos, "spec-drift", d.name,
-					"spec %s marks word %s for the %q footprint, but footprint.go does not declare it; regenerate (hydramc -footprints)", d.name, w.name, d.model)
-			}
-		}
+		// A declared tag must still be yielded at in one of the spec's
+		// packages (judged only when one of them was loaded).
 		for _, tag := range d.tags {
-			if _, ok := fp.tags[tag]; !ok {
+			judged, found := false, false
+			for _, path := range d.pkgs {
+				if tags, ok := sw.tags[path]; ok {
+					judged = true
+					_, has := tags[tag]
+					found = found || has
+				}
+			}
+			if judged && !found {
 				sm.add(d.p, d.pos, "spec-drift", d.name,
-					"spec %s declares SchedPoint tag %q for model %q, but footprint.go does not; regenerate (hydramc -footprints)", d.name, tag, d.model)
+					"spec %s declares SchedPoint tag %q, but none of its packages yields at it; the declaration is stale", d.name, tag)
 			}
 		}
 	}

@@ -14,11 +14,6 @@
 //	                               deterministically re-execute one schedule
 //	hydramc -fine ...              word-granularity interleaving (requires a
 //	                               -tags hydradebug build)
-//	hydramc -footprints            print each model's Footprint as generated
-//	                               from the protocolspec.Spec declarations
-//	                               (with its SchedPoint hook skeleton) and
-//	                               diff it against footprint.go; exits 1 on
-//	                               any drift
 //
 // Exit status: 0 clean, 1 invariant violation (or a seeded bug the checker
 // failed to catch), 2 usage or environment error.
@@ -47,7 +42,6 @@ func run(args []string) int {
 		maxSteps     = fs.Int("maxsteps", 0, "max steps per schedule (0 = default)")
 		maxSchedules = fs.Int("maxschedules", 0, "max schedules per exploration (0 = default)")
 		fine         = fs.Bool("fine", false, "word-granularity interleaving (needs -tags hydradebug)")
-		footprints   = fs.Bool("footprints", false, "print spec-generated model footprints and diff them against footprint.go")
 		verbose      = fs.Bool("v", false, "print per-exploration detail")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -100,40 +94,6 @@ func run(args []string) int {
 			return 2
 		}
 		return report(m, modelcheck.Explore(m, *bug, opts), *bug, *verbose)
-
-	case *footprints:
-		// The generation half of the lint <-> model-checker loop: derive
-		// every model footprint from the protocolspec.Spec declarations,
-		// print it with its SchedPoint hook skeleton, and diff against the
-		// hand-written footprint.go table. Any drift is a loud exit 1 —
-		// the same agreement TestGeneratedFootprintsMatchHandWritten pins.
-		gen := modelcheck.GeneratedFootprints()
-		hand := modelcheck.Footprints()
-		drift := 0
-		for _, fp := range gen {
-			fmt.Printf("%s\n", modelcheck.RenderFootprint(fp))
-			for _, hook := range modelcheck.SchedSkeleton(fp) {
-				fmt.Printf("    %s\n", hook)
-			}
-		}
-		if len(gen) != len(hand) {
-			fmt.Printf("DRIFT: specs generate %d footprints, footprint.go declares %d\n", len(gen), len(hand))
-			drift++
-		} else {
-			for i := range gen {
-				g, h := modelcheck.RenderFootprint(gen[i]), modelcheck.RenderFootprint(hand[i])
-				if g != h {
-					fmt.Printf("DRIFT at footprint %d:\n  generated:    %s\n  hand-written: %s\n", i, g, h)
-					drift++
-				}
-			}
-		}
-		if drift > 0 {
-			fmt.Printf("hydramc: %d footprint(s) drifted from the specs; update footprint.go or the owning spec\n", drift)
-			return 1
-		}
-		fmt.Printf("hydramc: %d footprints match the spec-generated table\n", len(gen))
-		return 0
 
 	case *all:
 		worst := 0

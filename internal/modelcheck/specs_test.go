@@ -2,39 +2,36 @@ package modelcheck
 
 import "testing"
 
-// TestGeneratedFootprintsMatchHandWritten is the generation loop's
-// runtime side: the footprints derived from the protocolspec.Spec
-// declarations must match the hand-written footprint.go table
-// byte-for-byte (under the canonical rendering). hydralint's spec-drift
-// pass enforces the static side of the same agreement, and
-// `hydramc -footprints` exposes the diff on the command line.
-func TestGeneratedFootprintsMatchHandWritten(t *testing.T) {
-	gen := GeneratedFootprints()
-	hand := Footprints()
-	if len(gen) != len(hand) {
-		t.Fatalf("generated %d footprints, footprint.go declares %d", len(gen), len(hand))
-	}
-	for i := range gen {
-		g, h := RenderFootprint(gen[i]), RenderFootprint(hand[i])
-		if g != h {
-			t.Errorf("footprint %d drifted:\n  generated:    %s\n  hand-written: %s\n(regenerate with `hydramc -footprints` and update footprint.go or the owning spec)", i, g, h)
-		}
-	}
-}
-
-// TestSpecsDeclareKnownModels pins that every spec's Model matches a
-// registered model, so a renamed model cannot silently detach its spec.
+// TestSpecsDeclareKnownModels pins the pairing between the specs and the
+// model registry in both directions: every spec's Model is a registered
+// model, so a renamed model cannot silently detach its spec, and every
+// registered model is fed by at least one spec that lists the packages it
+// covers. hydralint's model-conformance and spec-drift passes check the
+// contents (atomic words, sched tags); this test checks the index.
 func TestSpecsDeclareKnownModels(t *testing.T) {
 	known := map[string]bool{}
 	for _, m := range Models() {
 		known[m.Name] = true
 	}
+	covers := map[string]bool{}
 	for _, s := range Specs() {
 		if s.Name == "" {
 			t.Errorf("spec with model %q has no Name", s.Model)
 		}
-		if s.Model != "" && !known[s.Model] {
+		if s.Model == "" {
+			continue
+		}
+		if !known[s.Model] {
 			t.Errorf("spec %s feeds model %q, which Models() does not register", s.Name, s.Model)
+		}
+		if len(s.Packages) == 0 {
+			t.Errorf("spec %s feeds model %q but lists no packages", s.Name, s.Model)
+		}
+		covers[s.Model] = true
+	}
+	for name := range known {
+		if !covers[name] {
+			t.Errorf("model %q is fed by no spec; name it in the Model of the spec it checks", name)
 		}
 	}
 }

@@ -6,20 +6,17 @@
 // edges the protocol requires, and the torn-read guards its one-sided
 // readers rely on.
 //
-// A Spec is consumed twice:
-//
-//   - cmd/hydralint parses Spec literals statically (the same way it
-//     parses modelcheck.Footprint literals) and drives the generic
-//     spec verification engine off them: the spec-order pass proves
-//     the declared edges hold on every code path, spec-coverage flags
-//     atomic stores to spec'd words that no edge or Writers entry
-//     sanctions, spec-drift flags declarations that no longer match
-//     the code, and spec-guard re-proves the torn-read guards.
-//   - internal/modelcheck consumes the same Specs at runtime to
-//     generate each hydramc model's Footprint (and its SchedPoint tag
-//     skeleton); a test and `hydramc -footprints` diff the generated
-//     footprints against the hand-written ones byte-for-byte, so the
-//     linter, the model checker, and the code cannot drift apart.
+// cmd/hydralint parses Spec literals statically and drives the generic
+// spec verification engine off them: the spec-order pass proves the
+// declared edges hold on every code path, spec-coverage flags atomic
+// stores to spec'd words that no edge or Writers entry sanctions,
+// spec-drift flags declarations that no longer match the code, and
+// spec-guard re-proves the torn-read guards. The specs are also the only
+// declaration of hydramc model coverage: a model covers the Packages,
+// Footprint-marked words and SchedTags of every spec whose Model names
+// it, and model-conformance fails the lint on any atomic word or
+// SchedPoint tag in a covered package that the model's specs omit, so
+// the linter, the model checker, and the code cannot drift apart.
 //
 // Specs must be pure literals — string constants, bool literals, and
 // nested composite literals only — because the linter evaluates them
@@ -80,12 +77,6 @@ const (
 	// selector, since appliers are usually interface-typed); To names
 	// the commit word.
 	ApplyAfterReplicate EdgeKind = "apply-after-replicate"
-	// FlushBeforeFlip is reserved for the durability tier: a
-	// persistent pointer flip must sequence after the cache-line
-	// flush of the out-of-place update it publishes. No site declares
-	// it yet; declaring it lints the same way as the other edges, so
-	// the NVM work needs no engine changes.
-	FlushBeforeFlip EdgeKind = "flush-before-flip"
 )
 
 // Word declares one atomic word the protocol owns.
@@ -94,8 +85,8 @@ type Word struct {
 	Name string
 	// Role classifies the word.
 	Role Role
-	// Footprint marks the word for inclusion in the owning model's
-	// generated hydramc Footprint.
+	// Footprint marks the word as part of the owning model's coverage:
+	// every package the model covers may access it atomically.
 	Footprint bool
 	// Writers lists the functions sanctioned to store the word
 	// directly (types.Func.FullName form). Stores outside this list —
@@ -134,11 +125,11 @@ type Spec struct {
 	// Name identifies the spec in lint findings and SARIF
 	// fingerprints ("kv-guardian", "mailbox-ring", ...).
 	Name string
-	// Model names the hydramc model whose Footprint this spec feeds;
+	// Model names the hydramc model whose coverage this spec feeds;
 	// empty for specs with no model-checker counterpart.
 	Model string
-	// Packages lists the import paths the protocol spans, in the
-	// order the generated Footprint should list them.
+	// Packages lists the import paths the protocol spans; the model
+	// covers each of them.
 	Packages []string
 	// SchedTags lists the invariant.SchedPoint tags the model's
 	// scheduler interleaves on.
