@@ -5,7 +5,7 @@
 GO        ?= go
 FUZZTIME  ?= 20s
 
-.PHONY: all build vet test race lint lint-budget lint-budget-write lint-sarif lint-liveness lint-spec deep-lint fuzz-smoke debug-test bench-smoke hydramc-smoke chaos-smoke sim-smoke cover ci
+.PHONY: all build vet test race lint lint-budget lint-budget-write lint-sarif lint-spec deep-lint kill-matrix fuzz-smoke debug-test bench-smoke hydramc-smoke chaos-smoke sim-smoke cover ci
 
 all: build test
 
@@ -29,14 +29,14 @@ race:
 	$(GO) test -race ./...
 
 # Static invariants (clock discipline, shard exclusivity, atomic-word
-# hygiene, hot-path allocations, error discipline, lease/escape dataflow,
-# mixed atomic/plain access, wire-layout pins). Non-zero exit on any
+# hygiene, hot-path allocations, error discipline, wire-layout pins, the
+# protocolspec checks, goroutine stop paths). Non-zero exit on any
 # unsuppressed finding.
 lint:
 	$(GO) run ./cmd/hydralint ./...
 
 # lint plus the suppression ratchet: fails when the repo-wide count of
-# ignore/holds/aliases/plainread directives exceeds the checked-in baseline
+# ignore/daemon directives exceeds the checked-in baseline
 # (.hydralint-budget). Raising the budget is a reviewed change to that file;
 # lowering it is `make lint-budget-write`.
 lint-budget:
@@ -44,13 +44,6 @@ lint-budget:
 
 lint-budget-write:
 	$(GO) run ./cmd/hydralint -budget-write .hydralint-budget ./...
-
-# The liveness suite alone (DESIGN.md §14): goroutine-lifecycle stop-path
-# proofs, wait-cycle deadlock detection against the declared lock-order DAG,
-# and bounded-spin yield/exit proofs. Already part of every full lint run;
-# this target is the fast loop for concurrency-heavy changes.
-lint-liveness:
-	$(GO) run ./cmd/hydralint -checks=goroutine-lifecycle,wait-cycle,bounded-spin ./...
 
 # Machine-readable findings for code-scanning upload (written even when clean).
 lint-sarif:
@@ -71,10 +64,19 @@ lint-spec:
 # blocking the per-PR pipeline.
 DEEPMCSCHEDULES ?= 200000
 DEEPMCTIMEOUT   ?= 2400
-deep-lint: lint-budget lint-sarif lint-liveness lint-spec
+deep-lint: lint-budget lint-sarif lint-spec
 	timeout $(DEEPMCTIMEOUT) $(GO) run ./cmd/hydramc -all -maxschedules $(DEEPMCSCHEDULES)
 	timeout $(DEEPMCTIMEOUT) $(GO) run -tags hydradebug ./cmd/hydramc -model mailbox -fine -maxsteps 800 -maxschedules $(DEEPMCSCHEDULES)
 	! timeout $(DEEPMCTIMEOUT) $(GO) run -tags hydradebug ./cmd/hydramc -model mailbox -fine -bug -maxsteps 800 -maxschedules $(DEEPMCSCHEDULES)
+
+# The kill matrix (DESIGN.md §11): 47 one-site semantic mutants of the data
+# path, each run against build, vet, every hydralint check, the package
+# tests, the rest of tier-1, -race, hydradebug, hydramc and (for the
+# control-plane packages) the chaos smoke; the table of first and sole
+# killers is rewritten into KILLMATRIX.md. About 70 minutes on a 2-core
+# host, so it is not part of ci.
+kill-matrix:
+	$(GO) test -tags killmatrix -run 'TestKillMatrix$$' -count=1 -timeout 0 -v ./cmd/hydralint
 
 # Short fuzz pass over the wire codecs, the client pointer cache (against a
 # map model, across grows and epoch drops) and the stage rig's lfmap; go test
@@ -149,4 +151,4 @@ sim-smoke:
 cover:
 	$(GO) test -cover ./... | grep -v "no test files"
 
-ci: build vet lint-budget lint-liveness lint-spec test race debug-test bench-smoke fuzz-smoke hydramc-smoke chaos-smoke sim-smoke
+ci: build vet lint-budget lint-spec test race debug-test bench-smoke fuzz-smoke hydramc-smoke chaos-smoke sim-smoke

@@ -8,9 +8,9 @@ import (
 	"strings"
 )
 
-// The suppression ratchet. Every escape hatch the linter offers (the ignore,
-// holds, aliases, and plainread directives) is counted repo-wide and compared
-// against a checked-in baseline (.hydralint-budget). A run whose count
+// The suppression ratchet. Every escape hatch the linter offers (the ignore
+// and daemon directives) is counted repo-wide and compared against a
+// checked-in baseline (.hydralint-budget). A run whose count
 // exceeds the baseline fails: new suppressions need a reviewer to consciously
 // raise the budget in the same change. A run whose count is lower only
 // reports that the baseline can be tightened; `hydralint -budget-write`
@@ -37,37 +37,16 @@ func (k ignoreKey) String() string {
 
 // SuppressionCounts is the repo-wide census of linter escape hatches.
 type SuppressionCounts struct {
-	Ignore    map[ignoreKey]int
-	Holds     int
-	Aliases   int
-	Plainread int
-	Daemon    int
-	Spins     int
+	Ignore map[ignoreKey]int
+	Daemon int
 }
 
 func (c SuppressionCounts) Total() int {
-	n := c.Holds + c.Aliases + c.Plainread + c.Daemon + c.Spins
+	n := c.Daemon
 	for _, v := range c.Ignore {
 		n += v
 	}
 	return n
-}
-
-// aggregates orders the non-keyed categories deterministically.
-func (c SuppressionCounts) aggregates() []struct {
-	Name  string
-	Count int
-} {
-	return []struct {
-		Name  string
-		Count int
-	}{
-		{"holds", c.Holds},
-		{"aliases", c.Aliases},
-		{"plainread", c.Plainread},
-		{"daemon", c.Daemon},
-		{"spins", c.Spins},
-	}
 }
 
 // countSuppressions counts directive comments across all loaded files. The
@@ -103,28 +82,14 @@ func countSuppressions(pkgs []*Package) SuppressionCounts {
 						}
 						continue
 					}
-					switch {
-					case matchesMarker(text, "hydralint:holds"):
-						c.Holds++
-					case matchesMarker(text, "hydralint:aliases"):
-						c.Aliases++
-					case matchesMarker(text, "hydralint:plainread"):
-						c.Plainread++
-					case matchesMarker(text, "hydralint:daemon"):
+					if _, ok := directiveRest(text, "hydralint:daemon"); ok {
 						c.Daemon++
-					case matchesMarker(text, "hydralint:spins"):
-						c.Spins++
 					}
 				}
 			}
 		}
 	}
 	return c
-}
-
-func matchesMarker(text, marker string) bool {
-	_, ok := directiveRest(text, marker)
-	return ok
 }
 
 // parseBudget reads a baseline file ('#' comments and blank lines allowed):
@@ -167,26 +132,15 @@ func parseBudget(path string) (SuppressionCounts, error) {
 				return bad("bad count")
 			}
 			c.Ignore[ignoreKey{Check: fields[1], Pkg: fields[2], Symbol: fields[3]}] += n
-		case "holds", "aliases", "plainread", "daemon", "spins":
+		case "daemon":
 			if len(fields) != 2 {
-				return bad("malformed line (want \"category count\")")
+				return bad("malformed line (want \"daemon <count>\")")
 			}
 			n, err := strconv.Atoi(fields[1])
 			if err != nil {
 				return bad("bad count")
 			}
-			switch fields[0] {
-			case "holds":
-				c.Holds = n
-			case "aliases":
-				c.Aliases = n
-			case "plainread":
-				c.Plainread = n
-			case "daemon":
-				c.Daemon = n
-			case "spins":
-				c.Spins = n
-			}
+			c.Daemon = n
 		default:
 			return bad("unknown category")
 		}
@@ -214,9 +168,7 @@ func formatBudget(c SuppressionCounts) string {
 	for _, k := range keys {
 		fmt.Fprintf(&b, "ignore %s %d\n", k, c.Ignore[k])
 	}
-	for _, cat := range c.aggregates() {
-		fmt.Fprintf(&b, "%s %d\n", cat.Name, cat.Count)
-	}
+	fmt.Fprintf(&b, "daemon %d\n", c.Daemon)
 	return b.String()
 }
 
@@ -245,18 +197,15 @@ func checkBudget(current, baseline SuppressionCounts) (failures, notes []string)
 				k.Check, k.Pkg, k.Symbol, n, allowed))
 		}
 	}
-	for i, cur := range current.aggregates() {
-		base := baseline.aggregates()[i]
-		switch {
-		case cur.Count > base.Count:
-			failures = append(failures, fmt.Sprintf(
-				"suppression budget exceeded: %d hydralint:%s directives, baseline allows %d — remove the new suppression or consciously raise .hydralint-budget in this change",
-				cur.Count, cur.Name, base.Count))
-		case cur.Count < base.Count:
-			notes = append(notes, fmt.Sprintf(
-				"budget for hydralint:%s can be tightened: %d in tree, baseline says %d (run -budget-write)",
-				cur.Name, cur.Count, base.Count))
-		}
+	switch cur, base := current.Daemon, baseline.Daemon; {
+	case cur > base:
+		failures = append(failures, fmt.Sprintf(
+			"suppression budget exceeded: %d hydralint:daemon directives, baseline allows %d — remove the new suppression or consciously raise .hydralint-budget in this change",
+			cur, base))
+	case cur < base:
+		notes = append(notes, fmt.Sprintf(
+			"budget for hydralint:daemon can be tightened: %d in tree, baseline says %d (run -budget-write)",
+			cur, base))
 	}
 	sort.Strings(failures)
 	sort.Strings(notes)

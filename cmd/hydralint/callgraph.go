@@ -16,9 +16,6 @@ type Program struct {
 	Pkgs  []*Package
 	funcs map[string]*FuncInfo
 
-	lockSums   map[string]*lockSummary
-	escapeSums map[string]*escapeSummary
-	atomicSums map[string]*atomicSummary
 	mutateSums map[string]*mutateSummary
 
 	markers *progMarkers
@@ -40,13 +37,9 @@ func newProgram(pkgs []*Package) *Program {
 	prog := &Program{
 		Pkgs:       pkgs,
 		funcs:      map[string]*FuncInfo{},
-		lockSums:   map[string]*lockSummary{},
-		escapeSums: map[string]*escapeSummary{},
-		atomicSums: map[string]*atomicSummary{},
 		mutateSums: map[string]*mutateSummary{},
 	}
 	for _, p := range pkgs {
-		p.Prog = prog
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)

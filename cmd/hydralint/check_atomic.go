@@ -20,6 +20,10 @@ import (
 //     value
 //   - call arguments passing such a value by copy
 //   - unsafe.Pointer conversions aliasing such a value
+//   - function-style sync/atomic calls (atomic.AddUint64(&x, 1)) outside
+//     tests: every atomic word is a typed value (atomic.Uint64, ...), which
+//     Go gives no plain load or store, so a word cannot be read atomically
+//     in one place and plainly in another
 func runAtomicWord(p *Package, r *Reporter) {
 	if !p.isInternal() {
 		return
@@ -37,6 +41,7 @@ func runAtomicWord(p *Package, r *Reporter) {
 	}
 
 	for _, f := range p.Files {
+		test := p.isTestFile(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
@@ -61,6 +66,10 @@ func runAtomicWord(p *Package, r *Reporter) {
 				checkFieldList(p, r, n.Type.Params, has, cache)
 				checkFieldList(p, r, n.Type.Results, has, cache)
 			case *ast.CallExpr:
+				if !test && isAtomicPkgCall(p, n) {
+					r.report("atomic-word", n.Pos(),
+						"function-style sync/atomic call on a plain word; declare the word as a typed atomic value (atomic.Uint64, ...) so no plain access to it compiles")
+				}
 				if isUnsafePointerConv(p, n) {
 					if arg := atomicAddrArg(p, n, has); arg != nil {
 						r.report("atomic-word", n.Pos(),

@@ -83,7 +83,7 @@ func constString(p *Package, e ast.Expr) (string, bool) {
 // — they are not cross-thread state a model could cover.
 func atomicAccessWord(p *Package, call *ast.CallExpr) (string, token.Pos, bool) {
 	if isAtomicPkgCall(p, call) && len(call.Args) > 0 {
-		if id, ok := mixedWordID(p, addrOperand(call.Args[0])); ok {
+		if id, ok := wordID(p, addrOperand(call.Args[0])); ok {
 			return id, call.Pos(), true
 		}
 		return "", token.NoPos, false
@@ -104,7 +104,7 @@ func atomicAccessWord(p *Package, call *ast.CallExpr) (string, token.Pos, bool) 
 	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync/atomic" {
 		return "", token.NoPos, false
 	}
-	if id, ok := mixedWordID(p, sel.X); ok {
+	if id, ok := wordID(p, sel.X); ok {
 		return id, call.Pos(), true
 	}
 	return "", token.NoPos, false

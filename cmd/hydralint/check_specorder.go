@@ -173,7 +173,7 @@ func (w *pubWalker) regionDerived(e ast.Expr) bool {
 				derived = true
 			}
 		case *ast.SelectorExpr:
-			if key, ok := mixedWordID(w.p, n); ok && w.m.regionKeys[key] {
+			if key, ok := wordID(w.p, n); ok && w.m.regionKeys[key] {
 				derived = true
 			}
 		case *ast.CallExpr:

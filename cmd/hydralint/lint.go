@@ -10,7 +10,7 @@ import (
 )
 
 // Check is one named rule. Run inspects a single package; RunProgram (for
-// whole-program rules like mixed-access) sees every loaded package at once
+// whole-program rules like spec-coverage) sees every loaded package at once
 // and reports through per-package reporters. A check sets one or the other.
 // Short is the one-line blurb -listchecks renders into README's check
 // table (a sync test keeps the two identical).
@@ -38,8 +38,8 @@ var allChecks = []Check{
 	},
 	{
 		Name:  "atomic-word",
-		Desc:  "values containing sync/atomic types must not be copied, ranged over, or aliased",
-		Short: "atomic-bearing values never copied, ranged over, or aliased",
+		Desc:  "values containing sync/atomic types must not be copied, ranged over, or aliased; no function-style sync/atomic calls outside tests",
+		Short: "atomic words are typed values, never copied, ranged over, or aliased",
 		Run:   runAtomicWord,
 	},
 	{
@@ -55,34 +55,10 @@ var allChecks = []Check{
 		Run:   runErrorDiscipline,
 	},
 	{
-		Name:  "lease-discipline",
-		Desc:  "every lock/lease acquire must be released on all paths (interprocedural via call summaries)",
-		Short: "lock acquire/release balance, via call summaries",
-		Run:   runLeaseDiscipline,
-	},
-	{
-		Name:  "published-escape",
-		Desc:  "no pointer into an RDMA-registered region may escape to an un-leased reference (interprocedural)",
-		Short: "no region views escaping past publication",
-		Run:   runPublishedEscape,
-	},
-	{
-		Name:       "mixed-access",
-		Desc:       "a word accessed with sync/atomic anywhere must never be accessed plainly (whole-program)",
-		Short:      "no word sees both atomic and plain access, program-wide",
-		RunProgram: runMixedAccess,
-	},
-	{
 		Name:  "layout",
 		Desc:  "compile-time wire-layout checks: hydralint:assert, hydralint:layout size=, hydralint:cacheline",
 		Short: "`assert`/`layout`/`cacheline` pins with go/types sizes",
 		Run:   runLayout,
-	},
-	{
-		Name:       "region-bounds",
-		Desc:       "one-sided offsets into RDMA regions must be provably in-bounds, aligned, and offset-source derived (def-use interpreter)",
-		Short:      "every offset into an RDMA region proven in-bounds",
-		RunProgram: runRegionBounds,
 	},
 	{
 		Name:       "model-conformance",
@@ -119,18 +95,6 @@ var allChecks = []Check{
 		Desc:       "every go statement must have a provable stop path: a cancellation signal triggered from a Stop/Close surface (whole-program; //hydralint:daemon opt-out)",
 		Short:      "every `go` statement has a provable stop path",
 		RunProgram: runGoroutineLifecycle,
-	},
-	{
-		Name:       "wait-cycle",
-		Desc:       "the static wait-for graph over mutexes, channels, and WaitGroups must be acyclic, and lock nesting must follow invariant.LockOrder (whole-program)",
-		Short:      "no static wait cycles; lock nesting follows the declared DAG",
-		RunProgram: runWaitCycle,
-	},
-	{
-		Name:       "bounded-spin",
-		Desc:       "busy-wait loops must both yield (Gosched/Sleep/SchedPoint) and have an exit (whole-program; //hydralint:spins opt-out)",
-		Short:      "non-blocking loops yield *and* carry an exit condition",
-		RunProgram: runBoundedSpin,
 	},
 	{
 		Name:  "stale-suppression",

@@ -188,6 +188,42 @@ func Alias(w *W) { P = unsafe.Pointer(&w.v) }
 `,
 	},
 	{
+		name:  "atomic-function-style",
+		path:  "internal/c6a/c6a.go",
+		check: "atomic-word",
+		want:  1,
+		src: `package c6a
+
+import "sync/atomic"
+
+type Counter struct{ hits uint64 }
+
+func (c *Counter) Inc() { atomic.AddUint64(&c.hits, 1) }
+`,
+	},
+	{
+		// Tests may use the function-style API on their own locals.
+		name:  "atomic-function-style-test-ok",
+		path:  "internal/c6a/c6a_test.go",
+		check: "atomic-word",
+		want:  0,
+		src: `package c6a
+
+import (
+	"sync/atomic"
+	"testing"
+)
+
+func TestInc(t *testing.T) {
+	var n uint64
+	atomic.AddUint64(&n, 1)
+	if atomic.LoadUint64(&n) != 1 {
+		t.Fatal("lost add")
+	}
+}
+`,
+	},
+	{
 		name:  "hotpath-make",
 		path:  "internal/c7/c7.go",
 		check: "hotpath-alloc",
@@ -318,453 +354,6 @@ import "fmt"
 func Cold(n int) string { return fmt.Sprint(make([]byte, n)) }
 `,
 	},
-	{
-		// Stub of the real invariant.Owner so the lease-discipline fixtures
-		// can exercise the Acquire/Release pairing; clean by construction.
-		name:  "lease-owner-stub",
-		path:  "internal/invariant/invariant.go",
-		check: "lease-discipline",
-		want:  0,
-		src: `package invariant
-
-type Owner struct{ who string }
-
-func (o *Owner) Acquire(who string) { o.who = who }
-
-func (o *Owner) Release() { o.who = "" }
-`,
-	},
-	{
-		name:  "lease-unreleased-branch",
-		path:  "internal/l1/l1.go",
-		check: "lease-discipline",
-		want:  1,
-		src: `package l1
-
-import "sync"
-
-type S struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (s *S) Bad(x int) int {
-	s.mu.Lock()
-	if x < 0 {
-		return -1
-	}
-	s.mu.Unlock()
-	return s.n
-}
-`,
-	},
-	{
-		name:  "lease-defer-and-loop-ok",
-		path:  "internal/l2/l2.go",
-		check: "lease-discipline",
-		want:  0,
-		src: `package l2
-
-import "sync"
-
-type S struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (s *S) Get() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-func Sum(ss []*S) int {
-	t := 0
-	for _, s := range ss {
-		s.mu.Lock()
-		t += s.n
-		s.mu.Unlock()
-	}
-	return t
-}
-`,
-	},
-	{
-		name:  "lease-rwmutex-mismatched-pair",
-		path:  "internal/l3/l3.go",
-		check: "lease-discipline",
-		want:  1,
-		src: `package l3
-
-import "sync"
-
-type S struct {
-	mu sync.RWMutex
-	n  int
-}
-
-func (s *S) Bad() int {
-	s.mu.RLock()
-	n := s.n
-	s.mu.Unlock()
-	return n
-}
-`,
-	},
-	{
-		name:  "lease-holds-marker-ok",
-		path:  "internal/l4/l4.go",
-		check: "lease-discipline",
-		want:  0,
-		src: `package l4
-
-import "sync"
-
-type S struct{ mu sync.Mutex }
-
-// LockForUpdate hands the lock to the caller.
-//
-// hydralint:holds
-func (s *S) LockForUpdate() { s.mu.Lock() }
-`,
-	},
-	{
-		name:  "lease-owner-unbalanced",
-		path:  "internal/l5/l5.go",
-		check: "lease-discipline",
-		want:  1,
-		src: `package l5
-
-import "hydradb/internal/invariant"
-
-type Shard struct{ owner invariant.Owner }
-
-func (s *Shard) Enter(ok bool) {
-	s.owner.Acquire("enter")
-	if !ok {
-		return
-	}
-	s.owner.Release()
-}
-`,
-	},
-	{
-		// Stub of rdma.MemoryRegion so the published-escape fixtures have a
-		// source; rdma itself is an owner package and exempt.
-		name:  "escape-rdma-stub",
-		path:  "internal/rdma/rdma.go",
-		check: "published-escape",
-		want:  0,
-		src: `package rdma
-
-type MemoryRegion struct{ data []byte }
-
-func NewRegion(b []byte) *MemoryRegion { return &MemoryRegion{data: b} }
-
-func (m *MemoryRegion) Data() []byte { return m.data }
-`,
-	},
-	{
-		name:  "escape-field-store",
-		path:  "internal/e1/e1.go",
-		check: "published-escape",
-		want:  1,
-		src: `package e1
-
-import "hydradb/internal/rdma"
-
-type Cache struct{ view []byte }
-
-func (c *Cache) Stash(mr *rdma.MemoryRegion) {
-	c.view = mr.Data()
-}
-`,
-	},
-	{
-		name:  "escape-return-view",
-		path:  "internal/e2/e2.go",
-		check: "published-escape",
-		want:  1,
-		src: `package e2
-
-import "hydradb/internal/rdma"
-
-func Header(mr *rdma.MemoryRegion) []byte {
-	hdr := mr.Data()[:8]
-	return hdr
-}
-`,
-	},
-	{
-		name:  "escape-copy-launders-ok",
-		path:  "internal/e3/e3.go",
-		check: "published-escape",
-		want:  0,
-		src: `package e3
-
-import "hydradb/internal/rdma"
-
-func Snapshot(mr *rdma.MemoryRegion) ([]byte, byte) {
-	view := mr.Data()
-	cp := append([]byte(nil), view...)
-	return cp, view[0]
-}
-`,
-	},
-	{
-		name:  "escape-aliases-marker-ok",
-		path:  "internal/e4/e4.go",
-		check: "published-escape",
-		want:  0,
-		src: `package e4
-
-import "hydradb/internal/rdma"
-
-// View returns a window into the region; callers hold the lease.
-//
-// hydralint:aliases
-func View(mr *rdma.MemoryRegion) []byte { return mr.Data() }
-`,
-	},
-	{
-		name:  "escape-channel-send",
-		path:  "internal/e5/e5.go",
-		check: "published-escape",
-		want:  1,
-		src: `package e5
-
-import "hydradb/internal/rdma"
-
-func Publish(mr *rdma.MemoryRegion, ch chan []byte) {
-	v := mr.Data()
-	ch <- v
-}
-`,
-	},
-
-	// --- interprocedural lease-discipline: call summaries -----------------
-	{
-		name:  "lease-helper-releases-ok",
-		path:  "internal/l6/l6.go",
-		check: "lease-discipline",
-		want:  0,
-		src: `package l6
-
-import "sync"
-
-type S struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (s *S) unlock() { s.mu.Unlock() }
-
-func (s *S) Get() int {
-	s.mu.Lock()
-	n := s.n
-	s.unlock()
-	return n
-}
-`,
-	},
-	{
-		name:  "lease-holds-helper-caller-leaks",
-		path:  "internal/l7/l7.go",
-		check: "lease-discipline",
-		want:  1,
-		src: `package l7
-
-import "sync"
-
-type S struct {
-	mu sync.Mutex
-	n  int
-}
-
-// lockit hands the lock to the caller.
-//
-// hydralint:holds
-func (s *S) lockit() { s.mu.Lock() }
-
-func (s *S) Bad() int {
-	s.lockit()
-	return s.n
-}
-`,
-	},
-	{
-		name:  "lease-holds-helper-caller-releases-ok",
-		path:  "internal/l8/l8.go",
-		check: "lease-discipline",
-		want:  0,
-		src: `package l8
-
-import "sync"
-
-type S struct {
-	mu sync.Mutex
-	n  int
-}
-
-// lockit hands the lock to the caller.
-//
-// hydralint:holds
-func (s *S) lockit() { s.mu.Lock() }
-
-func (s *S) Good() int {
-	s.lockit()
-	n := s.n
-	s.mu.Unlock()
-	return n
-}
-`,
-	},
-
-	// --- interprocedural published-escape: call summaries -----------------
-	{
-		name:  "escape-helper-returns-view",
-		path:  "internal/e6/e6.go",
-		check: "published-escape",
-		want:  1,
-		src: `package e6
-
-import "hydradb/internal/rdma"
-
-type Cache struct{ hdr []byte }
-
-func header(b []byte) []byte { return b[:8] }
-
-func (c *Cache) Stash(mr *rdma.MemoryRegion) {
-	c.hdr = header(mr.Data())
-}
-`,
-	},
-	{
-		name:  "escape-helper-publishes-arg",
-		path:  "internal/e7/e7.go",
-		check: "published-escape",
-		want:  1,
-		src: `package e7
-
-import "hydradb/internal/rdma"
-
-var latest []byte
-
-func retain(b []byte) { latest = b }
-
-func Publish(mr *rdma.MemoryRegion) {
-	v := mr.Data()
-	retain(v)
-}
-`,
-	},
-	{
-		name:  "escape-helper-copies-ok",
-		path:  "internal/e8/e8.go",
-		check: "published-escape",
-		want:  0,
-		src: `package e8
-
-import "hydradb/internal/rdma"
-
-type Cache struct{ snap []byte }
-
-func clone(b []byte) []byte { return append([]byte(nil), b...) }
-
-func (c *Cache) Snapshot(mr *rdma.MemoryRegion) {
-	c.snap = clone(mr.Data())
-}
-`,
-	},
-
-	// --- mixed-access ------------------------------------------------------
-	{
-		name:  "mixed-direct-plain-load",
-		path:  "internal/m1/m1.go",
-		check: "mixed-access",
-		want:  1,
-		src: `package m1
-
-import "sync/atomic"
-
-type Counter struct {
-	hits uint64
-	cold uint64
-}
-
-func (c *Counter) Inc() { atomic.AddUint64(&c.hits, 1) }
-
-func (c *Counter) Snapshot() uint64 { return c.hits }
-`,
-	},
-	{
-		name:  "mixed-through-helper",
-		path:  "internal/m2/m2.go",
-		check: "mixed-access",
-		want:  1,
-		src: `package m2
-
-import "sync/atomic"
-
-type Gate struct{ word uint64 }
-
-func bump(p *uint64) { atomic.AddUint64(p, 1) }
-
-func (g *Gate) Open() { bump(&g.word) }
-
-func (g *Gate) Peek() uint64 { return g.word }
-`,
-	},
-	{
-		name:  "mixed-plainread-justified-ok",
-		path:  "internal/m3/m3.go",
-		check: "mixed-access",
-		want:  0,
-		src: `package m3
-
-import "sync/atomic"
-
-type Stat struct{ n uint64 }
-
-func (s *Stat) Inc() { atomic.AddUint64(&s.n, 1) }
-
-// Reset runs before the collector goroutines start.
-func (s *Stat) Reset() {
-	//hydralint:plainread init-time store before the word is shared
-	s.n = 0
-}
-`,
-	},
-	{
-		name:  "mixed-plainread-needs-reason",
-		path:  "internal/m4/m4.go",
-		check: "mixed-access",
-		want:  1,
-		src: `package m4
-
-// F is fine; its bare annotation is not.
-func F() int {
-	//hydralint:plainread
-	return 1
-}
-`,
-	},
-	{
-		name:  "mixed-consistent-atomics-ok",
-		path:  "internal/m5/m5.go",
-		check: "mixed-access",
-		want:  0,
-		src: `package m5
-
-import "sync/atomic"
-
-type Seq struct{ n uint64 }
-
-func (s *Seq) Next() uint64 { return atomic.AddUint64(&s.n, 1) }
-
-func (s *Seq) Cur() uint64 { return atomic.LoadUint64(&s.n) }
-`,
-	},
 
 	// --- layout ------------------------------------------------------------
 	{
@@ -867,56 +456,6 @@ var _ = cursors{}
 
 //hydralint:ignore clock-discipline nothing here uses the clock
 func Fine() int { return 1 }
-`,
-	},
-
-	// --- region-bounds -----------------------------------------------------
-	{
-		name:  "bounds-unguarded-offset",
-		path:  "internal/rb1/rb1.go",
-		check: "region-bounds",
-		want:  1,
-		src: `package rb1
-
-type Area struct {
-	data []byte // hydralint:region fixture byte region
-}
-
-func (a *Area) Peek(off int) byte { return a.data[off] }
-`,
-	},
-	{
-		name:  "bounds-guarded-ok",
-		path:  "internal/rb2/rb2.go",
-		check: "region-bounds",
-		want:  0,
-		src: `package rb2
-
-type Area struct {
-	data []byte // hydralint:region fixture byte region
-}
-
-func (a *Area) Peek(off int) (byte, bool) {
-	if off < 0 || off >= len(a.data) {
-		return 0, false
-	}
-	return a.data[off], true
-}
-`,
-	},
-	{
-		name:  "bounds-offset-source-ok",
-		path:  "internal/rb3/rb3.go",
-		check: "region-bounds",
-		want:  0,
-		src: `package rb3
-
-type Ring struct {
-	data []byte // hydralint:region fixture byte region
-	base int    // hydralint:offset-source validated at construction
-}
-
-func (r *Ring) First() byte { return r.data[r.base] }
 `,
 	},
 
@@ -1361,159 +900,6 @@ func (p *Pump) loop() {
 func Launch(f func()) { go f() }
 `,
 	},
-
-	// wait-cycle: the classic AB/BA inversion; both edges of the cycle are
-	// reported.
-	{
-		name:  "waitcycle-abba",
-		path:  "internal/wc1/wc1.go",
-		check: "wait-cycle",
-		want:  2,
-		src: `package wc1
-
-import "sync"
-
-type S struct {
-	a sync.Mutex
-	b sync.Mutex
-}
-
-func (s *S) X() {
-	s.a.Lock()
-	s.b.Lock()
-	s.b.Unlock()
-	s.a.Unlock()
-}
-
-func (s *S) Y() {
-	s.b.Lock()
-	s.a.Lock()
-	s.a.Unlock()
-	s.b.Unlock()
-}
-`,
-	},
-	// Lock-order DAG enforcement: the fixture module declares lo before hi,
-	// and Bad acquires them inverted. One wait-cycle finding (inversion), no
-	// cycle — the nesting is one-directional.
-	{
-		name:  "waitcycle-lockorder-decl",
-		path:  "internal/invariant/lockorder.go",
-		check: "wait-cycle",
-		want:  0,
-		src: `package invariant
-
-// LockOrder is the fixture module's declared lock-order DAG.
-var LockOrder = [][]string{
-	{"hydradb/internal/wc2.T.lo"},
-	{"hydradb/internal/wc2.T.hi"},
-}
-`,
-	},
-	{
-		name:  "waitcycle-lockorder-inversion",
-		path:  "internal/wc2/wc2.go",
-		check: "wait-cycle",
-		want:  1,
-		src: `package wc2
-
-import "sync"
-
-type T struct {
-	lo sync.Mutex
-	hi sync.Mutex
-}
-
-func (t *T) Bad() {
-	t.hi.Lock()
-	t.lo.Lock()
-	t.lo.Unlock()
-	t.hi.Unlock()
-}
-`,
-	},
-	// Consistent one-directional nesting: no cycle, no declared levels for
-	// these locks, nothing to report.
-	{
-		name:  "waitcycle-consistent-ok",
-		path:  "internal/wc3/wc3.go",
-		check: "wait-cycle",
-		want:  0,
-		src: `package wc3
-
-import "sync"
-
-type T struct {
-	lo sync.Mutex
-	hi sync.Mutex
-}
-
-func (t *T) Good() {
-	t.lo.Lock()
-	t.hi.Lock()
-	t.hi.Unlock()
-	t.lo.Unlock()
-}
-`,
-	},
-
-	// bounded-spin: a busy-wait on an atomic flag with no yield in the body.
-	{
-		name:  "spin-no-yield",
-		path:  "internal/sp1/sp1.go",
-		check: "bounded-spin",
-		want:  1,
-		src: `package sp1
-
-import "sync/atomic"
-
-type W struct{ done atomic.Bool }
-
-func (w *W) Wait() {
-	for !w.done.Load() {
-	}
-}
-`,
-	},
-	// The corrected twin: same loop, yielding each miss.
-	{
-		name:  "spin-yield-ok",
-		path:  "internal/sp2/sp2.go",
-		check: "bounded-spin",
-		want:  0,
-		src: `package sp2
-
-import (
-	"runtime"
-	"sync/atomic"
-)
-
-type W struct{ done atomic.Bool }
-
-func (w *W) Wait() {
-	for !w.done.Load() {
-		runtime.Gosched()
-	}
-}
-`,
-	},
-	// A yielding loop with no exit condition at all: polite, but unbounded.
-	{
-		name:  "spin-no-exit",
-		path:  "internal/sp3/sp3.go",
-		check: "bounded-spin",
-		want:  1,
-		src: `package sp3
-
-import "runtime"
-
-func Forever() {
-	for {
-		runtime.Gosched()
-	}
-}
-`,
-	},
 }
 
 // writeModule materializes the fixture module and returns its root.
@@ -1655,7 +1041,7 @@ func TestResolveCheckSelection(t *testing.T) {
 		t.Errorf("all = %v, %v; want nil, nil", got, err)
 	}
 
-	got, err := resolveCheckSelection("clock-discipline, bounded-spin")
+	got, err := resolveCheckSelection("clock-discipline, goroutine-lifecycle")
 	if err != nil {
 		t.Fatalf("positive selection: %v", err)
 	}
@@ -1663,21 +1049,21 @@ func TestResolveCheckSelection(t *testing.T) {
 		t.Errorf("positive selection = %v, want 2 names", got)
 	}
 
-	got, err = resolveCheckSelection("-bounded-spin")
+	got, err = resolveCheckSelection("-goroutine-lifecycle")
 	if err != nil {
 		t.Fatalf("negation selection: %v", err)
 	}
 	if len(got) != len(allChecks)-1 {
-		t.Errorf("-bounded-spin selected %d checks, want %d", len(got), len(allChecks)-1)
+		t.Errorf("-goroutine-lifecycle selected %d checks, want %d", len(got), len(allChecks)-1)
 	}
 	for _, name := range got {
-		if name == "bounded-spin" {
-			t.Error("-bounded-spin did not skip bounded-spin")
+		if name == "goroutine-lifecycle" {
+			t.Error("-goroutine-lifecycle did not skip goroutine-lifecycle")
 		}
 	}
 
 	// A skip cancels an explicit run of the same name.
-	if _, err := resolveCheckSelection("bounded-spin,-bounded-spin"); err == nil {
+	if _, err := resolveCheckSelection("goroutine-lifecycle,-goroutine-lifecycle"); err == nil {
 		t.Error("self-cancelling selection did not error")
 	}
 	if _, err := resolveCheckSelection("no-such-check"); err == nil {
@@ -1712,10 +1098,10 @@ import "time"
 //hydralint:ignore clock-discipline startup banner timestamp
 func Banner() int64 { return time.Now().UnixNano() }
 
-// Handoff returns holding its lock by contract (fake, for the census).
-//
-// hydralint:holds
-func Handoff() {}
+// Pump runs for the life of the process (fake, for the census).
+func Pump(f func()) {
+	go f() //hydralint:daemon census fixture
+}
 `,
 	})
 	res, err := RunLint(dir, []string{"./..."}, nil, true)
@@ -1724,19 +1110,18 @@ func Handoff() {}
 	}
 	got := res.Suppressions
 	bannerKey := ignoreKey{Check: "clock-discipline", Pkg: "hydradb/internal/b1", Symbol: "Banner"}
-	want := SuppressionCounts{Ignore: map[ignoreKey]int{bannerKey: 1}, Holds: 1}
-	if !reflect.DeepEqual(got.Ignore, want.Ignore) || got.Holds != want.Holds ||
-		got.Aliases != want.Aliases || got.Plainread != want.Plainread {
+	want := SuppressionCounts{Ignore: map[ignoreKey]int{bannerKey: 1}, Daemon: 1}
+	if !reflect.DeepEqual(got.Ignore, want.Ignore) || got.Daemon != want.Daemon {
 		t.Fatalf("census = %+v, want %+v", got, want)
 	}
 
 	if fails, _ := checkBudget(got, want); len(fails) != 0 {
 		t.Errorf("equal budget must pass, got failures: %v", fails)
 	}
-	if fails, _ := checkBudget(got, SuppressionCounts{Ignore: map[ignoreKey]int{}, Holds: 1}); len(fails) != 1 {
+	if fails, _ := checkBudget(got, SuppressionCounts{Ignore: map[ignoreKey]int{}, Daemon: 1}); len(fails) != 1 {
 		t.Errorf("unknown ignore key must fail once, got: %v", fails)
 	}
-	loose := SuppressionCounts{Ignore: map[ignoreKey]int{bannerKey: 5}, Holds: 1}
+	loose := SuppressionCounts{Ignore: map[ignoreKey]int{bannerKey: 5}, Daemon: 1}
 	if fails, notes := checkBudget(got, loose); len(fails) != 0 || len(notes) != 1 {
 		t.Errorf("loose budget: fails=%v notes=%v, want 0 fails / 1 note", fails, notes)
 	}
@@ -1750,7 +1135,7 @@ func Handoff() {}
 	if err != nil {
 		t.Fatalf("parseBudget: %v", err)
 	}
-	if !reflect.DeepEqual(back.Ignore, got.Ignore) || back.Holds != got.Holds {
+	if !reflect.DeepEqual(back.Ignore, got.Ignore) || back.Daemon != got.Daemon {
 		t.Errorf("round trip = %+v, want %+v", back, got)
 	}
 }
@@ -1767,18 +1152,18 @@ func TestBudgetRatchetEdgeCases(t *testing.T) {
 	t.Run("moved across files", func(t *testing.T) {
 		// Same check+package+symbol, different file: the census has no file
 		// axis at all, so the key is identical and the ratchet holds.
-		baseline := SuppressionCounts{Ignore: map[ignoreKey]int{key("region-bounds", "(*Store).Put"): 1}}
-		current := SuppressionCounts{Ignore: map[ignoreKey]int{key("region-bounds", "(*Store).Put"): 1}}
+		baseline := SuppressionCounts{Ignore: map[ignoreKey]int{key("error-discipline", "(*Store).Put"): 1}}
+		current := SuppressionCounts{Ignore: map[ignoreKey]int{key("error-discipline", "(*Store).Put"): 1}}
 		if fails, notes := checkBudget(current, baseline); len(fails) != 0 || len(notes) != 0 {
 			t.Errorf("moved suppression: fails=%v notes=%v, want none", fails, notes)
 		}
 	})
 
 	t.Run("rule renamed", func(t *testing.T) {
-		baseline := SuppressionCounts{Ignore: map[ignoreKey]int{key("region-bounds", "(*Store).Put"): 1}}
-		current := SuppressionCounts{Ignore: map[ignoreKey]int{key("bounds", "(*Store).Put"): 1}}
+		baseline := SuppressionCounts{Ignore: map[ignoreKey]int{key("error-discipline", "(*Store).Put"): 1}}
+		current := SuppressionCounts{Ignore: map[ignoreKey]int{key("errors", "(*Store).Put"): 1}}
 		fails, notes := checkBudget(current, baseline)
-		if len(fails) != 1 || !strings.Contains(fails[0], "bounds") {
+		if len(fails) != 1 || !strings.Contains(fails[0], "errors") {
 			t.Errorf("renamed rule must fail as an uncovered key, got fails=%v", fails)
 		}
 		// The old key now counts zero against a baseline of one — a
@@ -1807,7 +1192,7 @@ func TestBudgetRatchetEdgeCases(t *testing.T) {
 
 	t.Run("malformed keyed line", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), ".hydralint-budget")
-		if err := os.WriteFile(path, []byte("version 2\nignore region-bounds hydradb/internal/kv 1\n"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte("version 2\nignore error-discipline hydradb/internal/kv 1\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := parseBudget(path); err == nil {

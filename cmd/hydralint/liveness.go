@@ -1,17 +1,11 @@
 package main
 
-// Shared machinery of the v4 liveness passes (goroutine-lifecycle,
-// wait-cycle, bounded-spin): nominal resource keys for channels, stop flags,
-// mutexes and wait groups; the blocking/yield classification of statements;
-// and the line-directive lookup behind the `//hydralint:daemon` and
-// `//hydralint:spins` opt-out markers.
-//
-// Where the safety passes reason about values (what bytes an offset can
-// reach), the liveness passes reason about *progress*: which goroutines can
-// be made to exit, which blocking operations can be ordered into a cycle,
-// which backedges can be taken forever without descheduling. All three share
-// the same key space so a channel observed by a spawned goroutine, closed by
-// a Stop method, and sent on under a lock is one identity across passes.
+// Machinery of the goroutine-lifecycle pass: nominal keys for channels and
+// stop flags, the reverse call graph that decides whether a trigger is
+// reachable from a Stop/Close surface, and the line-directive lookup behind
+// the `//hydralint:daemon` opt-out marker. A channel observed by a spawned
+// goroutine and closed by a Stop method is one key, whichever function
+// touches it.
 
 import (
 	"go/ast"
@@ -22,13 +16,13 @@ import (
 
 // livenessKey renders a channel, flag, mutex or wait-group operand as a
 // program-wide identity. Struct fields and package vars key nominally
-// ("pkgpath.Type.field", "pkgpath.var" — the mixed-access scheme, so the
+// ("pkgpath.Type.field", "pkgpath.var" — wordID's scheme, so the
 // same field is one node no matter which function touches it); locals and
 // captured variables key by declaration position, which joins uses across
 // the closures of one function but never across functions.
 func livenessKey(p *Package, e ast.Expr) (string, bool) {
 	e = unparen(e)
-	if key, ok := mixedWordID(p, e); ok {
+	if key, ok := wordID(p, e); ok {
 		return key, true
 	}
 	if id, ok := e.(*ast.Ident); ok {
@@ -41,26 +35,6 @@ func livenessKey(p *Package, e ast.Expr) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// typedFieldKey renders "<pkg>.<Type>.<field>" for the named struct type of
-// expr — the key a callee-side selector on the same type would produce. Used
-// to map a channel-typed argument at a spawn site into the callee's key
-// space without re-walking the callee.
-func typedFieldKey(p *Package, expr ast.Expr, field string) (string, bool) {
-	tv, ok := p.Info.Types[unparen(expr)]
-	if !ok {
-		return "", false
-	}
-	t := tv.Type
-	if ptr, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	named, isNamed := types.Unalias(t).(*types.Named)
-	if !isNamed || named.Obj().Pkg() == nil {
-		return "", false
-	}
-	return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + field, true
 }
 
 // markedLines collects the lines covered by a `//hydralint:<marker>`
@@ -112,69 +86,6 @@ func atomicStoreMethod(name string) bool {
 		return true
 	}
 	return false
-}
-
-// isYieldCall recognizes the sanctioned descheduling points: runtime.Gosched,
-// time.Sleep, the timing package's audited Sleep escape hatch, and
-// invariant.SchedPoint (which compiles to a yield under hydramc control).
-func isYieldCall(p *Package, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := p.Info.Uses[id].(*types.PkgName)
-	if !ok {
-		return false
-	}
-	switch path := pn.Imported().Path(); {
-	case path == "runtime" && sel.Sel.Name == "Gosched":
-		return true
-	case path == "time" && (sel.Sel.Name == "Sleep" || sel.Sel.Name == "After"):
-		return true
-	case strings.HasSuffix(path, "internal/timing") && sel.Sel.Name == "Sleep":
-		return true
-	case strings.HasSuffix(path, "internal/invariant") && sel.Sel.Name == "SchedPoint":
-		return true
-	}
-	return false
-}
-
-// isWaitGroupMethod reports whether the call is m on a sync.WaitGroup
-// receiver (including one embedded), with the receiver expression.
-func isWaitGroupMethod(p *Package, call *ast.CallExpr, m string) (ast.Expr, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != m {
-		return nil, false
-	}
-	s, isMeth := p.Info.Selections[sel]
-	if !isMeth || s.Kind() != types.MethodVal {
-		return nil, false
-	}
-	fn, isFn := s.Obj().(*types.Func)
-	if !isFn {
-		return nil, false
-	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return nil, false
-	}
-	t := recv.Type()
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	named, isNamed := types.Unalias(t).(*types.Named)
-	if !isNamed {
-		return nil, false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" || obj.Name() != "WaitGroup" {
-		return nil, false
-	}
-	return sel.X, true
 }
 
 // stopNamed reports whether a function name reads as part of a shutdown
@@ -280,7 +191,7 @@ func localAliases(p *Package, body *ast.BlockStmt) map[types.Object]string {
 			if _, isChan := obj.Type().Underlying().(*types.Chan); !isChan {
 				continue
 			}
-			key, renders := mixedWordID(p, unparen(as.Rhs[i]))
+			key, renders := wordID(p, unparen(as.Rhs[i]))
 			if !renders {
 				continue
 			}
@@ -310,17 +221,6 @@ func keyWithAliases(p *Package, aliases map[types.Object]string, e ast.Expr) (st
 		}
 	}
 	return livenessKey(p, e)
-}
-
-// selectHasDefault reports whether a select statement can fall through
-// without communicating.
-func selectHasDefault(sel *ast.SelectStmt) bool {
-	for _, cl := range sel.Body.List {
-		if comm, ok := cl.(*ast.CommClause); ok && comm.Comm == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // boundedLoop reports whether a for statement is structurally bounded: a

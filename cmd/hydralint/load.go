@@ -28,9 +28,6 @@ type Package struct {
 	Files   []*ast.File
 	Info    *types.Info
 	Pkg     *types.Package
-	// Prog is the whole-run view, set by newProgram after every package has
-	// loaded; the interprocedural passes resolve call summaries through it.
-	Prog *Program
 }
 
 // isInternal reports whether the package sits under the module's internal/
@@ -41,7 +38,8 @@ func (p *Package) isInternal() bool {
 
 // isTestFile reports whether f was parsed from a _test.go file. Checks whose
 // rules only govern production code (clock-discipline, shard-exclusivity,
-// published-escape) use it to skip test sources when -tests is on.
+// atomic-word's function-style rule) use it to skip test sources when -tests
+// is on.
 func (p *Package) isTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Package).Filename, "_test.go")
 }

@@ -1,10 +1,9 @@
 // Command hydralint is HydraDB's project linter: a stdlib-only static
 // analyzer (go/parser + go/types) that enforces the paper's structural
 // invariants at review time, before the hydradebug runtime sanitizers ever
-// get a chance to fire. The analysis is interprocedural: a call graph over
-// the loaded packages feeds per-function summaries (net lock effect, escape
-// behaviour, atomic-vs-plain pointer use) that let the flow passes step over
-// calls into module functions instead of stopping at them.
+// get a chance to fire. The protocol checks are driven by the
+// protocolspec.Spec declarations; the spec-order flow pass steps over calls
+// into module functions through per-function write-effect summaries.
 //
 // Checks (each individually suppressible with a `//hydralint:ignore <check>`
 // comment on the offending line or the line above):
@@ -23,50 +22,19 @@
 //	atomic-word        values containing sync/atomic types are never copied,
 //	                   ranged over by value, or aliased via unsafe — a copied
 //	                   guardian/lease word silently stops being the word the
-//	                   fabric CASes (§4.2.3).
+//	                   fabric CASes (§4.2.3). Non-test code makes no
+//	                   function-style sync/atomic call: every atomic word is
+//	                   a typed value, so plain access to it does not compile.
 //	hotpath-alloc      functions marked `// hydralint:hotpath` must not
 //	                   allocate: no &composite / slice / map literals, no
 //	                   make/new, no growing appends, no fmt, no
 //	                   string<->[]byte conversions.
 //	error-discipline   no discarded errors (`_ = f()` or a bare call) in
 //	                   internal/ packages.
-//	lease-discipline   dataflow pass on the function CFG: every acquire
-//	                   (sync.Mutex/RWMutex Lock/RLock, invariant.Owner
-//	                   Acquire) must be matched by the paired release on
-//	                   every path to a function exit, directly or via defer.
-//	                   Interprocedural: release helpers and handoff acquirers
-//	                   with a provable net lock effect are stepped over.
-//	                   Functions that intentionally return while holding a
-//	                   lock carry a `hydralint:holds` marker in their doc
-//	                   comment.
-//	published-escape   taint pass: a pointer into an RDMA-registered region
-//	                   (arena bytes, MemoryRegion data, decoded item views)
-//	                   must not escape to a longer-lived un-leased reference
-//	                   — no stores to fields/globals, channel sends, or
-//	                   returns. Interprocedural: taint follows calls whose
-//	                   summary proves the result aliases an argument, and
-//	                   passing a view to a callee that publishes it is a
-//	                   sink. Functions whose contract is to return a view
-//	                   carry a `hydralint:aliases` marker in their doc
-//	                   comment.
-//	mixed-access       whole-program: a word accessed with sync/atomic
-//	                   anywhere must never see a plain load or store anywhere
-//	                   else. Deliberate exceptions carry a
-//	                   `//hydralint:plainread <justification>` annotation.
 //	layout             compile-time layout verification: `hydralint:assert`
 //	                   constant expressions, `hydralint:layout size=/align=`
 //	                   pins on type declarations, and `hydralint:cacheline`
 //	                   false-sharing checks over `hydralint:owner` fields.
-//	region-bounds      def-use abstract interpretation over offset and pointer
-//	                   arithmetic: every index into a `hydralint:region`
-//	                   backing array, every slice window from a
-//	                   `hydralint:region-view` accessor, and every offset
-//	                   argument of a `hydralint:offset-sink` verb must be
-//	                   provably non-negative, in bounds (guard-refined
-//	                   intervals with congruence through named geometry
-//	                   constants), and derived from a `hydralint:offset-source`
-//	                   allocator result; `hydralint:aligned <n>` pins word
-//	                   alignment.
 //	model-conformance  a hydramc model covers the Packages, Footprint-marked
 //	                   words and SchedTags of every protocolspec.Spec whose
 //	                   Model names it. Every atomic word a covered package
@@ -106,16 +74,6 @@
 //	                   same nominal identity — is reachable from a Stop/Close
 //	                   surface or sits in the spawner. Deliberate process-
 //	                   lifetime goroutines carry `//hydralint:daemon <why>`.
-//	wait-cycle         whole-program liveness: static wait-for graph over
-//	                   mutexes, channel rendezvous, and WaitGroups; any cycle
-//	                   is reported, and lock nesting is checked against
-//	                   the declared invariant.LockOrder DAG.
-//	bounded-spin       liveness: a loop whose iteration neither blocks nor
-//	                   does observable work (a busy-wait) must both yield
-//	                   (Gosched / timing.Sleep / SchedPoint, directly or via
-//	                   a module callee) and have an exit (condition, break,
-//	                   return). Deliberately unbounded spins carry
-//	                   `//hydralint:spins <why>`.
 //	stale-suppression  a `hydralint:ignore` that no longer filters any
 //	                   finding is itself a finding — suppressions only
 //	                   ratchet down.
@@ -129,13 +87,12 @@
 //
 // Packages default to ./... and use `go list` syntax. -checks selects what
 // runs: positive names run exactly that subset, `-name` entries skip checks
-// ("all,-region-bounds" or just "-region-bounds" runs everything else), and
+// ("all,-spec-order" or just "-spec-order" runs everything else), and
 // a selection resolving to the full registry behaves like an unrestricted
 // run. _test.go files are linted too unless -tests=false; checks whose
 // rules only govern production code (clock-discipline, shard-exclusivity,
-// published-escape, the liveness passes) always skip them. -listchecks
-// prints the README check table (generated from the registry; a test keeps
-// README in sync).
+// goroutine-lifecycle) always skip them. -listchecks prints the README
+// check table (generated from the registry; a test keeps README in sync).
 //
 // -json prints findings in a versioned envelope {"version": N,
 // "findings": [...]} sorted deterministically; -sarif writes a SARIF 2.1.0

@@ -3,25 +3,20 @@ package main
 import (
 	"go/ast"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
-// The def-use layer is steered by declaration-site markers, all sharing the
-// //hydralint: prefix of the existing pragma family:
+// The spec-order flow pass is steered by declaration-site markers, all
+// sharing the //hydralint: prefix of the pragma family:
 //
 //	//hydralint:region <why>         slice field/var whose backing store is a
-//	                                 registered RDMA region; indexing it is a
-//	                                 region-bounds proof obligation
+//	                                 registered RDMA region; writes into it
+//	                                 are payload writes
 //	//hydralint:region-view <why>    func/method whose result aliases a region
-//	                                 (Data(), Bytes(), ...); slicing the result
-//	                                 carries the same obligation
-//	//hydralint:offset-source <why>  field/var/func producing offsets already
-//	                                 validated against its region (constructor
-//	                                 checks, allocator invariants)
-//	//hydralint:aligned <n> <why>    field/var/func whose value is always a
-//	                                 multiple of n; stores must prove it,
-//	                                 reads may assume it
+//	                                 (Data(), Bytes(), ...)
+//	//hydralint:offset-source <why>  func producing offsets into a region
+//	                                 (allocators); its results name an item's
+//	                                 payload group
 //	//hydralint:publish <why>        const whose store to a guardian word
 //	                                 makes an item remotely visible
 //	//hydralint:unpublish <why>      const whose store retracts visibility
@@ -32,28 +27,20 @@ import (
 //	                                 writes after it are allowed again
 //
 // The markers are collected once per run into a program-wide table keyed by
-// the same nominal identities the mixed-access pass uses ("pkgpath.Type.field",
+// the nominal identities wordID renders ("pkgpath.Type.field",
 // "pkgpath.var") plus types.Func full names, so they resolve across package
 // boundaries without shared object identity.
 type progMarkers struct {
-	regionKeys        map[string]bool  // region-backed slice fields / vars
-	regionViewFuncs   map[string]bool  // funcs returning region views
-	offsetSourceKeys  map[string]bool  // validated-offset fields / vars
-	offsetSourceFuncs map[string]bool  // validated-offset producers
-	alignedKeys       map[string]int64 // field/var -> required multiple
-	alignedFuncs      map[string]int64 // func result -> required multiple
-	// offsetSinkFuncs maps a func to the parameter names its
-	// //hydralint:offset-sink marker lists as region offsets (the leading
-	// marker words that match declared parameter names; the rest is prose).
-	// An empty list means every integer parameter.
-	offsetSinkFuncs  map[string][]string
-	publishConsts    map[string]bool // "pkgpath.Name" of publish constants
-	unpublishConsts  map[string]bool
-	publishesFuncs   map[string]bool
-	unpublishesFuncs map[string]bool
+	regionKeys        map[string]bool // region-backed slice fields / vars
+	regionViewFuncs   map[string]bool // funcs returning region views
+	offsetSourceFuncs map[string]bool // offset producers
+	publishConsts     map[string]bool // "pkgpath.Name" of publish constants
+	unpublishConsts   map[string]bool
+	publishesFuncs    map[string]bool
+	unpublishesFuncs  map[string]bool
 }
 
-// markersFor collects (once) every def-use marker in the loaded program.
+// markersFor collects (once) every spec-order marker in the loaded program.
 func (prog *Program) markersFor() *progMarkers {
 	if prog.markers != nil {
 		return prog.markers
@@ -61,11 +48,7 @@ func (prog *Program) markersFor() *progMarkers {
 	m := &progMarkers{
 		regionKeys:        map[string]bool{},
 		regionViewFuncs:   map[string]bool{},
-		offsetSourceKeys:  map[string]bool{},
 		offsetSourceFuncs: map[string]bool{},
-		alignedKeys:       map[string]int64{},
-		alignedFuncs:      map[string]int64{},
-		offsetSinkFuncs:   map[string][]string{},
 		publishConsts:     map[string]bool{},
 		unpublishConsts:   map[string]bool{},
 		publishesFuncs:    map[string]bool{},
@@ -104,27 +87,6 @@ func (m *progMarkers) collectFunc(p *Package, fd *ast.FuncDecl) {
 	}
 	if docHasMarker(fd.Doc, "hydralint:region-view") {
 		m.regionViewFuncs[name] = true
-	}
-	if rest, _, ok := markerLine(fd.Doc, "hydralint:offset-sink"); ok {
-		declared := map[string]bool{}
-		if fd.Type.Params != nil {
-			for _, f := range fd.Type.Params.List {
-				for _, n := range f.Names {
-					declared[n.Name] = true
-				}
-			}
-		}
-		params := []string{}
-		for _, word := range strings.Fields(rest) {
-			if !declared[word] {
-				break // first non-parameter word starts the prose
-			}
-			params = append(params, word)
-		}
-		m.offsetSinkFuncs[name] = params
-	}
-	if n, ok := alignedArg(fd.Doc); ok {
-		m.alignedFuncs[name] = n
 	}
 }
 
@@ -172,20 +134,24 @@ func (m *progMarkers) collectGen(p *Package, gd *ast.GenDecl) {
 	}
 }
 
-// collectKeyed records the field/var markers found in any of the groups.
+// collectKeyed records a region marker on the field or var named key.
 func (m *progMarkers) collectKeyed(key string, groups ...*ast.CommentGroup) {
 	if anyHasMarker("hydralint:region", groups...) {
 		m.regionKeys[key] = true
 	}
-	if anyHasMarker("hydralint:offset-source", groups...) {
-		m.offsetSourceKeys[key] = true
+}
+
+// docHasMarker reports whether any comment of doc mentions marker.
+func docHasMarker(doc *ast.CommentGroup, marker string) bool {
+	if doc == nil {
+		return false
 	}
-	for _, g := range groups {
-		if n, ok := alignedArg(g); ok {
-			m.alignedKeys[key] = n
-			break
+	for _, c := range doc.List {
+		if strings.Contains(c.Text, marker) {
+			return true
 		}
 	}
+	return false
 }
 
 // anyHasMarker reports whether any comment group carries the marker.
@@ -198,23 +164,6 @@ func anyHasMarker(marker string, groups ...*ast.CommentGroup) bool {
 		}
 	}
 	return false
-}
-
-// alignedArg extracts n from a "hydralint:aligned <n> <why>" marker.
-func alignedArg(g *ast.CommentGroup) (int64, bool) {
-	rest, _, ok := markerLine(g, "hydralint:aligned")
-	if !ok {
-		return 0, false
-	}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(fields[0], 10, 64)
-	if err != nil || n <= 0 {
-		return 0, false
-	}
-	return n, true
 }
 
 // constKeyOf resolves an expression naming a declared constant to its

@@ -12,8 +12,8 @@ import (
 // The spec-driven verification engine. Packages declare their lock-free
 // publication protocols as protocolspec.Spec literals (pure Go literals,
 // parsed statically); this engine checks the declarations against the real
-// code on the def-use/summary layer and splits its findings across five
-// checks:
+// code, through the call graph and write summaries, and splits its findings
+// across five checks:
 //
 //	spec-order     the declared happens-before edges hold on every code
 //	               path: the payload-before-release flow pass (allocation

@@ -4,75 +4,18 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
-// This file computes per-function summaries — the interprocedural layer the
-// lease-discipline, published-escape, and mixed-access passes resolve call
-// sites against. A summary describes a function's externally visible effect
-// on its inputs (receiver = index -1, parameters = 0..n-1) so a caller's
-// intra-procedural analysis can step over the call instead of stopping at it:
-//
-//	lockSummary    net lock acquires/releases on input-rooted lock words
-//	               ("releases its receiver's mu on every path")
-//	escapeSummary  which inputs a return value may alias, and which inputs
-//	               the function publishes to a field/global/channel
-//	atomicSummary  which pointer inputs the function dereferences atomically
-//	               (sync/atomic calls) and which it dereferences plainly
-//
-// Summaries are memoized on the Program, keyed by types.Func.FullName(), and
-// follow calls into other summarized functions with a cycle guard; a cycle or
-// an unanalyzable construct yields a nil summary, which callers treat exactly
-// like the pre-interprocedural behaviour (the call has no modeled effect).
-
-// ---------------------------------------------------------------------------
-// Lock summaries (lease-discipline)
-
-// lockEffect is one net effect on an input-rooted lock word: n > 0 acquires
-// it for the caller, n < 0 releases the caller's hold.
-type lockEffect struct {
-	input int    // -1 = receiver, else parameter index
-	path  string // selector path under the input ("" = the input itself, ".mu" = its field)
-	mode  string // "/w" or "/r" for sync mutexes, "" for invariant.Owner
-	n     int
-}
-
-type lockSummary struct {
-	effects []lockEffect
-}
-
-// lockOpPkg classifies a call as a lock acquire/release, package-scoped (the
-// standalone core of lockFlow.lockOp). dir is +1 for acquires, -1 releases.
-func lockOpPkg(p *Package, call *ast.CallExpr) (recv ast.Expr, mode string, dir int, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel || !lockMethodName(sel.Sel.Name) {
-		return nil, "", 0, false
-	}
-	kind := lockRecvKind(p, sel)
-	if kind == lockNone {
-		return nil, "", 0, false
-	}
-	switch sel.Sel.Name {
-	case "Lock":
-		return sel.X, "/w", +1, true
-	case "Unlock":
-		return sel.X, "/w", -1, true
-	case "RLock":
-		return sel.X, "/r", +1, true
-	case "RUnlock":
-		return sel.X, "/r", -1, true
-	case "Acquire":
-		if kind == lockOwner {
-			return sel.X, "", +1, true
-		}
-	case "Release":
-		if kind == lockOwner {
-			return sel.X, "", -1, true
-		}
-	}
-	return nil, "", 0, false
-}
+// This file computes per-function mutation summaries — the interprocedural
+// layer the spec-order flow pass resolves call sites against. A summary
+// describes a function's externally visible writes to its inputs (receiver =
+// index -1, parameters = 0..n-1) so a caller's flow pass can step over the
+// call instead of stopping at it. Summaries are memoized on the Program,
+// keyed by types.Func.FullName(), and follow calls into other summarized
+// functions with a cycle guard (a recursive call sees an empty summary). The
+// AST helpers at the end — nominal word identities and sync/atomic call
+// classification — are shared by every pass.
 
 // exprRoot returns the leftmost identifier of a selector/index/deref chain.
 func exprRoot(e ast.Expr) (*ast.Ident, bool) {
@@ -98,549 +41,6 @@ func exprRoot(e ast.Expr) (*ast.Ident, bool) {
 		}
 	}
 }
-
-// touchesLocks reports whether fn's body (function literals excluded — they
-// run under their own analysis) performs a lock operation directly, or calls
-// a module function that transitively does. Memoized with a cycle guard on
-// seen; cycles count as touching (conservative).
-func (prog *Program) touchesLocks(name string, seen map[string]bool) bool {
-	if seen[name] {
-		return true
-	}
-	seen[name] = true
-	info, ok := prog.funcs[name]
-	if !ok {
-		return false
-	}
-	touches := false
-	ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
-		if touches {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if _, _, _, isLock := lockOpPkg(info.Pkg, call); isLock {
-			touches = true
-			return false
-		}
-		if callee, _, ok := prog.resolveCallee(info.Pkg, call); ok {
-			if prog.touchesLocks(callee.Obj.FullName(), seen) {
-				touches = true
-				return false
-			}
-		}
-		return true
-	})
-	return touches
-}
-
-// lockSummaryFor returns fn's lock summary, computing and memoizing it. A nil
-// result means the function's lock effect could not be proven constant across
-// all exits (or the function is unknown); callers must treat the call as
-// having no modeled effect.
-func (prog *Program) lockSummaryFor(name string) *lockSummary {
-	if s, done := prog.lockSums[name]; done {
-		return s
-	}
-	prog.lockSums[name] = nil // cycle guard: self-recursion sees "unknown"
-	info, ok := prog.funcs[name]
-	if !ok {
-		return nil
-	}
-	if !prog.touchesLocks(name, map[string]bool{}) {
-		s := &lockSummary{}
-		prog.lockSums[name] = s
-		return s
-	}
-	s := summarizeLocks(prog, info)
-	prog.lockSums[name] = s
-	return s
-}
-
-// lockDeltaState is the evaluator state: net count per lock key, where a key
-// is either "input:<idx><path><mode>" (rooted at a receiver/param) or the
-// plain caller-side key for anything else (which must net to zero).
-type lockDeltaState map[string]int
-
-func (d lockDeltaState) clone() lockDeltaState {
-	c := make(lockDeltaState, len(d))
-	for k, v := range d {
-		c[k] = v
-	}
-	return c
-}
-
-func (d lockDeltaState) equal(o lockDeltaState) bool {
-	for k, v := range d {
-		if v != o[k] {
-			return false
-		}
-	}
-	for k, v := range o {
-		if v != d[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func (d lockDeltaState) add(key string, n int) {
-	if v := d[key] + n; v == 0 {
-		delete(d, key)
-	} else {
-		d[key] = v
-	}
-}
-
-// summarizeLocks abstractly executes fn requiring every exit to carry the
-// same net lock delta. Supported shapes: straight-line code, if/else, early
-// returns, defers, and calls into other summarized functions; any construct
-// with control flow the evaluator does not model is permitted only when its
-// subtree performs no lock operations.
-func summarizeLocks(prog *Program, info *FuncInfo) *lockSummary {
-	ev := &lockSummaryEval{prog: prog, info: info}
-	final, exited := ev.block(info.Decl.Body.List, lockDeltaState{})
-	if ev.failed {
-		return nil
-	}
-	if !exited {
-		ev.recordExit(final)
-	}
-	if ev.failed || ev.exit == nil {
-		// All paths panic/fatal: no live exit, no effect to model.
-		if ev.failed {
-			return nil
-		}
-		return &lockSummary{}
-	}
-	// Defers discharge at every exit identically.
-	for k, n := range ev.deferred {
-		ev.exit.add(k, n)
-	}
-	var effects []lockEffect
-	for key, n := range *ev.exit {
-		if n == 0 {
-			continue
-		}
-		idx, path, mode, ok := splitSummaryKey(key)
-		if !ok {
-			return nil // net effect on a non-input lock: not expressible
-		}
-		effects = append(effects, lockEffect{input: idx, path: path, mode: mode, n: n})
-	}
-	return &lockSummary{effects: effects}
-}
-
-type lockSummaryEval struct {
-	prog     *Program
-	info     *FuncInfo
-	deferred lockDeltaState
-	exit     *lockDeltaState // common delta of all exits seen so far
-	failed   bool
-}
-
-func (ev *lockSummaryEval) fail() { ev.failed = true }
-
-func (ev *lockSummaryEval) recordExit(d lockDeltaState) {
-	if ev.failed {
-		return
-	}
-	if ev.exit == nil {
-		c := d.clone()
-		ev.exit = &c
-		return
-	}
-	if !ev.exit.equal(d) {
-		ev.fail()
-	}
-}
-
-// keyFor renders a lock receiver as a summary key: input-rooted receivers
-// become "input:<idx><path><mode>"; everything else keeps its syntactic key.
-func (ev *lockSummaryEval) keyFor(recv ast.Expr, mode string) (string, bool) {
-	full, renderable := exprKey(recv)
-	if !renderable {
-		return "", false
-	}
-	root, ok := exprRoot(recv)
-	if !ok {
-		return "", false
-	}
-	if idx, isInput := inputIndexOf(ev.info, root); isInput {
-		path := strings.TrimPrefix(strings.TrimPrefix(full, "&"), "*")
-		path = strings.TrimPrefix(path, root.Name)
-		return summaryKey(idx, path, mode), true
-	}
-	return full + mode, true
-}
-
-func summaryKey(idx int, path, mode string) string {
-	return "input:" + strconv.Itoa(idx) + "\x00" + path + mode
-}
-
-func splitSummaryKey(key string) (idx int, path, mode string, ok bool) {
-	rest, found := strings.CutPrefix(key, "input:")
-	if !found {
-		return 0, "", "", false
-	}
-	num, rest, found := strings.Cut(rest, "\x00")
-	if !found {
-		return 0, "", "", false
-	}
-	idx, err := strconv.Atoi(num)
-	if err != nil {
-		return 0, "", "", false
-	}
-	for _, m := range []string{"/w", "/r"} {
-		if strings.HasSuffix(rest, m) {
-			mode = m
-			rest = strings.TrimSuffix(rest, m)
-			break
-		}
-	}
-	return idx, rest, mode, true
-}
-
-// callDeltas maps a call's lock effects into the current function's key
-// space. ok=false means the call is effectful but unmappable → fail.
-func (ev *lockSummaryEval) callDeltas(call *ast.CallExpr) (map[string]int, bool) {
-	if recv, mode, dir, isLock := lockOpPkg(ev.info.Pkg, call); isLock {
-		key, renderable := ev.keyFor(recv, mode)
-		if !renderable {
-			return nil, false
-		}
-		return map[string]int{key: dir}, true
-	}
-	callee, inputs, resolved := ev.prog.resolveCallee(ev.info.Pkg, call)
-	if !resolved {
-		return nil, true // unknown call, no modeled effect
-	}
-	sum := ev.prog.lockSummaryFor(callee.Obj.FullName())
-	if sum == nil {
-		// Callee touches locks but is unanalyzable: unsafe to step over.
-		if ev.prog.touchesLocks(callee.Obj.FullName(), map[string]bool{}) {
-			return nil, false
-		}
-		return nil, true
-	}
-	out := map[string]int{}
-	for _, eff := range sum.effects {
-		actual := inputs.inputExpr(eff.input)
-		if actual == nil {
-			return nil, false
-		}
-		if un, isAddr := actual.(*ast.UnaryExpr); isAddr && un.Op == token.AND {
-			actual = un.X
-		}
-		full, renderable := exprKey(actual)
-		if !renderable {
-			return nil, false
-		}
-		root, hasRoot := exprRoot(actual)
-		if hasRoot {
-			if idx, isInput := inputIndexOf(ev.info, root); isInput {
-				rel := strings.TrimPrefix(strings.TrimPrefix(full, "&"), "*")
-				rel = strings.TrimPrefix(rel, root.Name)
-				out[summaryKey(idx, rel+eff.path, eff.mode)] += eff.n
-				continue
-			}
-		}
-		out[full+eff.path+eff.mode] += eff.n
-	}
-	return out, true
-}
-
-// subtreeLockFree verifies a statement the evaluator does not model contains
-// no lock operations and no calls into lock-touching module functions
-// (function literals excluded).
-func (ev *lockSummaryEval) subtreeLockFree(n ast.Node) bool {
-	free := true
-	ast.Inspect(n, func(m ast.Node) bool {
-		if !free {
-			return false
-		}
-		if _, isLit := m.(*ast.FuncLit); isLit {
-			return false
-		}
-		call, isCall := m.(*ast.CallExpr)
-		if !isCall {
-			return true
-		}
-		if _, _, _, isLock := lockOpPkg(ev.info.Pkg, call); isLock {
-			free = false
-			return false
-		}
-		if callee, _, ok := ev.prog.resolveCallee(ev.info.Pkg, call); ok {
-			if ev.prog.touchesLocks(callee.Obj.FullName(), map[string]bool{}) {
-				free = false
-				return false
-			}
-		}
-		return true
-	})
-	return free
-}
-
-// block executes stmts, returning the fall-through delta and whether every
-// path exited (returned/panicked) before the end.
-func (ev *lockSummaryEval) block(stmts []ast.Stmt, d lockDeltaState) (lockDeltaState, bool) {
-	cur := d.clone()
-	for _, s := range stmts {
-		if ev.failed {
-			return cur, true
-		}
-		var exited bool
-		cur, exited = ev.stmt(s, cur)
-		if exited {
-			return cur, true
-		}
-	}
-	return cur, false
-}
-
-func (ev *lockSummaryEval) stmt(s ast.Stmt, d lockDeltaState) (lockDeltaState, bool) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return ev.block(s.List, d)
-
-	case *ast.ExprStmt:
-		call, isCall := s.X.(*ast.CallExpr)
-		if !isCall {
-			if !ev.subtreeLockFree(s) {
-				ev.fail()
-			}
-			return d, false
-		}
-		if deltas, ok := ev.callDeltas(call); ok {
-			for k, n := range deltas {
-				d.add(k, n)
-			}
-			// Arguments may hide lock ops in nested calls; keep it honest.
-			for _, arg := range call.Args {
-				if !ev.subtreeLockFree(arg) {
-					ev.fail()
-				}
-			}
-			return d, false
-		}
-		if isNoReturnCall(ev.info.Pkg, call) {
-			return d, true // crash path: exempt from balancing
-		}
-		ev.fail()
-		return d, false
-
-	case *ast.ReturnStmt:
-		for _, res := range s.Results {
-			if !ev.subtreeLockFree(res) {
-				ev.fail()
-			}
-		}
-		ev.recordExit(d)
-		return d, true
-
-	case *ast.DeferStmt:
-		if deltas, ok := ev.callDeltas(s.Call); ok {
-			if ev.deferred == nil {
-				ev.deferred = lockDeltaState{}
-			}
-			for k, n := range deltas {
-				ev.deferred.add(k, n)
-			}
-			return d, false
-		}
-		if fl, isLit := s.Call.Fun.(*ast.FuncLit); isLit {
-			// A deferred literal: fold its straight-line lock effect in.
-			body, exited := ev.block(fl.Body.List, lockDeltaState{})
-			if !exited {
-				if ev.deferred == nil {
-					ev.deferred = lockDeltaState{}
-				}
-				for k, n := range body {
-					ev.deferred.add(k, n)
-				}
-				return d, false
-			}
-		}
-		ev.fail()
-		return d, false
-
-	case *ast.IfStmt:
-		if s.Init != nil {
-			if !ev.subtreeLockFree(s.Init) {
-				ev.fail()
-				return d, false
-			}
-		}
-		if !ev.subtreeLockFree(s.Cond) {
-			ev.fail()
-			return d, false
-		}
-		thenD, thenExit := ev.block(s.Body.List, d)
-		elseD, elseExit := d.clone(), false
-		if s.Else != nil {
-			elseD, elseExit = ev.stmt(s.Else, d.clone())
-		}
-		switch {
-		case thenExit && elseExit:
-			return d, true
-		case thenExit:
-			return elseD, false
-		case elseExit:
-			return thenD, false
-		default:
-			if !thenD.equal(elseD) {
-				ev.fail()
-			}
-			return thenD, false
-		}
-
-	default:
-		// Any other construct is fine only when lock-free throughout.
-		if !ev.subtreeLockFree(s) {
-			ev.fail()
-		}
-		return d, false
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Escape summaries (published-escape)
-
-// escapeSummary describes how a function treats reference-typed inputs.
-type escapeSummary struct {
-	returnsAlias map[int]bool // a return value may alias this input
-	escapes      map[int]bool // input is published to a field/global/channel
-	// resultsThatAlias is the set of result positions that may carry an
-	// aliasing view; tuple-binding callers taint only those positions
-	// (DecodeResponse's error result is not a view of the buffer).
-	resultsThatAlias map[int]bool
-	aliasesMarker    bool // doc carries hydralint:aliases: result is a registered view
-}
-
-// escapeSummaryFor computes (and memoizes) fn's escape summary. The zero
-// summary — nothing aliases, nothing escapes — is the optimistic default for
-// unknown functions, matching the pre-interprocedural assumption that a call
-// boundary launders taint.
-func (prog *Program) escapeSummaryFor(name string) *escapeSummary {
-	if s, done := prog.escapeSums[name]; done {
-		if s == nil {
-			return &escapeSummary{} // cycle in progress: optimistic
-		}
-		return s
-	}
-	prog.escapeSums[name] = nil // cycle guard
-	info, ok := prog.funcs[name]
-	if !ok {
-		s := &escapeSummary{}
-		prog.escapeSums[name] = s
-		return s
-	}
-	s := &escapeSummary{
-		returnsAlias:     map[int]bool{},
-		escapes:          map[int]bool{},
-		resultsThatAlias: map[int]bool{},
-		aliasesMarker:    docHasMarker(info.Decl.Doc, "hydralint:aliases"),
-	}
-	for idx, v := range inputVars(info) {
-		if !refType(v.Type()) {
-			continue
-		}
-		e := &escapeFlow{p: info.Pkg, prog: prog, summaryMode: true, tainted: map[*types.Var]bool{v: true}}
-		e.propagate(info.Decl.Body)
-		e.walkSinks(info.Decl.Body, func(pos token.Pos, kind sinkKind, desc string) {
-			if kind == sinkReturn {
-				s.returnsAlias[idx] = true
-				if ri, err := strconv.Atoi(desc); err == nil {
-					s.resultsThatAlias[ri] = true
-				}
-			} else {
-				s.escapes[idx] = true
-			}
-		})
-	}
-	prog.escapeSums[name] = s
-	return s
-}
-
-// ---------------------------------------------------------------------------
-// Atomic-access summaries (mixed-access)
-
-// atomicSummary records, per pointer input, whether the function accesses the
-// pointee with sync/atomic operations, with plain loads/stores, or hands it
-// on to a function that does either.
-type atomicSummary struct {
-	atomicInputs map[int]bool
-	plainInputs  map[int]bool
-}
-
-func (prog *Program) atomicSummaryFor(name string) *atomicSummary {
-	if s, done := prog.atomicSums[name]; done {
-		if s == nil {
-			return &atomicSummary{}
-		}
-		return s
-	}
-	prog.atomicSums[name] = nil
-	info, ok := prog.funcs[name]
-	if !ok {
-		s := &atomicSummary{}
-		prog.atomicSums[name] = s
-		return s
-	}
-	s := &atomicSummary{atomicInputs: map[int]bool{}, plainInputs: map[int]bool{}}
-	inputOf := func(e ast.Expr) (int, bool) {
-		e = unparen(e)
-		if un, ok := e.(*ast.UnaryExpr); ok && un.Op == token.AND {
-			if st, ok := un.X.(*ast.StarExpr); ok {
-				e = unparen(st.X) // &*p is p
-			}
-		}
-		id, ok := e.(*ast.Ident)
-		if !ok {
-			return 0, false
-		}
-		return inputIndexOf(info, id)
-	}
-	ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.StarExpr:
-			if idx, ok := inputOf(n.X); ok {
-				s.plainInputs[idx] = true
-			}
-		case *ast.CallExpr:
-			if isAtomicPkgCall(info.Pkg, n) && len(n.Args) > 0 {
-				if idx, ok := inputOf(n.Args[0]); ok {
-					s.atomicInputs[idx] = true
-					return true
-				}
-			}
-			if callee, inputs, ok := prog.resolveCallee(info.Pkg, n); ok {
-				sub := prog.atomicSummaryFor(callee.Obj.FullName())
-				for calleeIdx := range sub.atomicInputs {
-					if idx, ok := inputOf(inputs.inputExpr(calleeIdx)); ok {
-						s.atomicInputs[idx] = true
-					}
-				}
-				for calleeIdx := range sub.plainInputs {
-					if idx, ok := inputOf(inputs.inputExpr(calleeIdx)); ok {
-						s.plainInputs[idx] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	prog.atomicSums[name] = s
-	return s
-}
-
-// ---------------------------------------------------------------------------
-// Mutation summaries (spec-order)
 
 // mutateSummary records a function's externally visible writes, for the
 // spec-order flow pass:
@@ -775,13 +175,13 @@ func (prog *Program) mutateSummaryFor(name string) *mutateSummary {
 	markRegionWrite := func(target ast.Expr) {
 		switch t := unparen(target).(type) {
 		case *ast.IndexExpr:
-			if key, ok := mixedWordID(info.Pkg, t.X); ok && m.regionKeys[key] {
+			if key, ok := wordID(info.Pkg, t.X); ok && m.regionKeys[key] {
 				for idx := range inputsOf(t.Index) {
 					s.writesAtInputs[idx] = true
 				}
 			}
 		case *ast.SliceExpr:
-			if key, ok := mixedWordID(info.Pkg, t.X); ok && m.regionKeys[key] {
+			if key, ok := wordID(info.Pkg, t.X); ok && m.regionKeys[key] {
 				for idx := range inputsOf(t.Low, t.High, t.Max) {
 					s.writesAtInputs[idx] = true
 				}
@@ -820,7 +220,7 @@ func (prog *Program) mutateSummaryFor(name string) *mutateSummary {
 				if atomicOpWrites(n) {
 					markRegionWrite(addr)
 					if t, isIdx := unparen(addr).(*ast.IndexExpr); isIdx {
-						if key, ok := mixedWordID(info.Pkg, t.X); ok && m.regionKeys[key] {
+						if key, ok := wordID(info.Pkg, t.X); ok && m.regionKeys[key] {
 							s.regionAtomicWrite = true
 						}
 					}
@@ -902,6 +302,68 @@ func isAtomicPkgCall(p *Package, call *ast.CallExpr) bool {
 	}
 	pn, ok := p.Info.Uses[id].(*types.PkgName)
 	return ok && pn.Imported().Path() == "sync/atomic"
+}
+
+// addrOperand strips one level of & from an atomic call's address argument;
+// anything else (an already-pointer value) is returned as-is and will fail
+// word resolution.
+func addrOperand(e ast.Expr) ast.Expr {
+	e = unparen(e)
+	if un, ok := e.(*ast.UnaryExpr); ok && un.Op == token.AND {
+		return unparen(un.X)
+	}
+	return e
+}
+
+// wordID renders an lvalue as a program-wide nominal word identity:
+// "pkgpath.Type.field" for struct fields, "pkgpath.var" for package-level
+// variables, "[]" appended per indexing level. Locals, derefs of computed
+// pointers, and anything else un-nameable return ok=false.
+func wordID(p *Package, e ast.Expr) (string, bool) {
+	e = unparen(e)
+	switch x := e.(type) {
+	case *ast.SelectorExpr:
+		if s, ok := p.Info.Selections[x]; ok && s.Kind() == types.FieldVal {
+			tv, ok := p.Info.Types[x.X]
+			if !ok {
+				return "", false
+			}
+			t := tv.Type
+			if ptr, isPtr := t.Underlying().(*types.Pointer); isPtr {
+				t = ptr.Elem()
+			}
+			named, isNamed := types.Unalias(t).(*types.Named)
+			if !isNamed || named.Obj().Pkg() == nil {
+				return "", false
+			}
+			return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + x.Sel.Name, true
+		}
+		if id, ok := x.X.(*ast.Ident); ok {
+			if _, isPkg := p.Info.Uses[id].(*types.PkgName); isPkg {
+				if v, ok := p.Info.Uses[x.Sel].(*types.Var); ok && v.Pkg() != nil {
+					return v.Pkg().Path() + "." + v.Name(), true
+				}
+			}
+		}
+		return "", false
+	case *ast.Ident:
+		obj := p.Info.Uses[x]
+		if obj == nil {
+			obj = p.Info.Defs[x]
+		}
+		v, ok := obj.(*types.Var)
+		if !ok || v.IsField() || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
+			return "", false
+		}
+		return v.Pkg().Path() + "." + v.Name(), true
+	case *ast.IndexExpr:
+		base, ok := wordID(p, x.X)
+		if !ok {
+			return "", false
+		}
+		return base + "[]", true
+	}
+	return "", false
 }
 
 func unparen(e ast.Expr) ast.Expr {

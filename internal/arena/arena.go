@@ -43,7 +43,7 @@ const (
 // value items the paper evaluates land in the first classes; the tail classes
 // cover the 4 MB chunks the MapReduce cache stores (§2.1).
 //
-// hydralint:offset-source class sizes are positive and bounded by maxClassBytes
+// Class sizes are positive and bounded by maxClassBytes.
 var classSizes = buildClasses()
 
 func buildClasses() []int {
@@ -178,7 +178,6 @@ func (a *Arena) Bytes(off uint32, n int) []byte {
 	if invariant.Enabled {
 		a.dbg.CheckLive(off, n)
 	}
-	//hydralint:ignore region-bounds callers pass a live allocation's offset and class size; CheckLive vets the window under hydradebug
 	return a.data[off : int(off)+n : int(off)+n]
 }
 

@@ -51,7 +51,6 @@ func (w *WordArea) AllocGroup() (int, error) {
 		idx := w.free[n-1]
 		w.free = w.free[:n-1]
 		for i := 0; i < w.group; i++ {
-			//hydralint:ignore region-bounds free-list entries were minted by this allocator and stay within the area
 			w.words[idx+i].Store(0)
 		}
 		return idx, nil
@@ -76,7 +75,6 @@ func (w *WordArea) FreeGroup(idx int) {
 // hydralint:hotpath
 func (w *WordArea) Load(idx int) uint64 {
 	invariant.SchedPoint("word")
-	//hydralint:ignore region-bounds API boundary: idx is an offset-source word index proven in range at every producer
 	return w.words[idx].Load()
 }
 
@@ -85,7 +83,6 @@ func (w *WordArea) Load(idx int) uint64 {
 // hydralint:hotpath
 func (w *WordArea) Store(idx int, v uint64) {
 	invariant.SchedPoint("word")
-	//hydralint:ignore region-bounds API boundary: idx is an offset-source word index proven in range at every producer
 	w.words[idx].Store(v)
 }
 
@@ -94,7 +91,6 @@ func (w *WordArea) Store(idx int, v uint64) {
 // hydralint:hotpath
 func (w *WordArea) CompareAndSwap(idx int, old, new uint64) bool {
 	invariant.SchedPoint("word")
-	//hydralint:ignore region-bounds API boundary: idx is an offset-source word index proven in range at every producer
 	return w.words[idx].CompareAndSwap(old, new)
 }
 

@@ -546,3 +546,64 @@ func TestOpGetCountsAndHitAnalysis(t *testing.T) {
 		t.Fatalf("hit analysis does not add up: %+v", snap)
 	}
 }
+
+// TestGetValueOutlivesLaterResponses: a value a message GET returns is the
+// caller's own copy, not a view of the response mailbox slot, which later
+// responses overwrite once the ring wraps.
+func TestGetValueOutlivesLaterResponses(t *testing.T) {
+	env := newLiveEnv(t, false)
+	c := env.newClient(t, Options{UseRDMARead: false})
+	testutil.Must(c.Put([]byte("kept"), []byte("kept-value")))
+	others := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	for i, k := range others {
+		testutil.Must(c.Put(k, []byte(fmt.Sprintf("other-value-%d", i))))
+	}
+	got := testutil.Must1(c.Get([]byte("kept")))
+	depth := c.table.Endpoints[1].Depth()
+	for i := 0; i < 2*depth; i++ {
+		testutil.Must1(c.Get(others[i%len(others)]))
+	}
+	if string(got) != "kept-value" {
+		t.Fatalf("value returned by Get changed to %q after %d further GETs", got, 2*depth)
+	}
+}
+
+// TestOneSidedReadChecksTheWholeKey: a cached pointer that lands on another
+// key's live item falls back to a message GET instead of returning the other
+// key's value, even when the two keys share a prefix.
+func TestOneSidedReadChecksTheWholeKey(t *testing.T) {
+	env := newLiveEnv(t, false)
+	c := env.newClient(t, Options{UseRDMARead: true})
+	testutil.Must(c.Put([]byte("ka"), []byte("value-a")))
+	testutil.Must(c.Put([]byte("kb"), []byte("value-b")))
+	_, eb, ok := c.cache.lookup([]byte("kb"))
+	if !ok {
+		t.Fatal("Put did not cache kb's pointer")
+	}
+	c.cachePointer([]byte("ka"), eb.Ptr, eb.LeaseExp)
+	if v := testutil.Must1(c.Get([]byte("ka"))); string(v) != "value-a" {
+		t.Fatalf("Get(ka) through kb's pointer = %q, want value-a", v)
+	}
+}
+
+// TestNewEpochDropsCachedPointers: a table refresh that reveals a new
+// routing epoch drops every cached pointer; one at the same epoch keeps them.
+func TestNewEpochDropsCachedPointers(t *testing.T) {
+	env := newLiveEnv(t, false)
+	c := env.newClient(t, Options{UseRDMARead: true})
+	testutil.Must(c.Put([]byte("k"), []byte("v")))
+	next := *c.table
+	c.opts.Refresh = func() *RouteTable {
+		fresh := next
+		return &fresh
+	}
+	c.refreshTable()
+	if _, _, ok := c.cache.lookup([]byte("k")); !ok {
+		t.Fatal("a refresh at the same epoch dropped the cached pointer")
+	}
+	next.Epoch++
+	c.refreshTable()
+	if _, _, ok := c.cache.lookup([]byte("k")); ok {
+		t.Fatal("a refresh to a new epoch kept the cached pointer")
+	}
+}

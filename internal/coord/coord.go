@@ -49,7 +49,6 @@ type EventType int
 const (
 	EventCreated EventType = iota + 1
 	EventDeleted
-	EventDataChanged
 	EventChildrenChanged
 	EventSessionExpired
 )
@@ -61,8 +60,6 @@ func (t EventType) String() string {
 		return "created"
 	case EventDeleted:
 		return "deleted"
-	case EventDataChanged:
-		return "data-changed"
 	case EventChildrenChanged:
 		return "children-changed"
 	case EventSessionExpired:
@@ -288,27 +285,6 @@ func (c *Session) Get(path string) ([]byte, int64, error) {
 	return append([]byte(nil), n.data...), n.version, nil
 }
 
-// Set updates a node's data. version -1 matches any version.
-func (c *Session) Set(path string, data []byte, version int64) (int64, error) {
-	s := c.srv
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.state(c.id); err != nil {
-		return 0, err
-	}
-	n, err := s.lookup(path)
-	if err != nil {
-		return 0, err
-	}
-	if version != -1 && version != n.version {
-		return 0, ErrBadVersion
-	}
-	n.data = append([]byte(nil), data...)
-	n.version++
-	s.notify(EventDataChanged, path)
-	return n.version, nil
-}
-
 // Delete removes a node. version -1 matches any version.
 func (c *Session) Delete(path string, version int64) error {
 	s := c.srv
@@ -368,21 +344,6 @@ func (c *Session) Children(path string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// Exists reports whether path exists.
-func (c *Session) Exists(path string) (bool, error) {
-	s := c.srv
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.state(c.id); err != nil {
-		return false, err
-	}
-	_, err := s.lookup(path)
-	if err == ErrNoNode {
-		return false, nil
-	}
-	return err == nil, err
 }
 
 // Watch subscribes to events on path: creation/deletion/data changes of the

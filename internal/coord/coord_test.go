@@ -3,6 +3,7 @@ package coord
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"hydradb/internal/testutil"
 	"hydradb/internal/timing"
@@ -13,7 +14,22 @@ func newTestServer() (*Server, *timing.ManualClock) {
 	return NewServer(clk, 2e9), clk
 }
 
-func TestCreateGetSetDelete(t *testing.T) {
+// exists probes path through Get, failing the test on any error other than
+// a missing node.
+func exists(t *testing.T, s *Session, path string) bool {
+	t.Helper()
+	switch _, _, err := s.Get(path); err {
+	case nil:
+		return true
+	case ErrNoNode:
+		return false
+	default:
+		t.Fatalf("get %s: %v", path, err)
+		return false
+	}
+}
+
+func TestCreateGetDelete(t *testing.T) {
 	srv, _ := newTestServer()
 	s := srv.NewSession()
 
@@ -30,23 +46,13 @@ func TestCreateGetSetDelete(t *testing.T) {
 	if err != nil || string(data) != "x" || ver != 0 {
 		t.Fatalf("get: %q v%d %v", data, ver, err)
 	}
-	if _, err := s.Set("/a", []byte("y"), 5); err != ErrBadVersion {
-		t.Fatalf("set with stale version: %v", err)
-	}
-	nv, err := s.Set("/a", []byte("y"), 0)
-	if err != nil || nv != 1 {
-		t.Fatalf("set: v%d %v", nv, err)
-	}
-	if _, err := s.Set("/a", []byte("z"), -1); err != nil {
-		t.Fatalf("set any-version: %v", err)
-	}
-	if err := s.Delete("/a", 0); err != ErrBadVersion {
+	if err := s.Delete("/a", 5); err != ErrBadVersion {
 		t.Fatalf("delete stale version: %v", err)
 	}
 	if err := s.Delete("/a", -1); err != nil {
 		t.Fatal(err)
 	}
-	if ok := testutil.Must1(s.Exists("/a")); ok {
+	if exists(t, s, "/a") {
 		t.Fatal("node survives delete")
 	}
 }
@@ -112,7 +118,7 @@ func TestEphemeralLifecycle(t *testing.T) {
 		testutil.Must(s2.Ping())
 		srv.Tick()
 	}
-	if ok := testutil.Must1(s2.Exists("/live/a")); !ok {
+	if !exists(t, s2, "/live/a") {
 		t.Fatal("ephemeral died despite heartbeats")
 	}
 	// Stop pinging s1: after timeout the ephemeral disappears.
@@ -121,7 +127,7 @@ func TestEphemeralLifecycle(t *testing.T) {
 	if n := srv.Tick(); n != 1 {
 		t.Fatalf("expired %d sessions, want 1", n)
 	}
-	if ok := testutil.Must1(s2.Exists("/live/a")); ok {
+	if exists(t, s2, "/live/a") {
 		t.Fatal("ephemeral survived session expiry")
 	}
 	// Expired session is unusable.
@@ -139,7 +145,7 @@ func TestExplicitClose(t *testing.T) {
 	s2 := srv.NewSession()
 	testutil.Must1(s1.Create("/x", nil, FlagEphemeral))
 	s1.Close()
-	if ok := testutil.Must1(s2.Exists("/x")); ok {
+	if exists(t, s2, "/x") {
 		t.Fatal("ephemeral survived close")
 	}
 	if srv.SessionAlive(s1.ID()) {
@@ -161,9 +167,6 @@ func TestWatchEvents(t *testing.T) {
 	testutil.Must1(s.Create("/w/c", []byte("v"), FlagPersistent))
 	expectEvent(t, events, EventCreated, "/w/c")
 	expectEvent(t, events, EventChildrenChanged, "/w")
-
-	testutil.Must1(s.Set("/w/c", []byte("v2"), -1))
-	expectEvent(t, events, EventDataChanged, "/w/c")
 
 	testutil.Must(s.Delete("/w/c", -1))
 	expectEvent(t, events, EventDeleted, "/w/c")
@@ -218,7 +221,7 @@ func TestEnsurePath(t *testing.T) {
 	if err := s.EnsurePath("/a/b/c"); err != nil {
 		t.Fatal(err)
 	}
-	if ok := testutil.Must1(s.Exists("/a/b/c")); !ok {
+	if !exists(t, s, "/a/b/c") {
 		t.Fatal("ensure path did not create")
 	}
 	// Idempotent.
@@ -289,9 +292,11 @@ func TestWatchOverflowKeepsNewest(t *testing.T) {
 	testutil.Must1(s.Create("/burst", nil, FlagPersistent))
 	events, cancel := testutil.Must2(s.Watch("/burst"))
 	defer cancel()
-	// Generate far more events than the buffer holds.
-	for i := 0; i < 300; i++ {
-		testutil.Must1(s.Set("/burst", []byte{byte(i)}, -1))
+	// Generate far more events than the buffer holds: each create and each
+	// delete of a child fires two.
+	for i := 0; i < 150; i++ {
+		testutil.Must1(s.Create("/burst/c", nil, FlagPersistent))
+		testutil.Must(s.Delete("/burst/c", -1))
 	}
 	// Drain: the channel must contain events and not have blocked mutations.
 	n := 0
@@ -318,10 +323,49 @@ func TestSessionIsolation(t *testing.T) {
 	clk.Advance(3e9)
 	testutil.Must(b.Ping())
 	srv.Tick()
-	if ok := testutil.Must1(b.Exists("/pa")); ok {
+	if exists(t, b, "/pa") {
 		t.Fatal("expired session's ephemeral survived")
 	}
-	if ok := testutil.Must1(b.Exists("/pb")); !ok {
+	if !exists(t, b, "/pb") {
 		t.Fatal("live session's ephemeral deleted")
+	}
+}
+
+// TestDeadSessionCallsReleaseLock: a call on a closed or expired session
+// returns the session error without keeping the server lock, so another
+// session's call still completes.
+func TestDeadSessionCallsReleaseLock(t *testing.T) {
+	srv, clk := newTestServer()
+	live := srv.NewSession()
+	testutil.Must1(live.Create("/p", nil, FlagPersistent))
+	closed := srv.NewSession()
+	closed.Close()
+	expired := srv.NewSession()
+	clk.Advance(3e9)
+	testutil.Must(live.Ping())
+	srv.Tick()
+	calls := map[string]func(*Session) error{
+		"Children": func(s *Session) error { _, err := s.Children("/p"); return err },
+		"Create":   func(s *Session) error { _, err := s.Create("/p/c", nil, FlagEphemeral); return err },
+	}
+	for name, call := range calls {
+		for _, dead := range []*Session{closed, expired} {
+			if err := call(dead); err != ErrSessionExpired {
+				t.Fatalf("%s on a dead session: %v", name, err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := live.Children("/p")
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("children on the live session: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("a live session's Children blocked after a failed %s on a dead one", name)
+			}
+		}
 	}
 }

@@ -123,11 +123,9 @@ func setHeaderLink(h, link uint64) uint64 {
 func (t *Table) bucketWords(id uint64) []uint64 {
 	if id < t.nBuckets {
 		off := id * wordsPerBucket
-		//hydralint:ignore region-bounds len(main) is nBuckets*wordsPerBucket by construction and id < nBuckets guards the window
 		return t.main[off : off+wordsPerBucket]
 	}
 	off := (id - t.nBuckets) * wordsPerBucket
-	//hydralint:ignore region-bounds overflow ids come from linkToID on 8-bit links; len(overflow) is nOverflow*wordsPerBucket by construction
 	return t.overflow[off : off+wordsPerBucket]
 }
 

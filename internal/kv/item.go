@@ -105,9 +105,9 @@ func DecodeItem(buf []byte) (key, val []byte, ok bool) {
 // (§4.2.2). It is returned alongside GET/PUT responses and cached client-side.
 type RemotePtr struct {
 	ShardID uint32 // global shard identity (routing epoch scoped)
-	DataOff uint32 // hydralint:offset-source arena offset of the item
+	DataOff uint32 // arena offset of the item
 	DataLen uint32 // ItemSize bytes
-	MetaIdx uint32 // hydralint:offset-source guardian word index; lease is MetaIdx+1
+	MetaIdx uint32 // guardian word index; lease is MetaIdx+1
 }
 
 // Zero reports whether the pointer is unset.

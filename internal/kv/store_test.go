@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"hydradb/internal/arena"
+	"hydradb/internal/hashx"
 	"hydradb/internal/lease"
 	"hydradb/internal/stats"
 	"hydradb/internal/testutil"
@@ -605,6 +606,33 @@ func BenchmarkStoreGetUniform(b *testing.B) {
 		j := i % n * keyLen
 		if _, ok := s.Get(keys[j : j+keyLen]); !ok {
 			b.Fatal("miss")
+		}
+	}
+}
+
+// TestGetComparesTheWholeKey: two keys that share a bucket and a 16-bit slot
+// signature are told apart only by the full key compare.
+func TestGetComparesTheWholeKey(t *testing.T) {
+	s := NewStore(Config{ArenaBytes: 1 << 20, MaxItems: 64, Buckets: 1, Clock: timing.NewManualClock(0)})
+	bySig := map[uint16][]byte{}
+	var a, b []byte
+	for i := 0; a == nil; i++ {
+		k := []byte(fmt.Sprintf("k%d", i))
+		sig := hashx.Signature(hashx.Hash(k))
+		if prev, ok := bySig[sig]; ok {
+			a, b = prev, k
+		} else {
+			bySig[sig] = k
+		}
+	}
+	testutil.Must2(s.Put(a, []byte("value-a")))
+	if res, ok := s.Get(b); ok {
+		t.Fatalf("Get(%q) returned %q, the value of %q", b, res.Value, a)
+	}
+	testutil.Must2(s.Put(b, []byte("value-b")))
+	for k, want := range map[string]string{string(a): "value-a", string(b): "value-b"} {
+		if res, ok := s.Get([]byte(k)); !ok || string(res.Value) != want {
+			t.Fatalf("Get(%q) = %q, %v; want %q", k, res.Value, ok, want)
 		}
 	}
 }

@@ -48,21 +48,19 @@ var (
 // hydralint:cacheline
 type Mailbox struct {
 	mr       *rdma.MemoryRegion
-	dataOff  int // hydralint:offset-source byte base, validated by NewRing
-	slotCap  int // hydralint:offset-source slot capacity, validated by NewRing
+	dataOff  int // byte base, validated by NewRing
+	slotCap  int // slot capacity, validated by NewRing
 	depth    int
-	wordBase int       // hydralint:offset-source word base, validated by NewRing
+	wordBase int       // word base, validated by NewRing
 	_        [3]uint64 // pad: the read-only config above fills its own line
 
-	// owner-side read cursor (slot index)
+	// owner-side read cursor (slot index), in [0, depth)
 	// hydralint:owner owner
-	// hydralint:offset-source cursor stays in [0, depth)
 	rd int
 	_  [7]uint64 // pad: rd gets a private cache line
 
-	// writer-side write cursor (slot index)
+	// writer-side write cursor (slot index), in [0, depth)
 	// hydralint:owner writer
-	// hydralint:offset-source cursor stays in [0, depth)
 	wr int
 	_  [7]uint64 // pad: keep wr's line private even in Mailbox arrays
 }

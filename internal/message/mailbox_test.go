@@ -189,3 +189,19 @@ func TestRingGeometryValidation(t *testing.T) {
 	mustPanic("split words", func() { NewMailbox(mr, 0, 256, 0, 2) }) // head/tail not adjacent
 	NewRing(mr, 0, 128, 2, 0)                                         // fits: 2 slots, 4 words
 }
+
+// TestRingPollRejectsOversizedIndicator: an indicator whose size exceeds the
+// slot capacity is torn or corrupt even when head and tail agree; Poll must
+// not slice past the slot into its neighbour.
+func TestRingPollRejectsOversizedIndicator(t *testing.T) {
+	ring, _ := ringPair(t, 64, 4)
+	words := ring.mr.Words()
+	for _, size := range []int{ring.Capacity() + 1, ring.Capacity() + 8} {
+		ind := makeIndicator(1, size)
+		words.Store(1, ind)
+		words.Store(0, ind)
+		if body, _, ok := ring.Poll(); ok {
+			t.Errorf("size %d (slot capacity %d): Poll returned a %d-byte body", size, ring.Capacity(), len(body))
+		}
+	}
+}

@@ -370,8 +370,6 @@ func (qp *QP) charge(nbytes int, latencyNs int64) {
 
 // WriteBytes performs a one-sided RDMA Write of src into the remote region
 // at off. The target CPU is not involved.
-//
-// hydralint:offset-sink off
 func (qp *QP) WriteBytes(mr *MemoryRegion, off int, src []byte) error {
 	if err := qp.checkTarget(mr); err != nil {
 		return err
@@ -390,8 +388,6 @@ func (qp *QP) WriteBytes(mr *MemoryRegion, off int, src []byte) error {
 }
 
 // WriteWord performs a one-sided write of a single word (atomic publication).
-//
-// hydralint:offset-sink wordIdx
 func (qp *QP) WriteWord(mr *MemoryRegion, wordIdx int, val uint64) error {
 	if err := qp.checkTarget(mr); err != nil {
 		return err
@@ -417,7 +413,6 @@ func (qp *QP) WriteWord(mr *MemoryRegion, wordIdx int, val uint64) error {
 // are published in order. The in-order delivery of RC RDMA Write makes this
 // a single posted work request on real hardware; it is charged as one NIC op.
 //
-// hydralint:offset-sink off tailIdx headIdx
 // hydralint:publishes
 func (qp *QP) WriteIndicated(mr *MemoryRegion, off int, body []byte, tailIdx, headIdx int, indicator uint64) error {
 	if err := qp.checkTarget(mr); err != nil {
@@ -445,8 +440,6 @@ func (qp *QP) WriteIndicated(mr *MemoryRegion, off int, body []byte, tailIdx, he
 // region at off into dst and atomically loads the requested words, all in a
 // single round trip with one latency charge. Returns the number of bytes
 // copied and the word values.
-//
-// hydralint:offset-sink off wordIdxs
 func (qp *QP) Read(mr *MemoryRegion, off int, dst []byte, wordIdxs ...int) (int, []uint64, error) {
 	var words []uint64
 	if len(wordIdxs) > 0 {
@@ -465,7 +458,6 @@ func (qp *QP) Read(mr *MemoryRegion, off int, dst []byte, wordIdxs ...int) (int,
 // least len(wordIdxs).
 //
 // hydralint:hotpath
-// hydralint:offset-sink off wordIdxs
 func (qp *QP) ReadInto(mr *MemoryRegion, off int, dst []byte, words []uint64, wordIdxs ...int) (int, error) {
 	if err := qp.checkTarget(mr); err != nil {
 		return 0, err

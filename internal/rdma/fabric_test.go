@@ -49,6 +49,12 @@ func TestWriteTargetValidation(t *testing.T) {
 	if err := qa.WriteBytes(mrb, -1, []byte("x")); err != ErrOutOfBounds {
 		t.Fatalf("negative offset: %v", err)
 	}
+	if err := qa.WriteIndicated(mrb, 4090, []byte("overflow!"), 1, 0, 0x42); err != ErrOutOfBounds {
+		t.Fatalf("indicated write past the region: want ErrOutOfBounds, got %v", err)
+	}
+	if mrb.Words().Load(0) != 0 || mrb.Words().Load(1) != 0 {
+		t.Fatal("a rejected indicated write published its indicators")
+	}
 }
 
 func TestWriteWordAndRead(t *testing.T) {

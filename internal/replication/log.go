@@ -24,12 +24,10 @@ var ErrFlushTimeout = errors.New("replication: flush timed out waiting for secon
 // LogConfig sizes a replication log ring.
 type LogConfig struct {
 	// Slots is the ring capacity in records.
-	//
-	// hydralint:offset-source positive and < 1<<15 after withDefaults
+	// Positive and < 1<<15 after withDefaults.
 	Slots int
 	// SlotSize is the byte capacity of one record (key+val+header).
-	//
-	// hydralint:offset-source positive and < 1<<15 after withDefaults
+	// Positive and < 1<<15 after withDefaults.
 	SlotSize int
 	// AckEvery solicits an acknowledgement every N records ("several tens
 	// of requests", §5.2). Strict mode ignores it and waits on every record.
@@ -108,7 +106,7 @@ type Secondary struct {
 	applier Applier
 	ackQP   *rdma.QP
 	ackMR   *rdma.MemoryRegion
-	ackIdx  int // hydralint:offset-source assigned by Primary.AddSecondary
+	ackIdx  int // assigned by Primary.AddSecondary
 
 	nextSeq        uint64
 	applied        atomic.Uint64
@@ -334,7 +332,7 @@ func (s *Secondary) Stop() {
 type secondaryState struct {
 	qp        *rdma.QP
 	log       *Log
-	ackIdx    int // hydralint:offset-source index into the primary's ack word area
+	ackIdx    int // index into the primary's ack word area
 	lastAcked uint64
 	doorbell  uint64 // last doorbell value rung
 

@@ -736,3 +736,19 @@ func TestWindowSurvivesNappingSecondary(t *testing.T) {
 	}
 	t.Logf("%d records into a %d-slot window cost %d ack waits", n, sec.log.Config().Slots, p.AckWaits.Load())
 }
+
+// TestPollRejectsOversizedReadyWord: a ready word whose size exceeds the slot
+// is treated like a torn write — the secondary makes no progress and does
+// not enter discard mode.
+func TestPollRejectsOversizedReadyWord(t *testing.T) {
+	cfg := LogConfig{Slots: 8, SlotSize: 64}
+	env := newReplEnv(t, cfg, 1)
+	sec := env.secs[0]
+	sec.log.mr.Words().Store(sec.slotOf(1), makeReady(1, cfg.SlotSize+1, false))
+	if sec.PollOnce() {
+		t.Fatal("PollOnce made progress on a ready word larger than its slot")
+	}
+	if sec.failed || sec.Applied.Load() != 0 {
+		t.Fatalf("oversized ready word was consumed: failed=%v applied=%d", sec.failed, sec.Applied.Load())
+	}
+}
