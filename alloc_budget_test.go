@@ -1,8 +1,8 @@
 // Allocation-budget gates for the request hot paths: the steady-state
 // one-sided GET allocates nothing, a pipelined message GET at most once,
-// and a MultiPut of cached keys nothing. These are
-// enforced as tests (not just bench numbers) so a regression fails CI
-// rather than silently degrading ns/op.
+// a MultiPut of cached keys nothing, and neither does a single message GET,
+// Put, Delete or Renew. These are enforced as tests (not just bench
+// numbers) so a regression fails CI rather than silently degrading ns/op.
 package hydradb_test
 
 import (
@@ -131,5 +131,107 @@ func TestAllocBudgetPipelinedGet(t *testing.T) {
 	})
 	if perOp := allocs / batch; perOp > 1 {
 		t.Fatalf("pipelined GET allocates %.2f/op, budget is 1", perOp)
+	}
+}
+
+// skipDebugMessages skips a budget whose ops reach the shard: under
+// hydradebug the shard's ownership assertion allocates once per request.
+func skipDebugMessages(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("hydradebug: the shard's ownership assertion allocates once per request")
+	}
+}
+
+// messageDB starts a one-shard deployment whose GETs all take the message
+// path.
+func messageDB(t *testing.T) *hydradb.Client {
+	skipDebugMessages(t)
+	return budgetDB(t, func(o *hydradb.Options) {
+		o.DisableRDMARead = true
+		o.SharedPointerCache = false
+	}).NewClient()
+}
+
+// TestAllocBudgetMessageGet: a warm message GET into a reused buffer — one
+// op through the client's request engine — allocates nothing.
+func TestAllocBudgetMessageGet(t *testing.T) {
+	c := messageDB(t)
+	key := []byte("budget-message-get")
+	if err := c.Put(key, make([]byte, 32)); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := c.GetInto(key, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		var gerr error
+		buf, gerr = c.GetInto(key, buf[:0])
+		if gerr != nil || len(buf) != 32 {
+			t.Fatalf("get: len=%d err=%v", len(buf), gerr)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("message GET allocates %.1f/op, budget is 0", allocs)
+	}
+}
+
+// TestAllocBudgetMessagePut: an update of an existing key allocates nothing.
+func TestAllocBudgetMessagePut(t *testing.T) {
+	c := messageDB(t)
+	key, val := []byte("budget-message-put"), make([]byte, 32)
+	if err := c.Put(key, val); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := c.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Put allocates %.1f/op, budget is 0", allocs)
+	}
+}
+
+// TestAllocBudgetDeletePut: deleting a key and putting it back allocates
+// nothing.
+func TestAllocBudgetDeletePut(t *testing.T) {
+	c := messageDB(t)
+	key, val := []byte("budget-delete-put"), make([]byte, 32)
+	if err := c.Put(key, val); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := c.Delete(key); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Delete+Put allocates %.1f/op, budget is 0", allocs)
+	}
+}
+
+// TestAllocBudgetRenew: renewing the lease of a cached key allocates
+// nothing; the renewed pointer is written inline into the key's slot.
+func TestAllocBudgetRenew(t *testing.T) {
+	skipDebugMessages(t)
+	c := budgetDB(t, func(*hydradb.Options) {}).NewClient()
+	key := []byte("budget-renew")
+	if err := c.Put(key, make([]byte, 32)); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := c.Renew(key); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Renew allocates %.1f/op, budget is 0", allocs)
+	}
+	if n := c.Counters().Snapshot().LeaseRenewals; n < 200 {
+		t.Fatalf("only %d renewals counted", n)
 	}
 }

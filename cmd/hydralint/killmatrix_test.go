@@ -108,19 +108,18 @@ var mutants = []mutant{
 		new:  "\t\treturn fmt.Errorf(\"cluster: unknown group %d\", id)"},
 
 	// Spins: a poll loop loses its yield or its exit.
-	{id: "B1", kind: "spin", what: "`requestAppend`'s response poll no longer yields",
-		file:     "internal/client/client.go",
-		old:      "\t\t\t\truntime.Gosched()\n\t\t\t\tcontinue",
-		new:      "\t\t\t\truntime.KeepAlive(spins)\n\t\t\t\tcontinue",
+	{id: "B1", kind: "spin", what: "the engine's response poll (`pump`) no longer yields",
+		file:     "internal/client/pipeline.go",
+		old:      "\t\t\truntime.Gosched()\n",
+		new:      "\t\t\truntime.KeepAlive(spins)\n",
 		survives: "the poll still exits at its deadline; a missing yield costs CPU, not correctness"},
-	{id: "B2", kind: "spin", what: "`pump` never gives up at the deadline",
+	{id: "B2", kind: "spin", what: "the engine's response poll (`pump`) never gives up at the deadline",
 		file: "internal/client/pipeline.go",
-		old:  "\t\t\tif c.wall.Now() > deadline {\n\t\t\t\treturn\n\t\t\t}",
-		new:  "\t\t\tif c.wall.Now() > deadline {\n\t\t\t\tdeadline = c.wall.Now() + int64(c.opts.RequestTimeout)\n\t\t\t}"},
-	{id: "B3", kind: "spin", what: "`requestAppend`'s response poll never gives up at the deadline",
-		file: "internal/client/client.go",
-		old:  "if spins&1023 == 1023 && c.wall.Now() > deadline {\n\t\t\t\t\tbreak\n\t\t\t\t}",
-		new:  "if spins&1023 == 1023 && c.wall.Now() > deadline {\n\t\t\t\t\tdeadline = c.wall.Now() + int64(c.opts.RequestTimeout)\n\t\t\t\t}"},
+		old:  "} else if now > deadline {\n\t\t\t\t\treturn false\n",
+		new:  "} else if now > deadline {\n\t\t\t\t\tdeadline = now + int64(c.opts.RequestTimeout)\n"},
+	// B3 is retired: it named the synchronous path's own poll deadline. The
+	// client now has one poll loop, the pump, for single ops and batches
+	// alike, so B2 covers that site.
 	{id: "B4", kind: "spin", what: "`waitAckedUntil` ignores its flush deadline",
 		file: "internal/replication/log.go",
 		old:  "if deadline > 0 && timing.Wall().Now() >= deadline {",
@@ -168,10 +167,10 @@ var mutants = []mutant{
 		old:      "func (s *Shard) ID() uint32 { return s.id }",
 		new:      "func (s *Shard) ID() uint32 { lastView = s.store.ArenaData(); return s.id }\n\nvar lastView []byte",
 		survives: "nothing reads the package variable"},
-	{id: "P4", kind: "escape", what: "`requestAppend` returns the mailbox slot view instead of copying it",
-		file: "internal/client/client.go",
-		old:  "\t\t\t\t\tdst = append(dst, resp.Val...)\n",
-		new:  "\t\t\t\t\tdst = resp.Val\n"},
+	{id: "P4", kind: "escape", what: "the engine keeps the mailbox slot view of a GET value instead of copying it",
+		file: "internal/client/pipeline.go",
+		old:  "\t\t\tp.vals = append(p.vals, resp.Val...)\n",
+		new:  "\t\t\tp.vals = resp.Val\n"},
 
 	// Order: a publication, retraction or acknowledgement moved.
 	{id: "A1", kind: "order", what: "`Store.Put` publishes the guardian before writing the payload",

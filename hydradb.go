@@ -182,7 +182,7 @@ type (
 	// KV pairs a key with a value for MultiPut.
 	KV = client.KV
 	// Result is the outcome of one pipelined Op; its value aliases client
-	// scratch valid until the next batch.
+	// scratch valid until the next batch (single-op calls leave it intact).
 	Result = client.Result
 )
 

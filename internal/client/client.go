@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"hydradb/internal/consistent"
@@ -98,13 +97,15 @@ type Client struct {
 	rdBuf  []byte
 
 	// Scratch state reused across calls so steady-state paths stay
-	// allocation-free: the word buffer for one-sided reads, a request header
-	// scratch for GETs, renewal pass slices, and the pipeline machinery.
+	// allocation-free: the word buffer for one-sided reads, the engine's
+	// scratch — one for single ops, one for batches, so a Get, Put, Delete
+	// or Renew leaves the last batch's Results intact — and renewal pass
+	// slices.
 	wordBuf     [2]uint64
-	getReq      message.Request
+	single      singleScratch
+	pipe        pipeScratch
 	renewKeys   []string
 	renewKeyBuf []byte
-	pipe        pipeScratch
 }
 
 // New creates a client over the given routing snapshot.
@@ -126,16 +127,17 @@ func New(table *RouteTable, opts Options) *Client {
 	if ctr == nil {
 		ctr = &stats.OpCounters{}
 	}
-	return &Client{
-		opts:   opts,
-		table:  table,
-		cache:  cache,
-		clock:  opts.Clock,
-		wall:   timing.Wall(),
-		ctr:    ctr,
-		reqBuf: make([]byte, 64<<10),
-		rdBuf:  make([]byte, 64<<10),
+	c := &Client{
+		opts:  opts,
+		table: table,
+		cache: cache,
+		clock: opts.Clock,
+		wall:  timing.Wall(),
+		ctr:   ctr,
+		rdBuf: make([]byte, 64<<10),
 	}
+	c.single.init()
+	return c
 }
 
 // Counters exposes the client's accounting.
@@ -152,8 +154,7 @@ func (c *Client) SetTable(t *RouteTable) { c.table = t }
 
 // endpointFor routes key to its shard's connection. A key longer than the
 // request header's 16-bit length field can carry is refused here, before
-// any request is encoded, so neither the synchronous nor the pipelined path
-// can send a truncated key.
+// any request is encoded, so no truncated key is ever sent.
 func (c *Client) endpointFor(key []byte) (*shard.Endpoint, error) {
 	if len(key) > kv.MaxKeyLen {
 		return nil, kv.ErrKeyTooLarge
@@ -170,114 +171,6 @@ func (c *Client) endpointFor(key []byte) (*shard.Endpoint, error) {
 // refuses to blind-retry).
 func mutates(op message.Op) bool {
 	return op == message.OpPut || op == message.OpDelete
-}
-
-// request performs one synchronous message exchange with the shard owning
-// key, handling epoch-stale rerouting.
-func (c *Client) request(req *message.Request) (message.Response, error) {
-	resp, _, err := c.requestAppend(req, nil)
-	return resp, err
-}
-
-// requestAppend is request with caller-controlled value memory: a response
-// value is appended to dst before the response is released, resp.Val is
-// re-pointed at the appended region, and the (possibly grown) dst is returned
-// so callers can reuse one buffer across calls. dst == nil reproduces the
-// old copy-out behavior. The connection decides the transport; this loop is
-// the same for both.
-//
-// Responses whose seq does not match the outstanding request are dropped:
-// after a timeout-triggered retry, the late response of the abandoned
-// attempt may still land, and without the check it would be misattributed to
-// the current request.
-func (c *Client) requestAppend(req *message.Request, dst []byte) (message.Response, []byte, error) {
-	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
-		ep, err := c.endpointFor(req.Key)
-		if err != nil {
-			return message.Response{}, dst, err
-		}
-		req.Epoch = c.table.Epoch
-		c.seq++
-		req.Seq = c.seq
-
-		need := req.EncodedSize()
-		if cap(c.reqBuf) < need {
-			c.reqBuf = make([]byte, need)
-		}
-		n := req.EncodeTo(c.reqBuf[:need])
-
-		if err := ep.Send(c.reqBuf[:n], req.Seq); err != nil {
-			// The request never left: nothing executed, so even a mutation
-			// retries safely. A dead shard's revoked mailbox surfaces here,
-			// turning a 150 ms-class timeout into an immediate reroute.
-			if c.opts.Refresh != nil {
-				c.ctr.RoutingRetries.Inc()
-				c.refreshTable()
-				continue
-			}
-			return message.Response{}, dst, err
-		}
-		// Sustained polling for the response (§4.2.1): the client CPU polls
-		// its connection. A real-time deadline covers shard failure.
-		var resp message.Response
-		got := false
-		deadline := c.wall.Now() + int64(c.opts.RequestTimeout)
-		for spins := 0; !got; spins++ {
-			body, seq, ok := ep.Poll()
-			if !ok {
-				if spins&1023 == 1023 && c.wall.Now() > deadline {
-					break
-				}
-				runtime.Gosched()
-				continue
-			}
-			if seq == req.Seq {
-				resp, err = message.DecodeResponse(body)
-				if err != nil {
-					ep.Release()
-					return message.Response{}, dst, err
-				}
-				// A framed header that disagrees with the delivered seq is
-				// dropped like a stale response. Ours has its value copied
-				// out before the release.
-				if got = resp.Seq == req.Seq; got && len(resp.Val) > 0 {
-					base := len(dst)
-					dst = append(dst, resp.Val...)
-					resp.Val = dst[base:]
-				}
-			}
-			// A stale response of an abandoned attempt is released unread,
-			// and polling continues for ours.
-			ep.Release()
-		}
-		if !got {
-			// Timed out: the timeout is routing's failure signal, so refresh
-			// even when surfacing the ambiguity of an unacknowledged write —
-			// the next operation must not re-target a dead shard.
-			if c.opts.AtMostOnceWrites && mutates(req.Op) {
-				if c.opts.Refresh != nil {
-					c.refreshTable()
-				}
-				return message.Response{}, dst, ErrMaybeApplied
-			}
-			if c.opts.Refresh == nil {
-				return message.Response{}, dst, ErrRemote
-			}
-			c.ctr.RoutingRetries.Inc()
-			c.refreshTable()
-			continue
-		}
-		if resp.Status == message.StatusWrongShard {
-			c.ctr.RoutingRetries.Inc()
-			if c.opts.Refresh == nil {
-				return resp, dst, ErrRetries
-			}
-			c.refreshTable()
-			continue
-		}
-		return resp, dst, nil
-	}
-	return message.Response{}, dst, ErrRetries
 }
 
 // refreshTable installs a fresh routing table. When the refresh reveals a
@@ -314,47 +207,40 @@ func (c *Client) Get(key []byte) ([]byte, error) {
 //
 // hydralint:hotpath
 func (c *Client) GetInto(key, dst []byte) ([]byte, error) {
-	c.ctr.Gets.Inc()
-	if c.opts.UseRDMARead {
-		if ref, e, ok := c.cache.lookup(key); ok {
-			out, ok, err := c.readViaPointerInto(key, ref, e, dst)
-			if err == nil && ok {
-				c.ctr.RDMAReadHits.Inc()
-				ref.touch()
-				return out, nil
-			}
-			// Invalid hit: outdated item observed — drop the pointer and
-			// issue a message GET for the latest version (§4.2.3).
-			c.ctr.RDMAReadStale.Inc()
-			ref.drop()
-		} else {
-			c.ctr.PointerMisses.Inc()
-		}
-	} else {
-		c.ctr.PointerMisses.Inc()
+	if out, ok := c.readCached(key, dst); ok {
+		return out, nil
 	}
-	return c.getViaMessage(key, dst)
+	return c.do(message.OpGet, key, nil, dst)
 }
 
-// getViaMessage issues the two-sided GET and caches the returned pointer.
-func (c *Client) getViaMessage(key, dst []byte) ([]byte, error) {
-	c.getReq = message.Request{Op: message.OpGet, Key: key}
-	resp, out, err := c.requestAppend(&c.getReq, dst)
-	c.getReq.Key = nil
-	if err != nil {
-		return dst, err
+// readCached tries the one-sided GET of key (§4.2.2), appending the value
+// to dst. It counts the GET and exactly one of a hit, a stale pointer and a
+// miss, so Gets == RDMAReadHits + RDMAReadStale + PointerMisses; ok=false
+// leaves the GET to the message path.
+//
+// hydralint:hotpath
+func (c *Client) readCached(key, dst []byte) ([]byte, bool) {
+	c.ctr.Gets.Inc()
+	if !c.opts.UseRDMARead {
+		c.ctr.PointerMisses.Inc()
+		return dst, false
 	}
-	switch resp.Status {
-	case message.StatusOK:
-		if c.opts.UseRDMARead {
-			c.cachePointer(key, resp.Ptr, resp.LeaseExp)
-		}
-		return out, nil
-	case message.StatusNotFound:
-		return dst, ErrNotFound
-	default:
-		return dst, ErrRemote
+	ref, e, ok := c.cache.lookup(key)
+	if !ok {
+		c.ctr.PointerMisses.Inc()
+		return dst, false
 	}
+	out, ok, err := c.readViaPointerInto(key, ref, e, dst)
+	if err == nil && ok {
+		c.ctr.RDMAReadHits.Inc()
+		ref.touch()
+		return out, true
+	}
+	// Invalid hit: outdated item observed — drop the pointer and let the
+	// message GET fetch the latest version (§4.2.3).
+	c.ctr.RDMAReadStale.Inc()
+	ref.drop()
+	return dst, false
 }
 
 // readViaPointerInto attempts the one-sided fetch of e, the entry ref hit,
@@ -406,36 +292,14 @@ func (c *Client) readBuf(n int) []byte {
 // Put inserts or updates key. The returned pointer is cached so subsequent
 // GETs can go one-sided immediately.
 func (c *Client) Put(key, val []byte) error {
-	c.ctr.Updates.Inc()
-	resp, err := c.request(&message.Request{Op: message.OpPut, Key: key, Val: val})
-	if err != nil {
-		return err
-	}
-	if resp.Status != message.StatusOK {
-		return ErrRemote
-	}
-	if c.opts.UseRDMARead {
-		c.cachePointer(key, resp.Ptr, resp.LeaseExp)
-	}
-	return nil
+	_, err := c.do(message.OpPut, key, val, nil)
+	return err
 }
 
 // Delete removes key.
 func (c *Client) Delete(key []byte) error {
-	c.ctr.Deletes.Inc()
-	resp, err := c.request(&message.Request{Op: message.OpDelete, Key: key})
-	if err != nil {
-		return err
-	}
-	c.cache.Delete(key)
-	switch resp.Status {
-	case message.StatusOK:
-		return nil
-	case message.StatusNotFound:
-		return ErrNotFound
-	default:
-		return ErrRemote
-	}
+	_, err := c.do(message.OpDelete, key, nil, nil)
+	return err
 }
 
 // Renew extends the lease of key on the server (periodic renewal of popular
@@ -444,46 +308,50 @@ func (c *Client) Delete(key []byte) error {
 // the response does not name may be an
 // older, detached version, whose lease the renewal did not extend.
 func (c *Client) Renew(key []byte) error {
-	resp, err := c.request(&message.Request{Op: message.OpRenewLease, Key: key})
-	if err != nil {
-		return err
-	}
-	if resp.Status != message.StatusOK {
-		// Outdated or deleted: drop the pointer.
-		c.cache.Delete(key)
-		return ErrNotFound
-	}
-	c.ctr.LeaseRenewals.Inc()
-	if c.opts.UseRDMARead {
-		c.cache.Put(key, PtrEntry{Ptr: resp.Ptr, LeaseExp: resp.LeaseExp})
-	}
-	return nil
+	_, err := c.do(message.OpRenewLease, key, nil, nil)
+	return err
 }
 
-// RenewPopular renews every cached key whose client-side access count is at
-// least minAccess and whose lease expires within windowNs — the paper's
-// periodic renewal pass. Returns the number of keys renewed.
+// RenewPopular renews, as one pipelined batch, every cached key whose
+// client-side access count is at least minAccess and whose lease expires
+// within windowNs — the paper's periodic renewal pass. The same pass evicts
+// every other pointer whose lease is already too short for a one-sided
+// read: such a pointer can only cost a stale read. Like Pipeline it reuses
+// the batch scratch. Returns the number of keys renewed.
 func (c *Client) RenewPopular(minAccess uint32, windowNs int64) int {
 	now := c.clock.Now()
 	keys := c.renewKeys[:0]
 	c.cache.Range(func(key string, e PtrEntry, access uint32) bool {
-		if access >= minAccess && e.LeaseExp-now < windowNs {
+		switch {
+		case access >= minAccess && e.LeaseExp-now < windowNs:
 			keys = append(keys, key)
+		case !lease.ValidForRead(e.LeaseExp, now, readMarginNs):
+			c.renewKeyBuf = append(c.renewKeyBuf[:0], key...)
+			c.cache.Delete(c.renewKeyBuf)
 		}
 		return true
 	})
-	n := 0
+	// One scratch buffer holds every key of the batch; the ops slice it only
+	// after it has stopped growing.
+	buf := c.renewKeyBuf[:0]
 	for _, k := range keys {
-		// One scratch byte slice serves every renewal of the pass.
-		c.renewKeyBuf = append(c.renewKeyBuf[:0], k...)
-		if err := c.Renew(c.renewKeyBuf); err == nil {
+		buf = append(buf, k...)
+	}
+	c.renewKeyBuf = buf
+	ops := c.pipe.ops[:0]
+	for _, k := range keys {
+		ops = append(ops, Op{Code: message.OpRenewLease, Key: buf[:len(k):len(k)]})
+		buf = buf[len(k):]
+	}
+	c.pipe.ops = ops
+	n := 0
+	for _, r := range c.Pipeline(ops) {
+		if r.Err == nil {
 			n++
 		}
 	}
 	// Keep the grown backing for the next pass, but release the key strings.
-	for i := range keys {
-		keys[i] = ""
-	}
+	clear(keys)
 	c.renewKeys = keys[:0]
 	return n
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -322,5 +323,66 @@ func TestTimeoutRetrySeqMisattribution(t *testing.T) {
 	}
 	if rr := c.Counters().Snapshot().RoutingRetries; rr < 2 {
 		t.Fatalf("routing retries = %d, want >= 2", rr)
+	}
+}
+
+// TestBatchSendFailureKeepsKeyOrder: the first request write of a batch
+// fails. The failed send stops its connection, so the second write to the
+// same key is not issued ahead of the first; the retry round sends both in
+// submission order and the later value wins.
+func TestBatchSendFailureKeepsKeyOrder(t *testing.T) {
+	env := newLiveEnv(t, false)
+	var c *Client
+	c = env.newClient(t, Options{
+		UseRDMARead: false,
+		Refresh:     func() *RouteTable { return c.Table() },
+	})
+	var failed atomic.Bool
+	env.fabric.SetFaultHook(func(verb rdma.Verb, local, _ *rdma.NIC, nbytes int) rdma.FaultOutcome {
+		if verb == rdma.VerbWrite && local == env.cliNIC && nbytes > 8 && failed.CompareAndSwap(false, true) {
+			return rdma.FaultOutcome{Err: rdma.ErrInjected}
+		}
+		return rdma.FaultOutcome{}
+	})
+	defer env.fabric.SetFaultHook(nil)
+	k := []byte("k")
+	if err := c.MultiPut([]KV{{Key: k, Val: []byte("v1")}, {Key: k, Val: []byte("v2")}}); err != nil {
+		t.Fatal(err)
+	}
+	if !failed.Load() {
+		t.Fatal("no request write was failed")
+	}
+	if v, err := c.Get(k); err != nil || string(v) != "v2" {
+		t.Fatalf("get after MultiPut(v1, v2): %q %v, want v2", v, err)
+	}
+}
+
+// TestOversizedRequestFailsFast: a request larger than the mailbox slot is
+// refused by the send itself. That is no routing failure, so neither Put nor
+// MultiPut refreshes the route table or retries.
+func TestOversizedRequestFailsFast(t *testing.T) {
+	env := newLiveEnv(t, false)
+	refreshes := 0
+	c := env.newClient(t, Options{
+		UseRDMARead: false,
+		Refresh: func() *RouteTable {
+			refreshes++
+			return env.table
+		},
+	})
+	big := bytes.Repeat([]byte("z"), 70<<10)
+	if err := c.Put([]byte("big"), big); err != message.ErrTooLarge {
+		t.Fatalf("Put of %d bytes: %v, want ErrTooLarge", len(big), err)
+	}
+	if err := c.MultiPut([]KV{{Key: []byte("a"), Val: []byte("1")}, {Key: []byte("big"), Val: big}, {Key: []byte("b"), Val: []byte("2")}}); err != message.ErrTooLarge {
+		t.Fatalf("MultiPut with a %d-byte value: %v, want ErrTooLarge", len(big), err)
+	}
+	if rr := c.Counters().Snapshot().RoutingRetries; rr != 0 || refreshes != 0 {
+		t.Fatalf("routing retries %d, refreshes %d; want 0 and 0", rr, refreshes)
+	}
+	for _, k := range []string{"a", "b"} {
+		if v, err := c.Get([]byte(k)); err != nil || len(v) != 1 {
+			t.Fatalf("get %s beside the oversized put: %q %v", k, v, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -134,4 +135,32 @@ func accessOf(c *PtrCache, key []byte) (n uint32, ok bool) {
 		return !ok
 	})
 	return n, ok
+}
+
+// TestRenewPopularEvictsExpiredPointers: a renewal pass drops the pointers
+// it does not renew once their lease is too short for a one-sided read, and
+// keeps the ones it renews.
+func TestRenewPopularEvictsExpiredPointers(t *testing.T) {
+	env := newLiveEnv(t, false)
+	c := env.newClient(t, Options{UseRDMARead: true})
+	testutil.Must(c.Put([]byte("hot"), []byte("v")))
+	for i := 0; i < 10; i++ {
+		testutil.Must1(c.Get([]byte("hot")))
+	}
+	for i := 0; i < 5; i++ {
+		testutil.Must(c.Put([]byte(fmt.Sprintf("cold%d", i)), []byte("v")))
+	}
+	if n := c.Cache().Len(); n != 6 {
+		t.Fatalf("cache holds %d pointers, want 6", n)
+	}
+	env.clk.Advance(200e9) // every lease has lapsed
+	if n := c.RenewPopular(2, 64e9); n != 1 {
+		t.Fatalf("renewed %d keys, want 1", n)
+	}
+	if n := c.Cache().Len(); n != 1 {
+		t.Fatalf("cache holds %d pointers after the pass, want only the renewed one", n)
+	}
+	if _, ok := c.Cache().Get([]byte("hot")); !ok {
+		t.Fatal("the renewed pointer was evicted")
+	}
 }

@@ -27,7 +27,6 @@ var (
 	ErrNoNode         = errors.New("coord: node does not exist")
 	ErrNodeExists     = errors.New("coord: node already exists")
 	ErrNotEmpty       = errors.New("coord: node has children")
-	ErrBadVersion     = errors.New("coord: version conflict")
 	ErrSessionExpired = errors.New("coord: session expired")
 	ErrBadPath        = errors.New("coord: malformed path")
 )
@@ -77,7 +76,6 @@ type Event struct {
 
 type znode struct {
 	data     []byte
-	version  int64
 	children map[string]*znode
 	owner    int64 // ephemeral owner session, 0 = persistent
 	seqNext  int64 // counter for sequential children
@@ -270,40 +268,36 @@ func (c *Session) Create(path string, data []byte, flags CreateFlags) (string, e
 	return path, nil
 }
 
-// Get reads a node's data and version.
-func (c *Session) Get(path string) ([]byte, int64, error) {
+// Get reads a node's data.
+func (c *Session) Get(path string) ([]byte, error) {
 	s := c.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, err := s.state(c.id); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	n, err := s.lookup(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return append([]byte(nil), n.data...), n.version, nil
+	return append([]byte(nil), n.data...), nil
 }
 
-// Delete removes a node. version -1 matches any version.
-func (c *Session) Delete(path string, version int64) error {
+// Delete removes a node.
+func (c *Session) Delete(path string) error {
 	s := c.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, err := s.state(c.id)
-	if err != nil {
+	if _, err := s.state(c.id); err != nil {
 		return err
 	}
-	return s.deleteLocked(path, version, st)
+	return s.deleteLocked(path)
 }
 
-func (s *Server) deleteLocked(path string, version int64, st *sessionState) error {
+func (s *Server) deleteLocked(path string) error {
 	n, err := s.lookup(path)
 	if err != nil {
 		return err
-	}
-	if version != -1 && version != n.version {
-		return ErrBadVersion
 	}
 	if len(n.children) > 0 {
 		return ErrNotEmpty
@@ -320,7 +314,6 @@ func (s *Server) deleteLocked(path string, version int64, st *sessionState) erro
 			delete(owner.ephem, path)
 		}
 	}
-	_ = st
 	s.notify(EventDeleted, path)
 	s.notify(EventChildrenChanged, parentPath)
 	return nil
@@ -407,7 +400,7 @@ func (s *Server) expireLocked(st *sessionState) {
 	sort.Slice(paths, func(i, j int) bool { return len(paths[i]) > len(paths[j]) })
 	for _, p := range paths {
 		//hydralint:ignore error-discipline best-effort ephemeral cleanup on session expiry; a non-empty dir is simply kept
-		_ = s.deleteLocked(p, -1, st)
+		_ = s.deleteLocked(p)
 	}
 	for id, w := range s.watchers {
 		if w.sessionID == st.id {

@@ -18,7 +18,7 @@ func newTestServer() (*Server, *timing.ManualClock) {
 // a missing node.
 func exists(t *testing.T, s *Session, path string) bool {
 	t.Helper()
-	switch _, _, err := s.Get(path); err {
+	switch _, err := s.Get(path); err {
 	case nil:
 		return true
 	case ErrNoNode:
@@ -42,14 +42,11 @@ func TestCreateGetDelete(t *testing.T) {
 	if _, err := s.Create("/missing/child", nil, FlagPersistent); err != ErrNoNode {
 		t.Fatalf("create under missing parent: %v", err)
 	}
-	data, ver, err := s.Get("/a")
-	if err != nil || string(data) != "x" || ver != 0 {
-		t.Fatalf("get: %q v%d %v", data, ver, err)
+	data, err := s.Get("/a")
+	if err != nil || string(data) != "x" {
+		t.Fatalf("get: %q %v", data, err)
 	}
-	if err := s.Delete("/a", 5); err != ErrBadVersion {
-		t.Fatalf("delete stale version: %v", err)
-	}
-	if err := s.Delete("/a", -1); err != nil {
+	if err := s.Delete("/a"); err != nil {
 		t.Fatal(err)
 	}
 	if exists(t, s, "/a") {
@@ -72,7 +69,7 @@ func TestDeleteNonEmpty(t *testing.T) {
 	s := srv.NewSession()
 	testutil.Must1(s.Create("/p", nil, FlagPersistent))
 	testutil.Must1(s.Create("/p/c", nil, FlagPersistent))
-	if err := s.Delete("/p", -1); err != ErrNotEmpty {
+	if err := s.Delete("/p"); err != ErrNotEmpty {
 		t.Fatalf("delete of non-empty: %v", err)
 	}
 }
@@ -134,7 +131,7 @@ func TestEphemeralLifecycle(t *testing.T) {
 	if err := s1.Ping(); err != ErrSessionExpired {
 		t.Fatalf("ping on expired session: %v", err)
 	}
-	if _, _, err := s1.Get("/live"); err != ErrSessionExpired {
+	if _, err := s1.Get("/live"); err != ErrSessionExpired {
 		t.Fatalf("get on expired session: %v", err)
 	}
 }
@@ -168,7 +165,7 @@ func TestWatchEvents(t *testing.T) {
 	expectEvent(t, events, EventCreated, "/w/c")
 	expectEvent(t, events, EventChildrenChanged, "/w")
 
-	testutil.Must(s.Delete("/w/c", -1))
+	testutil.Must(s.Delete("/w/c"))
 	expectEvent(t, events, EventDeleted, "/w/c")
 	expectEvent(t, events, EventChildrenChanged, "/w")
 }
@@ -296,7 +293,7 @@ func TestWatchOverflowKeepsNewest(t *testing.T) {
 	// delete of a child fires two.
 	for i := 0; i < 150; i++ {
 		testutil.Must1(s.Create("/burst/c", nil, FlagPersistent))
-		testutil.Must(s.Delete("/burst/c", -1))
+		testutil.Must(s.Delete("/burst/c"))
 	}
 	// Drain: the channel must contain events and not have blocked mutations.
 	n := 0

@@ -58,7 +58,7 @@ func (e *Election) Leader() (string, error) {
 		return "", ErrNoNode
 	}
 	sort.Strings(kids)
-	data, _, err := e.sess.Get(e.path + "/" + kids[0])
+	data, err := e.sess.Get(e.path + "/" + kids[0])
 	if err != nil {
 		return "", err
 	}
@@ -73,7 +73,7 @@ func (e *Election) Events() <-chan Event { return e.events }
 func (e *Election) Resign() {
 	e.cancel()
 	//hydralint:ignore error-discipline best-effort resign; session expiry removes the ephemeral node regardless
-	_ = e.sess.Delete(e.myNode, -1)
+	_ = e.sess.Delete(e.myNode)
 }
 
 // Node reports this candidate's election node path.
@@ -81,7 +81,7 @@ func (e *Election) Node() string { return e.myNode }
 
 // CandidateName extracts the candidate tag from an election node path.
 func CandidateName(sess *Session, nodePath string) string {
-	data, _, err := sess.Get(nodePath)
+	data, err := sess.Get(nodePath)
 	if err != nil {
 		return ""
 	}
