@@ -69,7 +69,7 @@ deep-lint: lint-budget lint-sarif lint-spec
 	timeout $(DEEPMCTIMEOUT) $(GO) run -tags hydradebug ./cmd/hydramc -model mailbox -fine -maxsteps 800 -maxschedules $(DEEPMCSCHEDULES)
 	! timeout $(DEEPMCTIMEOUT) $(GO) run -tags hydradebug ./cmd/hydramc -model mailbox -fine -bug -maxsteps 800 -maxschedules $(DEEPMCSCHEDULES)
 
-# The kill matrix (DESIGN.md §11): 46 one-site semantic mutants of the data
+# The kill matrix (DESIGN.md §11): 44 one-site semantic mutants of the data
 # path, each run against build, vet, every hydralint check, the package
 # tests, the rest of tier-1, -race, hydradebug, hydramc and (for the
 # control-plane packages) the chaos smoke; the table of first and sole

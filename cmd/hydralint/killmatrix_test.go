@@ -70,8 +70,8 @@ var mutants = []mutant{
 		new:  "if off < 0 {"},
 	{id: "R8", kind: "bounds", what: "`DecodeRequest` drops the key+value length check",
 		file: "internal/message/codec.go",
-		old:  "if reqHeader+keyLen+valLen > len(buf) || r.Op < OpGet || r.Op > OpMigrate {",
-		new:  "if r.Op < OpGet || r.Op > OpMigrate {"},
+		old:  "if reqHeader+keyLen+valLen > len(buf) || r.Op < OpGet || r.Op > OpRenewLease {",
+		new:  "if r.Op < OpGet || r.Op > OpRenewLease {"},
 	{id: "R9", kind: "bounds", what: "`Store.ReadAt` drops the word-index check",
 		file: "internal/kv/store.go",
 		old:  "if end > s.arena.Capacity() || int(p.MetaIdx)+leaseWord >= s.words.Len() {",
@@ -124,14 +124,14 @@ var mutants = []mutant{
 		file: "internal/replication/log.go",
 		old:  "if deadline > 0 && timing.Wall().Now() >= deadline {",
 		new:  "if deadline < 0 && timing.Wall().Now() >= deadline {"},
-	{id: "B5", kind: "spin", what: "`Secondary.Run` busy-polls an empty ring without backing off",
-		file: "internal/replication/log.go",
-		old:  "\t\ts.EmptyPolls.Inc()\n\t\tback.Idle()",
-		new:  "\t\ts.EmptyPolls.Inc()"},
-	{id: "B6", kind: "spin", what: "the shard loop never naps when idle",
-		file: "internal/shard/shard.go",
-		old:  "\t\tif back.Idle() {",
-		new:  "\t\tif progress {"},
+	{id: "B5", kind: "spin", what: "the server poll loops (`Runner.poll`) busy-poll without backing off",
+		file: "internal/timing/runner.go",
+		old:  "\t\tif step() {\n\t\t\tback.reset()\n",
+		new:  "\t\tif step() || true {\n\t\t\tback.reset()\n",
+		pkgs: runnerPkgs},
+	// B6 is retired: it named the shard loop's own backoff. The shard, the
+	// pipelined dispatchers and the secondaries now back off in one runner
+	// loop, so B5 covers them all.
 
 	// Waits: a blocking operation under a lock, or a stop that does not join.
 	{id: "W1", kind: "wait", what: "`Team.run` calls the reactor (takes `Cluster.mu`) while holding `Team.mu`",
@@ -143,14 +143,13 @@ var mutants = []mutant{
 		file: "internal/coord/coord.go",
 		old:  "\t\t\tcase w.ch <- ev:\n\t\t\tdefault:\n\t\t\t\t// Watcher queue overflow",
 		new:  "\t\t\tcase w.ch <- ev:\n\t\t\tcase <-make(chan struct{}):\n\t\t\t\t// Watcher queue overflow"},
-	{id: "W3", kind: "wait", what: "`Secondary.Stop` returns without joining `Run`",
-		file: "internal/replication/log.go",
-		old:  "\tif s.started.Load() {\n\t\t<-s.done\n",
-		new:  "\tif s.started.Load() {\n"},
-	{id: "W4", kind: "wait", what: "`Shard.Stop` returns without joining the loop",
-		file: "internal/shard/shard.go",
-		old:  "\tif s.started.Load() {\n\t\t<-s.stopped\n\t\tinvariant.AssertDrained(fmt.Sprintf(\"shard/%p/\", s))\n\t}\n\tif s.primary != nil {",
-		new:  "\tif s.started.Load() {\n\t\tinvariant.AssertDrained(fmt.Sprintf(\"shard/%p/\", s))\n\t}\n\tif s.primary != nil {"},
+	{id: "W3", kind: "wait", what: "`Runner.Stop` returns without joining its loops",
+		file: "internal/timing/runner.go",
+		old:  "\tr.wg.Wait()\n\tinvariant.AssertDrained(r.label)\n",
+		new:  "\tinvariant.AssertDrained(r.label)\n",
+		pkgs: runnerPkgs},
+	// W4 is retired: it named `Shard.Stop`'s own join. The shard's and the
+	// secondaries' Stop now join in one runner, so W3 covers both.
 
 	// Escapes: a view of registered memory outlives the call that lent it.
 	{id: "P1", kind: "escape", what: "the shard stashes a `kv.Get` value view in a package variable",
@@ -238,8 +237,8 @@ var mutants = []mutant{
 		new:  "return ok && bytes.HasPrefix(s.probeKey, k[:1])"},
 	{id: "G11", kind: "guard", what: "strict replication stops requesting an ack per record",
 		file: "internal/replication/log.go",
-		old:  "\tackReq := p.cfg.Strict || seq%uint64(p.cfg.AckEvery) == 0\n",
-		new:  "\tackReq := seq%uint64(p.cfg.AckEvery) == 0\n"},
+		old:  "\treturn p.cfg.Strict || seq%uint64(p.cfg.AckEvery) == 0\n",
+		new:  "\treturn seq%uint64(p.cfg.AckEvery) == 0\n"},
 
 	// Clock: a stray wall-clock read on the data path.
 	{id: "C1", kind: "clock", what: "a one-sided read checks the lease against `time.Now`",
@@ -251,6 +250,10 @@ var mutants = []mutant{
 // detectors in cost order. Lint findings are split by check, so each
 // check is its own detector in the table ("lint:<check>").
 var detectorOrder = []string{"build", "vet", "lint", "tests", "tier-1", "race", "hydradebug", "hydramc", "chaos"}
+
+// runnerPkgs are the packages whose loops run on timing.Runner; the shard
+// first, so the runner's mutants also run the chaos smoke.
+var runnerPkgs = []string{"./internal/shard", "./internal/replication", "./internal/cluster", "./internal/timing"}
 
 // chaosPkgs are the packages whose mutants also run the chaos smoke.
 var chaosPkgs = map[string]bool{

@@ -413,11 +413,16 @@ type Result struct {
 // stale-suppression pass runs only on a full run (all checks, tests on),
 // since a restricted run cannot tell whether a directive is truly unused.
 func RunLint(dir string, patterns []string, only []string, tests bool) (*Result, error) {
+	return runLint(dir, patterns, only, tests, "")
+}
+
+// runLint is RunLint over a go-command overlay file (see load).
+func runLint(dir string, patterns []string, only []string, tests bool, overlay string) (*Result, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	pkgs, err := load(abs, patterns, tests)
+	pkgs, err := load(abs, patterns, tests, overlay)
 	if err != nil {
 		return nil, err
 	}

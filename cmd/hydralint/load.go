@@ -87,9 +87,22 @@ func goList(dir string, args ...string) ([]listPkg, error) {
 // tests is set, in-package _test.go files are checked together with the
 // production sources, and external (package foo_test) test files become a
 // separate *Package whose importer prefers the test variant of the package
-// under test, so export_test.go shims resolve.
-func load(dir string, patterns []string, tests bool) ([]*Package, error) {
+// under test, so export_test.go shims resolve. A non-empty overlay names a
+// go-command overlay file ({"Replace": {file: replacement}}): the go tool
+// builds, and the linter parses, each replacement in place of its file.
+func load(dir string, patterns []string, tests bool, overlay string) ([]*Package, error) {
 	const fields = "-json=ImportPath,Dir,Export,Standard,ForTest,GoFiles,TestGoFiles,XTestGoFiles,Module,Error"
+	var replace struct{ Replace map[string]string }
+	if overlay != "" {
+		src, err := os.ReadFile(overlay)
+		if err != nil {
+			return nil, err
+		}
+		if err := json.Unmarshal(src, &replace); err != nil {
+			return nil, fmt.Errorf("overlay %s: %v", overlay, err)
+		}
+		patterns = append([]string{"-overlay=" + overlay}, patterns...)
+	}
 
 	// One walk with -deps -export compiles (or reuses the build cache for)
 	// every dependency so the stdlib gc importer can read export data —
@@ -148,7 +161,16 @@ func load(dir string, patterns []string, tests bool) ([]*Package, error) {
 	check := func(importPath, rel, dir string, names []string, imp types.Importer) (*Package, error) {
 		var files []*ast.File
 		for _, gf := range names {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, gf), nil, parser.ParseComments)
+			path := filepath.Join(dir, gf)
+			var src any // nil: the parser reads path
+			if repl, ok := replace.Replace[path]; ok {
+				b, err := os.ReadFile(repl)
+				if err != nil {
+					return nil, err
+				}
+				src = b
+			}
+			f, err := parser.ParseFile(fset, path, src, parser.ParseComments)
 			if err != nil {
 				return nil, err
 			}

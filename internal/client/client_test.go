@@ -50,7 +50,7 @@ func newLiveEnv(t testing.TB, sendRecv bool) *liveEnv {
 		table: &RouteTable{Epoch: 0, Ring: ring, Endpoints: map[uint32]*shard.Endpoint{}},
 	}
 	env.table.Endpoints[1] = sh.Connect(cliNIC, sendRecv)
-	go sh.Run()
+	sh.Start()
 	env.stopFn = sh.Stop
 	t.Cleanup(env.stopFn)
 	return env
@@ -484,11 +484,11 @@ func TestPipelinedShardServesRequests(t *testing.T) {
 		sh := shard.New(shard.Config{
 			ID:    1,
 			NIC:   f.NewNIC("server"),
-			Store: kv.Config{ArenaBytes: 1 << 20, MaxItems: 2048, Clock: clk},
+			Store:     kv.Config{ArenaBytes: 1 << 20, MaxItems: 2048, Clock: clk},
+			Pipelined: true,
 		})
-		pipe := shard.NewPipelined(sh, 2, 2)
-		go pipe.Run()
-		t.Cleanup(pipe.Stop)
+		sh.Start()
+		t.Cleanup(sh.Stop)
 
 		ring := testutil.Must1(consistent.Build([]uint32{1}, 16))
 		table := &RouteTable{Ring: ring, Endpoints: map[uint32]*shard.Endpoint{

@@ -140,7 +140,9 @@ func (p *pipeScratch) connFor(ep *shard.Endpoint) int {
 // Ops are issued per connection strictly in submission order and both
 // directions are FIFO, so operations on the same key — which always route to
 // the same shard — retain their order, across retry rounds too. A GET whose
-// pointer is cached completes one-sided before any message is sent.
+// pointer is cached and that no write of the batch precedes completes
+// one-sided before any message is sent; a GET behind a write may read that
+// write, so it keeps its place in the message order.
 //
 // The returned slice and the values inside it are scratch, valid until the
 // next batch on this client.
@@ -148,6 +150,9 @@ func (c *Client) Pipeline(ops []Op) []Result {
 	p := &c.pipe
 	p.reset(len(ops))
 	for i := range ops {
+		if ops[i].Code == message.OpPut || ops[i].Code == message.OpDelete {
+			break
+		}
 		if ops[i].Code != message.OpGet {
 			continue
 		}

@@ -97,6 +97,29 @@ func TestPipelineSameKeyOrdering(t *testing.T) {
 			t.Fatalf("sendRecv=%v: get after delete: %v", sendRecv, res[5].Err)
 		}
 	}
+
+	// With k's pointer cached, a GET ahead of the batch's first write may
+	// still complete one-sided, but a GET behind a write must read it.
+	env := newLiveEnv(t, false)
+	c := env.newClient(t, Options{UseRDMARead: true})
+	k := []byte("ordered")
+	if err := c.Put(k, []byte("v1")); err != nil { // Put caches the pointer
+		t.Fatal(err)
+	}
+	hitsBefore := c.Counters().Snapshot().RDMAReadHits
+	res := c.Pipeline([]Op{
+		{Code: message.OpGet, Key: k},
+		{Code: message.OpPut, Key: k, Val: []byte("v2")},
+		{Code: message.OpGet, Key: k},
+		{Code: message.OpDelete, Key: k},
+		{Code: message.OpGet, Key: k},
+	})
+	if string(res[0].Val) != "v1" || string(res[2].Val) != "v2" || res[4].Err != ErrNotFound {
+		t.Fatalf("cached pointer: gets %q %q %v, want v1 v2 ErrNotFound", res[0].Val, res[2].Val, res[4].Err)
+	}
+	if hits := c.Counters().Snapshot().RDMAReadHits - hitsBefore; hits != 1 {
+		t.Fatalf("%d one-sided hits, want 1 (the get ahead of the first write)", hits)
+	}
 }
 
 // TestPipelineWindowOption: a batch ten times the ring depth stays within
@@ -110,7 +133,7 @@ func TestPipelineWindowOption(t *testing.T) {
 		Store:     kv.Config{ArenaBytes: 1 << 20, MaxItems: 2048, Clock: clk},
 		RingDepth: 4,
 	})
-	go sh.Run()
+	sh.Start()
 	defer sh.Stop()
 	ep := sh.Connect(f.NewNIC("clients"), false)
 	if ep.Depth() != 4 {
@@ -310,7 +333,7 @@ func TestTimeoutRetrySeqMisattribution(t *testing.T) {
 
 	// Shard recovers and answers the abandoned requests (NotFound for
 	// "ghost") before it sees anything new.
-	go sh.Run()
+	sh.Start()
 	defer sh.Stop()
 
 	// Without the seq check, the Put would match ghost's NotFound response

@@ -88,7 +88,6 @@ type secondaryReplica struct {
 	machine int
 	store   *kv.Store
 	sec     *replication.Secondary
-	running bool
 }
 
 // group is one replica group: a primary plus its secondaries.
@@ -96,7 +95,6 @@ type group struct {
 	id          uint32
 	machine     int
 	shard       *shard.Shard
-	pipe        *shard.Pipelined
 	secondaries []*secondaryReplica
 	session     *coord.Session
 }
@@ -204,7 +202,7 @@ func (cl *Cluster) startGroup(id uint32, machine int) error {
 	cl.mu.Lock()
 	cl.groups[id] = g
 	cl.mu.Unlock()
-	cl.launch(g)
+	launch(g)
 	return nil
 }
 
@@ -219,6 +217,7 @@ func (cl *Cluster) newGroup(id uint32, machine int, store *kv.Store) *group {
 		MailboxBytes:  cl.cfg.MailboxBytes,
 		RingDepth:     cl.cfg.RingDepth,
 		ExistingStore: store,
+		Pipelined:     cl.cfg.Pipelined,
 	})
 	sh.SetEpoch(cl.epoch.Load())
 	return &group{id: id, machine: machine, shard: sh}
@@ -227,7 +226,7 @@ func (cl *Cluster) newGroup(id uint32, machine int, store *kv.Store) *group {
 // wireSecondaries attaches to g's shard a replication primary that feeds one
 // secondary per given replica: on the replica's machine, over its store,
 // through a fresh log (a log belongs to one primary's sequence space). Drain
-// loops are left stopped. With no replicas, g stays unreplicated.
+// loops are not started. With no replicas, g stays unreplicated.
 func (cl *Cluster) wireSecondaries(g *group, replicas []*secondaryReplica) error {
 	if len(replicas) == 0 {
 		return nil
@@ -265,14 +264,10 @@ func applyTo(store *kv.Store) replication.ApplierFunc {
 	}
 }
 
-// startSecondaries launches the drain loop of every secondary of g that is
-// not running yet.
+// startSecondaries launches the drain loop of every secondary of g.
 func startSecondaries(g *group) {
 	for _, sec := range g.secondaries {
-		if !sec.running {
-			sec.running = true
-			go sec.sec.Run()
-		}
+		sec.sec.Start()
 	}
 }
 
@@ -282,26 +277,16 @@ func startSecondaries(g *group) {
 // loses no acked write.
 func stopSecondaries(g *group) {
 	for _, sec := range g.secondaries {
-		if sec.running {
-			sec.sec.Stop()
-			sec.running = false
-		}
+		sec.sec.Stop()
 		for sec.sec.PollOnce() {
 		}
 	}
 }
 
-// launch starts g's loops: the secondaries' drain loops not yet running,
-// then the primary — the decoupled pipeline under Config.Pipelined, the
-// single-threaded loop otherwise.
-func (cl *Cluster) launch(g *group) {
+// launch starts g's loops: the secondaries' drain loops, then the primary.
+func launch(g *group) {
 	startSecondaries(g)
-	if cl.cfg.Pipelined {
-		g.pipe = shard.NewPipelined(g.shard, 2, 2)
-		go g.pipe.Run()
-	} else {
-		go g.shard.Run()
-	}
+	g.shard.Start()
 }
 
 // install publishes g as its partition's group under a new routing epoch,
@@ -382,10 +367,10 @@ func (cl *Cluster) Promote(id uint32) error {
 	if err := cl.wireSecondaries(newGroup, survivors); err != nil {
 		return err
 	}
+	// Start the drain loops before re-sync: the replay can exceed the log
+	// window and needs live consumers.
+	startSecondaries(newGroup)
 	if primary := newGroup.shard.Primary(); primary != nil {
-		// Start the drain loops before re-sync: the replay can exceed the
-		// log window and needs live consumers.
-		startSecondaries(newGroup)
 		// Re-sync: replay the promoted store into the new logs (idempotent
 		// Puts).
 		var syncErr error
@@ -412,7 +397,7 @@ func (cl *Cluster) Promote(id uint32) error {
 	if _, err := newGroup.session.Create(fmt.Sprintf("%s/shard-%d", livePath, id), nil, coord.FlagEphemeral); err != nil {
 		return err
 	}
-	cl.launch(newGroup)
+	newGroup.shard.Start()
 	cl.Promotions.Add(1)
 	return nil
 }
@@ -436,9 +421,6 @@ func (cl *Cluster) MoveShard(id uint32, targetMachine int) error {
 	// The coordination session stays alive across a planned move — the
 	// liveness znode never blinks, so the SWAT does not mistake the
 	// migration for a failure.
-	if g.pipe != nil {
-		g.pipe.Stop()
-	}
 	g.shard.Stop()
 	stopSecondaries(g)
 
@@ -452,7 +434,7 @@ func (cl *Cluster) MoveShard(id uint32, targetMachine int) error {
 	}
 	newGroup.session = g.session // liveness continuity: this is not a failure
 	cl.install(newGroup)
-	cl.launch(newGroup)
+	launch(newGroup)
 	return nil
 }
 
@@ -464,9 +446,6 @@ func (cl *Cluster) KillShard(id uint32) error {
 	cl.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("cluster: unknown shard %d", id)
-	}
-	if g.pipe != nil {
-		g.pipe.Stop()
 	}
 	g.shard.Kill()
 	g.session.Close() // ephemeral vanishes -> SWAT reacts
@@ -591,9 +570,6 @@ func (cl *Cluster) Stop() {
 	}
 	cl.mu.Unlock()
 	for _, g := range groups {
-		if g.pipe != nil {
-			g.pipe.Stop()
-		}
 		if !g.shard.Killed() {
 			g.shard.Stop()
 		}

@@ -288,7 +288,7 @@ func TestPipelinedSurvivesMoveAndPromotion(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		cl.mu.Lock()
-		pipelined := cl.groups[victim].pipe != nil
+		pipelined := cl.groups[victim].shard.Pipelined()
 		cl.mu.Unlock()
 		if !pipelined {
 			t.Fatalf("after %s: group %d runs the single-threaded loop", step, victim)

@@ -40,9 +40,15 @@ type Owner struct {
 	gid atomic.Int64
 }
 
-// Acquire records the calling goroutine as owner. Acquiring an owned Owner
+// Acquire records the calling goroutine as owner of a free Owner. A held
+// Owner is left as it is, so an event loop may acquire on every round for
+// the cost of one load; a second loop over the same structure then trips
+// the Assert of its first operation. Losing the race for a free Owner
 // panics: two event loops were started over the same structure.
 func (o *Owner) Acquire(what string) {
+	if o.gid.Load() != 0 {
+		return
+	}
 	id := GoroutineID()
 	if !o.gid.CompareAndSwap(0, id) {
 		panic(fmt.Sprintf("invariant: %s already owned by goroutine %d, second Acquire from goroutine %d",

@@ -23,8 +23,6 @@ const (
 	OpPut
 	OpDelete
 	OpRenewLease
-	// OpMigrate carries an item during rebalancing/failover (SWAT-driven).
-	OpMigrate
 )
 
 // String names the op for diagnostics.
@@ -38,8 +36,6 @@ func (o Op) String() string {
 		return "DELETE"
 	case OpRenewLease:
 		return "RENEW"
-	case OpMigrate:
-		return "MIGRATE"
 	default:
 		return fmt.Sprintf("Op(%d)", uint8(o))
 	}
@@ -99,7 +95,7 @@ func DecodeRequest(buf []byte) (Request, error) {
 	}
 	keyLen := int(binary.LittleEndian.Uint16(buf[10:12]))
 	valLen := int(binary.LittleEndian.Uint32(buf[12:16]))
-	if reqHeader+keyLen+valLen > len(buf) || r.Op < OpGet || r.Op > OpMigrate {
+	if reqHeader+keyLen+valLen > len(buf) || r.Op < OpGet || r.Op > OpRenewLease {
 		return Request{}, ErrMalformed
 	}
 	r.Key = buf[reqHeader : reqHeader+keyLen]

@@ -17,7 +17,7 @@ func TestRequestRoundTrip(t *testing.T) {
 			return true
 		}
 		req := Request{
-			Op:    OpGet + Op(op%5),
+			Op:    OpGet + Op(op%uint8(OpRenewLease)),
 			Seq:   seq,
 			Epoch: epoch,
 			Key:   key,

@@ -23,7 +23,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			key = key[:0xffff]
 		}
 		req := Request{
-			Op:    Op(opByte%byte(OpMigrate) + 1), // clamp into the valid op range
+			Op:    Op(opByte%byte(OpRenewLease) + 1), // clamp into the valid op range
 			Seq:   seq,
 			Epoch: epoch,
 			Key:   key,

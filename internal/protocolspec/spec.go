@@ -44,7 +44,7 @@ const (
 	// PubWord is a publication pointer readers load to find an item.
 	PubWord Role = "pub-word"
 	// ReadyWord is a produced-side completeness indicator (mailbox
-	// slot header, replication started flag).
+	// slot header).
 	ReadyWord Role = "ready-word"
 	// CommitWord is a watermark that must only advance after the work
 	// it acknowledges is durable in memory (replication applied

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"hydradb/internal/arena"
-	"hydradb/internal/invariant"
 	"hydradb/internal/rdma"
 	"hydradb/internal/stats"
 	"hydradb/internal/timing"
@@ -99,8 +98,9 @@ func (l *Log) Config() LogConfig { return l.cfg }
 func (l *Log) doorbellIdx() int { return l.cfg.Slots }
 
 // Secondary drains a Log and applies records. It is single-threaded: the
-// live mode runs Run in a dedicated goroutine (the paper's "dedicated thread
-// polls replication requests"); tests and the simulator call PollOnce.
+// live mode calls Start, which runs PollOnce in a dedicated goroutine (the
+// paper's "dedicated thread polls replication requests"); tests and the
+// simulator call PollOnce.
 type Secondary struct {
 	log     *Log
 	applier Applier
@@ -115,9 +115,7 @@ type Secondary struct {
 	awaitingResend bool   // nacked; record firstFailed not yet re-received
 	nackCount      uint64 // discarded-slot count the pending nack reported
 	lastDoorbell   uint64
-	stop           chan struct{}
-	done           chan struct{}
-	started        atomic.Bool
+	loop           *timing.Runner
 
 	// FailureHook, when non-nil, is consulted before applying each record;
 	// a non-nil error injects a processing failure (test/chaos hook).
@@ -126,8 +124,8 @@ type Secondary struct {
 	Applied  stats.Counter
 	Discards stats.Counter
 	Nacks    stats.Counter
-	// EmptyPolls counts the rounds of Run that found nothing to do; each
-	// one yields or naps.
+	// EmptyPolls counts the rounds of the drain loop that found nothing to
+	// do; each one yields or naps.
 	EmptyPolls stats.Counter
 }
 
@@ -141,8 +139,7 @@ func NewSecondary(log *Log, applier Applier, qp *rdma.QP, ackMR *rdma.MemoryRegi
 		ackMR:   ackMR,
 		ackIdx:  ackIdx,
 		nextSeq: 1,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		loop:    timing.NewRunner("replication.Secondary"),
 	}
 }
 
@@ -288,45 +285,21 @@ func (c LogConfig) idleShape() timing.IdleShape {
 	return timing.NapFirst
 }
 
-// Run drains the log until Stop; for the live shard process. It polls
-// while records or doorbells keep arriving and backs off when the ring is
-// empty.
-func (s *Secondary) Run() {
-	s.started.Store(true)
-	defer close(s.done)
-	// Registered after the done defer (LIFO): deregistration precedes the
-	// close a joining Stop waits on, so AssertDrained after Stop is exact.
-	spawnDone := invariant.Spawned(fmt.Sprintf("replication.Secondary/%p", s))
-	defer spawnDone()
-	back := timing.NewBackoff(s.log.cfg.idleShape())
-	for {
-		select {
-		case <-s.stop:
-			return
-		default:
-		}
+// Start launches the drain loop for the live shard process: it polls while
+// records or doorbells keep arriving and backs off when the ring is empty.
+func (s *Secondary) Start() {
+	s.loop.Go(s.log.cfg.idleShape(), func() bool {
 		if s.PollOnce() {
-			back.Reset()
-			continue
+			return true
 		}
 		s.EmptyPolls.Inc()
-		back.Idle()
-	}
+		return false
+	}, nil)
 }
 
-// Stop terminates Run and waits for it to exit, so the caller may safely
-// take over the drain (promotion calls PollOnce afterwards).
-func (s *Secondary) Stop() {
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
-	if s.started.Load() {
-		<-s.done
-		invariant.AssertDrained(fmt.Sprintf("replication.Secondary/%p", s))
-	}
-}
+// Stop ends the drain loop and waits for it to exit, so the caller may
+// safely take over the drain (promotion calls PollOnce afterwards).
+func (s *Secondary) Stop() { s.loop.Stop() }
 
 // secondaryState is the primary-side view of one secondary.
 type secondaryState struct {
@@ -400,16 +373,6 @@ func (p *Primary) AddSecondary(qp *rdma.QP, log *Log) (ackIdx int, err error) {
 	return ackIdx, nil
 }
 
-// RemoveSecondary detaches the secondary at ackIdx (failover).
-func (p *Primary) RemoveSecondary(ackIdx int) {
-	for i, s := range p.secs {
-		if s.ackIdx == ackIdx {
-			p.secs = append(p.secs[:i], p.secs[i+1:]...)
-			return
-		}
-	}
-}
-
 // Secondaries reports the number of attached secondaries.
 func (p *Primary) Secondaries() int { return len(p.secs) }
 
@@ -443,15 +406,18 @@ func (p *Primary) Replicate(r Record) error {
 		return ErrRecordTooLarge
 	}
 	// Window control: never overwrite a slot that any secondary has not
-	// acknowledged.
-	for p.seq-p.MinAcked() >= uint64(p.cfg.Slots) {
+	// acknowledged. The doorbell asks for the acks at once.
+	if p.seq-p.MinAcked() >= uint64(p.cfg.Slots) {
 		p.AckWaits.Inc()
-		p.waitForAckProgress()
+		free := p.seq + 1 - uint64(p.cfg.Slots)
+		p.ringBehind(free)
+		if err := p.waitAckedUntil(free, 0); err != nil {
+			return err
+		}
 	}
 
 	p.seq++
 	seq := p.seq
-	ackReq := p.cfg.Strict || seq%uint64(p.cfg.AckEvery) == 0
 	slot := int((seq - 1) % uint64(p.cfg.Slots))
 	buf := p.pending[slot]
 	if cap(buf) < size {
@@ -463,7 +429,7 @@ func (p *Primary) Replicate(r Record) error {
 	p.pending[slot] = buf
 
 	for _, s := range p.secs {
-		if err := p.writeThrough(s, seq, ackReq); err != nil {
+		if err := p.writeThrough(s, seq); err != nil {
 			return err
 		}
 	}
@@ -473,6 +439,12 @@ func (p *Primary) Replicate(r Record) error {
 		return p.waitAcked(seq)
 	}
 	return nil
+}
+
+// ackReq reports whether record seq solicits an acknowledgement: every
+// record in strict mode, every AckEvery-th in logging mode.
+func (p *Primary) ackReq(seq uint64) bool {
+	return p.cfg.Strict || seq%uint64(p.cfg.AckEvery) == 0
 }
 
 func (p *Primary) writeRecord(s *secondaryState, seq uint64, body []byte, ackReq bool) error {
@@ -488,15 +460,10 @@ func (p *Primary) writeRecord(s *secondaryState, seq uint64, body []byte, ackReq
 // still holds them: written never lags the window (written >= lastAcked >=
 // seq-Slots), so their slots have not been reused. On failure written stays
 // put and a later Replicate/Flush/ack-wait retries.
-func (p *Primary) writeThrough(s *secondaryState, seq uint64, ackReq bool) error {
+func (p *Primary) writeThrough(s *secondaryState, seq uint64) error {
 	for w := s.written + 1; w <= seq; w++ {
 		slot := int((w - 1) % uint64(p.cfg.Slots))
-		body := p.pending[slot]
-		req := ackReq
-		if w != seq {
-			req = p.cfg.Strict || w%uint64(p.cfg.AckEvery) == 0
-		}
-		if err := p.writeRecord(s, w, body, req); err != nil {
+		if err := p.writeRecord(s, w, p.pending[slot], p.ackReq(w)); err != nil {
 			return err
 		}
 		s.written = w
@@ -511,7 +478,7 @@ func (p *Primary) catchUp() {
 	for _, s := range p.secs {
 		if s.written < p.seq {
 			//hydralint:ignore error-discipline recovery catch-up; the link may still be down and a later pass retries
-			_ = p.writeThrough(s, p.seq, p.cfg.Strict)
+			_ = p.writeThrough(s, p.seq)
 		}
 	}
 }
@@ -521,24 +488,6 @@ func (p *Primary) ring(s *secondaryState) {
 	s.doorbell++
 	//hydralint:ignore error-discipline doorbell to a possibly-dead secondary; the ack timeout is the real failure signal
 	_ = s.qp.WriteWord(s.log.Region(), s.log.doorbellIdx(), s.doorbell)
-}
-
-// waitForAckProgress blocks until some secondary's ack state advances,
-// ringing doorbells periodically and handling nacks as they surface.
-func (p *Primary) waitForAckProgress() {
-	before := p.MinAcked()
-	p.ringBehind(before + 1)
-	for i := 0; ; i++ {
-		p.pollAcks()
-		if p.MinAcked() != before {
-			return
-		}
-		if i%4096 == 4095 {
-			p.catchUp()
-			p.ringBehind(before + 1)
-		}
-		runtime.Gosched()
-	}
 }
 
 // waitAcked blocks until every secondary acknowledged seq. It has no
@@ -618,7 +567,7 @@ func (p *Primary) FlushTimeout(budgetNs int64) error {
 // PollAcksOnce consumes pending acknowledgement words exactly once without
 // blocking — the stepping hook for tests and the model checker, which must
 // interleave primary-side ack handling with secondary-side polling
-// deterministically instead of entering the spin in waitForAckProgress. The
+// deterministically instead of entering the spin in waitAckedUntil. The
 // live path keeps using Replicate/Flush.
 func (p *Primary) PollAcksOnce() { p.pollAcks() }
 
@@ -667,8 +616,7 @@ func (p *Primary) resendRange(s *secondaryState, from, count uint64) {
 	for seq := from; seq < from+count && seq <= p.seq; seq++ {
 		slot := int((seq - 1) % uint64(p.cfg.Slots))
 		body := p.pending[slot]
-		ackReq := p.cfg.Strict || seq == from+count-1 || seq%uint64(p.cfg.AckEvery) == 0
 		//hydralint:ignore error-discipline recovery resend; a failed write resurfaces as a nack and re-enters this loop
-		_ = p.writeRecord(s, seq, body, ackReq)
+		_ = p.writeRecord(s, seq, body, p.ackReq(seq) || seq == from+count-1)
 	}
 }

@@ -266,7 +266,7 @@ func TestWindowBackpressure(t *testing.T) {
 func TestStrictModeWaitsEveryRecord(t *testing.T) {
 	cfg := LogConfig{Slots: 16, SlotSize: 128, Strict: true}
 	env := newReplEnv(t, cfg, 1)
-	go env.secs[0].Run()
+	env.secs[0].Start()
 	defer env.secs[0].Stop()
 	for i := 0; i < 20; i++ {
 		if err := env.primary.Replicate(put(fmt.Sprintf("k%d", i), "v")); err != nil {
@@ -291,7 +291,7 @@ func TestFailureRollbackResend(t *testing.T) {
 		}
 		return nil
 	}
-	go env.secs[0].Run()
+	env.secs[0].Start()
 	defer env.secs[0].Stop()
 	for i := 0; i < 30; i++ {
 		if err := env.primary.Replicate(put(fmt.Sprintf("k%02d", i), fmt.Sprintf("v%02d", i))); err != nil {
@@ -374,7 +374,7 @@ func TestRepeatedNackKeepsDiscardCount(t *testing.T) {
 	// End to end: the primary acts on the repeated nack and recovery
 	// converges with every record applied exactly once, in order. Flush
 	// blocks until fully acked, so the secondary now runs concurrently.
-	go sec.Run()
+	sec.Start()
 	defer sec.Stop()
 	testutil.Must(env.primary.Flush())
 	if env.apps[0].len() != 8 {
@@ -399,7 +399,7 @@ func TestTwoFailuresDifferentSeqs(t *testing.T) {
 		}
 		return nil
 	}
-	go env.secs[0].Run()
+	env.secs[0].Start()
 	defer env.secs[0].Stop()
 	for i := 0; i < 40; i++ {
 		if err := env.primary.Replicate(put(fmt.Sprintf("k%02d", i), "v")); err != nil {
@@ -428,8 +428,8 @@ func TestFailureWithTwoSecondaries(t *testing.T) {
 		}
 		return nil
 	}
-	go env.secs[0].Run()
-	go env.secs[1].Run()
+	env.secs[0].Start()
+	env.secs[1].Start()
 	defer env.secs[0].Stop()
 	defer env.secs[1].Stop()
 	for i := 0; i < 25; i++ {
@@ -516,7 +516,7 @@ func TestKVApplierIntegration(t *testing.T) {
 func BenchmarkLoggingReplicate(b *testing.B) {
 	cfg := LogConfig{Slots: 256, SlotSize: 128, AckEvery: 32}
 	env := newReplEnv(b, cfg, 1)
-	go env.secs[0].Run()
+	env.secs[0].Start()
 	defer env.secs[0].Stop()
 	rec := put("user0000000000001", "valuevaluevaluevaluevalueval")
 	b.ResetTimer()
@@ -530,7 +530,7 @@ func BenchmarkLoggingReplicate(b *testing.B) {
 func BenchmarkStrictReplicate(b *testing.B) {
 	cfg := LogConfig{Slots: 256, SlotSize: 128, Strict: true}
 	env := newReplEnv(b, cfg, 1)
-	go env.secs[0].Run()
+	env.secs[0].Start()
 	defer env.secs[0].Stop()
 	rec := put("user0000000000001", "valuevaluevaluevaluevalueval")
 	b.ResetTimer()
@@ -606,7 +606,7 @@ func TestFlushCatchesUpGap(t *testing.T) {
 	}
 	env.fabric.SetFaultHook(nil) // heal before flush
 
-	go env.secs[0].Run()
+	env.secs[0].Start()
 	defer env.secs[0].Stop()
 	testutil.Must(env.primary.Flush())
 	if got := env.secs[0].AppliedSeq(); got != 2 {
@@ -634,7 +634,7 @@ func TestFlushTimeoutPartitionedSecondary(t *testing.T) {
 
 	// Once the secondary is live and answering doorbells, the same bounded
 	// flush succeeds well within its budget.
-	go env.secs[0].Run()
+	env.secs[0].Start()
 	defer env.secs[0].Stop()
 	if err := env.primary.FlushTimeout(int64(5 * time.Second)); err != nil {
 		t.Fatalf("FlushTimeout with live secondary = %v", err)
@@ -693,7 +693,7 @@ func TestIdleShapeFollowsStrict(t *testing.T) {
 func TestIdleSecondaryNaps(t *testing.T) {
 	env := newReplEnv(t, LogConfig{}, 1)
 	sec := env.secs[0]
-	go sec.Run()
+	sec.Start()
 	time.Sleep(100 * time.Millisecond)
 	sec.Stop()
 	got := sec.EmptyPolls.Load()
@@ -709,7 +709,7 @@ func TestIdleSecondaryNaps(t *testing.T) {
 func TestWindowSurvivesNappingSecondary(t *testing.T) {
 	env := newReplEnv(t, LogConfig{}, 1)
 	sec, p := env.secs[0], env.primary
-	go sec.Run()
+	sec.Start()
 	defer sec.Stop()
 	// The eighth nap of the logging shape is the first at the 1 ms cap.
 	testutil.WaitUntil(t, 5*time.Second, func() bool { return sec.EmptyPolls.Load() >= 10 },

@@ -4,9 +4,8 @@ import "hydradb/internal/protocolspec"
 
 // ReadySpec declares the replication log's commit protocol: the
 // secondary's applied watermark may only advance after the replicated
-// record has actually been applied (promotion trusts the watermark),
-// the started flag is the daemon's ready indicator, and PollOnce
-// size-guards the slot's ready word against torn reads. Feeds the
+// record has actually been applied (promotion trusts the watermark), and
+// PollOnce size-guards the slot's ready word against torn reads. Feeds the
 // "replication" model footprint.
 var ReadySpec = protocolspec.Spec{
 	Name:     "replication-ready",
@@ -18,13 +17,6 @@ var ReadySpec = protocolspec.Spec{
 			Role:      protocolspec.CommitWord,
 			Footprint: true,
 			Why:       "the watermark a failover promotion trusts; covered by the apply-after-replicate edge rather than a writer list so any new writer must also prove the ordering",
-		},
-		{
-			Name:      "hydradb/internal/replication.Secondary.started",
-			Role:      protocolspec.ReadyWord,
-			Footprint: true,
-			Writers:   []string{"(*hydradb/internal/replication.Secondary).Run"},
-			Why:       "flipped once by the poll daemon after its first scheduling round",
 		},
 	},
 	Edges: []protocolspec.Edge{{

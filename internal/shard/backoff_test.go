@@ -13,7 +13,7 @@ import (
 // (scheduler noise) but far below what an uncapped exponential would reach.
 func TestFreshRequestAfterLongIdle(t *testing.T) {
 	sh, f, _ := testShard(t)
-	go sh.Run()
+	sh.Start()
 	defer sh.Stop()
 	ep := sh.Connect(f.NewNIC("client"), false)
 

@@ -3,7 +3,6 @@
 package shard
 
 import (
-	"runtime"
 	"testing"
 
 	"hydradb/internal/kv"
@@ -22,13 +21,12 @@ func TestShardExclusivityViolationPanics(t *testing.T) {
 	nic := fabric.NewNIC("server")
 	s := New(Config{ID: 1, NIC: nic, Store: kv.Config{Clock: clk, ArenaBytes: 1 << 20, MaxItems: 1 << 10}})
 
-	go s.Run()
+	s.Start()
 	defer s.Stop()
-	// Run acquires ownership before flipping started, so once started is
-	// visible the owner is recorded and any foreign handle call must trap.
-	for !s.started.Load() {
-		runtime.Gosched()
-	}
+	// The loop acquires ownership in PollOnce, before it drains a request,
+	// so once it has answered one the owner is recorded and any foreign
+	// handle call must trap.
+	exchange(t, s.Connect(nic, false), message.Request{Op: message.OpGet, Seq: 1, Key: []byte("k")})
 
 	req := message.Request{Op: message.OpPut, Key: []byte("k"), Val: []byte("v")}
 	body := make([]byte, req.EncodedSize())

@@ -9,8 +9,8 @@
 // off with a short sleep so light workloads impose negligible CPU cost
 // without sacrificing latency (§4.2.1).
 //
-// The package also provides the decoupled pipelined variant (dispatcher
-// threads + worker threads sharing the store under a mutex) used purely as
+// Config.Pipelined selects the decoupled variant instead (dispatcher
+// threads + worker threads sharing the store under a mutex), used purely as
 // the ablation baseline of §6.2.1/Fig. 5(a).
 package shard
 
@@ -51,6 +51,9 @@ type Config struct {
 	// of creating one — the SWAT promotion path, where a secondary's replica
 	// store becomes the new primary's (§5.1).
 	ExistingStore *kv.Store
+	// Pipelined runs the shard under the decoupled execution model of
+	// Fig. 5(a) (pipelined.go) instead of the single-threaded loop.
+	Pipelined bool
 }
 
 func (c *Config) withDefaults() Config {
@@ -182,11 +185,12 @@ type Shard struct {
 	connSet []*conn
 	conns   atomic.Pointer[[]*conn]
 
-	stop    chan struct{}
-	stopped chan struct{}
-	started atomic.Bool
-	killed  atomic.Bool
-	own     invariant.Owner // hydradebug: goroutine-ownership sanitizer
+	// The loop goroutines, and the state only the loop touches.
+	loop         *timing.Runner
+	respBuf      []byte
+	sinceReclaim int // requests handled since the last reclamation pass
+	killed       atomic.Bool
+	own          invariant.Owner // hydradebug: goroutine-ownership sanitizer
 
 	Counters stats.OpCounters
 	Handled  stats.Counter
@@ -204,8 +208,8 @@ func New(cfg Config) *Shard {
 		id:      c.ID,
 		nic:     c.NIC,
 		clock:   c.Store.Clock,
-		stop:    make(chan struct{}),
-		stopped: make(chan struct{}),
+		loop:    timing.NewRunner("shard"),
+		respBuf: make([]byte, c.MailboxBytes),
 	}
 	if c.ExistingStore != nil {
 		s.store = c.ExistingStore
@@ -235,8 +239,11 @@ func (s *Shard) Epoch() uint32 { return s.epoch.Load() }
 // SetEpoch advances the accepted routing epoch (SWAT reconfiguration).
 func (s *Shard) SetEpoch(e uint32) { s.epoch.Store(e) }
 
-// AttachPrimary enables replication through p. Must be set before Run.
+// AttachPrimary enables replication through p. Must be set before Start.
 func (s *Shard) AttachPrimary(p *replication.Primary) { s.primary = p }
+
+// Pipelined reports whether the shard runs the decoupled execution model.
+func (s *Shard) Pipelined() bool { return s.cfg.Pipelined }
 
 // Primary reports the attached replication primary, if any.
 func (s *Shard) Primary() *replication.Primary { return s.primary }
@@ -273,54 +280,41 @@ func (s *Shard) Connect(clientNIC *rdma.NIC, sendRecv bool) *Endpoint {
 	}
 }
 
-// Run executes the single-threaded event loop until Stop. It owns the store
-// exclusively; nothing else may touch it while running.
-func (s *Shard) Run() {
-	// Ownership is acquired before started flips so that anything observing
-	// started==true may rely on the owner being recorded (§4.1.1 sanitizer).
-	s.own.Acquire("shard.Run")
-	defer s.own.Release()
-	s.started.Store(true)
-	defer close(s.stopped)
-	// Leak-sanitizer registration sits after the stopped defer so its
-	// deregistration (LIFO) happens-before the close a joining Stop waits on.
-	spawnDone := invariant.Spawned(fmt.Sprintf("shard/%p/run", s))
-	defer spawnDone()
-	respBuf := make([]byte, s.cfg.MailboxBytes)
-	back := timing.NewBackoff(timing.YieldFirst)
-	handledSinceReclaim := 0
-	for {
-		select {
-		case <-s.stop:
-			return
-		default:
-		}
-		progress := false
-		// One epoch load covers the whole poll round: SetEpoch is
-		// control-plane, so every request drained this round may be judged
-		// against the same value.
-		epoch := s.epoch.Load()
-		conns := *s.conns.Load()
-		for _, c := range conns {
-			n := s.drainConn(c, respBuf, epoch)
-			if n > 0 {
-				progress = true
-				handledSinceReclaim += n
-				s.Handled.Add(int64(n))
-			}
-		}
-		if handledSinceReclaim >= s.cfg.ReclaimEvery {
-			s.store.ReclaimDue()
-			handledSinceReclaim = 0
-		}
-		if progress {
-			back.Reset()
-			continue
-		}
-		if back.Idle() {
-			s.store.ReclaimDue()
+// Start launches the shard's loop: the single-threaded event loop, which
+// owns the store exclusively and calls PollOnce until Stop, backing off when
+// a round finds nothing and running a reclamation pass on its naps — or,
+// under Config.Pipelined, the decoupled stages.
+func (s *Shard) Start() {
+	if s.cfg.Pipelined {
+		s.startPipelined()
+		return
+	}
+	s.loop.Go(timing.YieldFirst, s.PollOnce, func() { s.store.ReclaimDue() })
+}
+
+// PollOnce is one round of the event loop: it drains every connection's
+// ready requests and reports whether it handled any. The calling goroutine
+// becomes the store's owner (§4.1.1 sanitizer).
+func (s *Shard) PollOnce() bool {
+	s.own.Acquire("shard.PollOnce")
+	// One epoch load covers the whole poll round: SetEpoch is control-plane,
+	// so every request drained this round may be judged against the same
+	// value.
+	epoch := s.epoch.Load()
+	conns := *s.conns.Load()
+	progress := false
+	for _, c := range conns {
+		if n := s.drainConn(c, epoch); n > 0 {
+			progress = true
+			s.sinceReclaim += n
+			s.Handled.Add(int64(n))
 		}
 	}
+	if s.sinceReclaim >= s.cfg.ReclaimEvery {
+		s.store.ReclaimDue()
+		s.sinceReclaim = 0
+	}
+	return progress
 }
 
 // drainConn consumes every ready request of one connection — up to a full
@@ -330,20 +324,20 @@ func (s *Shard) Run() {
 // amortized across the batch.
 //
 // hydralint:hotpath
-func (s *Shard) drainConn(c *conn, respBuf []byte, epoch uint32) int {
+func (s *Shard) drainConn(c *conn, epoch uint32) int {
 	handled := 0
 	for handled < c.reqBox.Depth() {
 		body, seq, ok := c.recv()
 		if !ok {
 			break
 		}
-		n := s.handle(body, respBuf, epoch)
+		n := s.handle(body, s.respBuf, epoch)
 		// "the shard zeros out the request buffer and sends the response
 		// back" (§4.2.1). Releasing before the reply frees the slot for the
 		// client's next pipelined request.
 		c.release()
 		//hydralint:ignore error-discipline response to a vanished client; nothing to do but serve the next mailbox
-		_ = c.reply(respBuf[:n], seq)
+		_ = c.reply(s.respBuf[:n], seq)
 		handled++
 	}
 	return handled
@@ -385,11 +379,11 @@ func (s *Shard) apply(req message.Request, resp *message.Response) {
 		resp.Ptr = res.Ptr
 		resp.Ptr.ShardID = s.id
 
-	case message.OpPut, message.OpMigrate:
+	case message.OpPut:
 		// Replicate before applying locally: a value only becomes visible to
 		// readers once it is in the backup stream, so a primary crash right
 		// after a Get can never lose data that Get observed.
-		if req.Op == message.OpPut && s.primary != nil {
+		if s.primary != nil {
 			if err := s.primary.Replicate(replication.Record{
 				Op: message.OpPut, Key: req.Key, Val: req.Val,
 			}); err != nil {
@@ -444,15 +438,7 @@ func (s *Shard) apply(req message.Request, resp *message.Response) {
 
 // Stop terminates the loop gracefully (flushing replication).
 func (s *Shard) Stop() {
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
-	if s.started.Load() {
-		<-s.stopped
-		invariant.AssertDrained(fmt.Sprintf("shard/%p/", s))
-	}
+	s.halt()
 	if s.primary != nil {
 		// Bounded: a partitioned or dead secondary must not hang Stop (the
 		// chaos stop-drain scenario stops shards while the mesh is cut).
@@ -471,15 +457,7 @@ const stopFlushBudgetNs = int64(2 * time.Second)
 // logging-mode replication placed it there before acking the client.
 func (s *Shard) Kill() {
 	s.killed.Store(true)
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
-	if s.started.Load() {
-		<-s.stopped
-		invariant.AssertDrained(fmt.Sprintf("shard/%p/", s))
-	}
+	s.halt()
 	// A dead process takes its memory registrations with it: one-sided reads
 	// of the frozen arena must fail at the fabric, not return pre-crash
 	// bytes. Without this, a client whose cached pointer targets the dead
@@ -491,6 +469,14 @@ func (s *Shard) Kill() {
 		c.reqMR.Revoke()
 	}
 	s.mu.Unlock() //hydralint:ignore shard-exclusivity loop is dead; control-plane teardown
+}
+
+// halt is the one path by which Stop and Kill end the loop, in either
+// execution model: the runner closes its stop channel and joins every loop
+// goroutine, and the store has no owner afterwards.
+func (s *Shard) halt() {
+	s.loop.Stop()
+	s.own.Release()
 }
 
 // Killed reports whether the shard was failure-injected.

@@ -62,7 +62,7 @@ func exchange(t testing.TB, ep *Endpoint, req message.Request) message.Response 
 
 func TestShardServesOps(t *testing.T) {
 	sh, f, _ := testShard(t)
-	go sh.Run()
+	sh.Start()
 	defer sh.Stop()
 	ep := sh.Connect(f.NewNIC("client"), false)
 
@@ -96,7 +96,7 @@ func TestShardServesOps(t *testing.T) {
 
 func TestShardRejectsStaleEpoch(t *testing.T) {
 	sh, f, _ := testShard(t)
-	go sh.Run()
+	sh.Start()
 	defer sh.Stop()
 	sh.SetEpoch(5)
 	ep := sh.Connect(f.NewNIC("client"), false)
@@ -115,7 +115,7 @@ func TestShardRejectsStaleEpoch(t *testing.T) {
 
 func TestShardMalformedRequest(t *testing.T) {
 	sh, f, _ := testShard(t)
-	go sh.Run()
+	sh.Start()
 	defer sh.Stop()
 	ep := sh.Connect(f.NewNIC("client"), false)
 	// Write garbage into the request mailbox.
@@ -142,7 +142,7 @@ func TestShardMalformedRequest(t *testing.T) {
 
 func TestShardRoundRobinAcrossConnections(t *testing.T) {
 	sh, f, _ := testShard(t)
-	go sh.Run()
+	sh.Start()
 	defer sh.Stop()
 	cli := f.NewNIC("clients")
 	const conns = 5
@@ -174,7 +174,7 @@ func TestShardReclaimAmortization(t *testing.T) {
 		Store:        kv.Config{ArenaBytes: 1 << 20, MaxItems: 4096, Clock: clk},
 		ReclaimEvery: 8,
 	})
-	go sh.Run()
+	sh.Start()
 	defer sh.Stop()
 	ep := sh.Connect(f.NewNIC("client"), false)
 	// Update the same key repeatedly: each update detaches the old area.
@@ -199,29 +199,9 @@ func TestShardReclaimAmortization(t *testing.T) {
 	}
 }
 
-func TestShardMigrateOpDoesNotReplicate(t *testing.T) {
-	// OpMigrate applies the item without re-replicating (it IS the
-	// replication/migration path).
-	sh, f, _ := testShard(t)
-	go sh.Run()
-	defer sh.Stop()
-	ep := sh.Connect(f.NewNIC("client"), false)
-	resp := exchange(t, ep, message.Request{Op: message.OpMigrate, Seq: 1, Key: []byte("moved"), Val: []byte("v")})
-	if resp.Status != message.StatusOK {
-		t.Fatalf("migrate: %+v", resp)
-	}
-	if sh.Counters.Replications.Load() != 0 {
-		t.Fatal("migrate must not count as replication")
-	}
-	get := exchange(t, ep, message.Request{Op: message.OpGet, Seq: 2, Key: []byte("moved")})
-	if get.Status != message.StatusOK || string(get.Val) != "v" {
-		t.Fatalf("get after migrate: %+v", get)
-	}
-}
-
 func TestShardKillStopsServing(t *testing.T) {
 	sh, f, _ := testShard(t)
-	go sh.Run()
+	sh.Start()
 	ep := sh.Connect(f.NewNIC("client"), false)
 	exchange(t, ep, message.Request{Op: message.OpPut, Seq: 1, Key: []byte("k"), Val: []byte("v")})
 	put := exchange(t, ep, message.Request{Op: message.OpPut, Seq: 2, Key: []byte("k"), Val: []byte("w")})
@@ -253,7 +233,7 @@ func TestEndpointArenaReadableViaQP(t *testing.T) {
 	// The endpoint's QP + ArenaMR enable one-sided reads of items (the
 	// client package builds on this; verify at the shard boundary).
 	sh, f, _ := testShard(t)
-	go sh.Run()
+	sh.Start()
 	defer sh.Stop()
 	ep := sh.Connect(f.NewNIC("client"), false)
 	put := exchange(t, ep, message.Request{Op: message.OpPut, Seq: 1, Key: []byte("k"), Val: []byte("val-bytes")})
@@ -278,11 +258,11 @@ func TestPipelinedMatchesSingleThreadSemantics(t *testing.T) {
 	sh := New(Config{
 		ID:    1,
 		NIC:   f.NewNIC("server"),
-		Store: kv.Config{ArenaBytes: 1 << 20, MaxItems: 4096, Clock: clk},
+		Store:     kv.Config{ArenaBytes: 1 << 20, MaxItems: 4096, Clock: clk},
+		Pipelined: true,
 	})
-	pipe := NewPipelined(sh, 2, 2)
-	go pipe.Run()
-	defer pipe.Stop()
+	sh.Start()
+	defer sh.Stop()
 	ep := sh.Connect(f.NewNIC("client"), false)
 	for i := 0; i < 30; i++ {
 		key := []byte(fmt.Sprintf("key%02d", i))
@@ -325,10 +305,10 @@ func TestShardFailedReplicationLeavesValueInvisible(t *testing.T) {
 		return nil
 	})
 	sec := replication.NewSecondary(log, applier, qpS, p.AckRegion(), ackIdx)
-	go sec.Run()
+	sec.Start()
 	defer sec.Stop()
 	sh.AttachPrimary(p)
-	go sh.Run()
+	sh.Start()
 	defer sh.Stop()
 	ep := sh.Connect(f.NewNIC("client"), false)
 

@@ -1,15 +1,12 @@
 package timing
 
-import (
-	"runtime"
-	"time"
-)
+import "time"
 
 // IdleShape selects one of the two idle policies of the server poll loops.
 // The shapes are fixed here; no caller tunes them.
 //
 //	shape       yields  first nap  cap    used by
-//	YieldFirst  64      100 ns     1 ms   shard.Run, Pipelined dispatchers, strict-mode secondary
+//	YieldFirst  64      100 ns     1 ms   shard loop, pipelined dispatchers, strict-mode secondary
 //	NapFirst    0       10 µs      1 ms   logging-mode secondary
 type IdleShape uint8
 
@@ -36,15 +33,15 @@ const (
 	napMaxNs = int64(time.Millisecond)
 )
 
-// Backoff is the adaptive idle policy of the server poll loops. The first
+// backoff is the adaptive idle policy of the server poll loops. The first
 // `spins` empty rounds yield the processor and re-poll at once; after that
 // the loop naps, doubling the nap from napNs up to napMaxNs. An idle loop
 // therefore converges to one wakeup per nap cap (negligible CPU), and the
 // pickup delay for work arriving after an arbitrarily long idle period stays
 // bounded by one nap cap. spins 0 skips the yield phase.
 //
-// A Backoff belongs to one loop goroutine.
-type Backoff struct {
+// A backoff belongs to one loop goroutine.
+type backoff struct {
 	spins    int
 	napNs    int64
 	napMaxNs int64
@@ -53,26 +50,23 @@ type Backoff struct {
 	nap    int64 // current nap length; 0 until the first nap
 }
 
-// NewBackoff returns a Backoff of the given shape in its initial state.
-func NewBackoff(shape IdleShape) Backoff {
+// newBackoff returns a backoff of the given shape in its initial state.
+func newBackoff(shape IdleShape) backoff {
 	if shape == NapFirst {
-		return Backoff{napNs: napFirstNapNs, napMaxNs: napMaxNs}
+		return backoff{napNs: napFirstNapNs, napMaxNs: napMaxNs}
 	}
-	return Backoff{spins: yieldFirstSpins, napNs: yieldFirstNapNs, napMaxNs: napMaxNs}
+	return backoff{spins: yieldFirstSpins, napNs: yieldFirstNapNs, napMaxNs: napMaxNs}
 }
 
-// Reset returns to the initial state after a productive poll round.
-func (b *Backoff) Reset() { b.rounds, b.nap = 0, 0 }
+// reset returns to the initial state after a productive poll round.
+func (b *backoff) reset() { b.rounds, b.nap = 0, 0 }
 
-// Idle records one empty poll round, blocks according to the current phase,
-// and reports whether it napped — nap rounds are where a poll loop may run
-// housekeeping (reclamation), since its request path is quiet.
-func (b *Backoff) Idle() bool {
+// idle records one empty poll round and returns how long the loop should
+// nap, in nanoseconds; 0 means yield the processor and re-poll at once.
+func (b *backoff) idle() int64 {
 	if b.rounds < b.spins {
 		b.rounds++
-		// Yield rather than pure-spin: lets clients run between polls.
-		runtime.Gosched()
-		return false
+		return 0
 	}
 	if b.nap == 0 {
 		b.nap = b.napNs
@@ -82,6 +76,5 @@ func (b *Backoff) Idle() bool {
 	if b.nap > b.napMaxNs {
 		b.nap = b.napMaxNs
 	}
-	Sleep(b.nap)
-	return true
+	return b.nap
 }
