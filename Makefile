@@ -50,12 +50,14 @@ lint-sarif:
 	$(GO) run ./cmd/hydralint -sarif hydralint.sarif ./...
 
 # The declarative-spec loop (DESIGN.md §16): the spec engine's self-tests
-# (seeded-bug fixtures, the publication-order golden, README table sync) and
+# (seeded-bug fixtures, the publication-order golden, README table sync),
 # the modelcheck test that pairs every spec with a registered hydramc model
-# in both directions.
+# in both directions, and the kill matrix's drift check (every mutant's old
+# text still occurs exactly once; seconds, unlike `make kill-matrix`).
 lint-spec:
 	$(GO) test -count=1 -run 'Spec|Golden|ReadmeSync' ./cmd/hydralint
 	$(GO) test -count=1 -run Spec ./internal/modelcheck
+	$(GO) test -count=1 -tags killmatrix -run TestKillMatrixMutantsMatch ./cmd/hydralint
 
 # Nightly deep verification (.github/workflows/nightly.yml): the budgeted
 # lint plus a hydramc exploration an order of magnitude past the smoke

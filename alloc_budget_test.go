@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"hydradb"
-	"hydradb/internal/invariant"
 )
 
 // budgetDB starts a one-shard deployment for an allocation budget.
@@ -76,9 +75,6 @@ func TestAllocBudgetOneSidedGet(t *testing.T) {
 // cached allocates nothing: the new pointer is written inline into the
 // key's slot, and the key string already exists.
 func TestAllocBudgetMultiPutCached(t *testing.T) {
-	if invariant.Enabled {
-		t.Skip("hydradebug: the shard's ownership assertion allocates once per write")
-	}
 	cacheModes(t, func(t *testing.T, edit func(*hydradb.Options)) {
 		c := budgetDB(t, edit).NewClient()
 		const batch = 16
@@ -134,18 +130,9 @@ func TestAllocBudgetPipelinedGet(t *testing.T) {
 	}
 }
 
-// skipDebugMessages skips a budget whose ops reach the shard: under
-// hydradebug the shard's ownership assertion allocates once per request.
-func skipDebugMessages(t *testing.T) {
-	if invariant.Enabled {
-		t.Skip("hydradebug: the shard's ownership assertion allocates once per request")
-	}
-}
-
 // messageDB starts a one-shard deployment whose GETs all take the message
 // path.
 func messageDB(t *testing.T) *hydradb.Client {
-	skipDebugMessages(t)
 	return budgetDB(t, func(o *hydradb.Options) {
 		o.DisableRDMARead = true
 		o.SharedPointerCache = false
@@ -217,7 +204,6 @@ func TestAllocBudgetDeletePut(t *testing.T) {
 // TestAllocBudgetRenew: renewing the lease of a cached key allocates
 // nothing; the renewed pointer is written inline into the key's slot.
 func TestAllocBudgetRenew(t *testing.T) {
-	skipDebugMessages(t)
 	c := budgetDB(t, func(*hydradb.Options) {}).NewClient()
 	key := []byte("budget-renew")
 	if err := c.Put(key, make([]byte, 32)); err != nil {

@@ -12,11 +12,17 @@ import (
 // Enabled reports whether the sanitizers are armed (-tags hydradebug).
 const Enabled = true
 
+// stackBufs recycles GoroutineID's header buffers: runtime.Stack makes its
+// argument escape, so a local array would cost one allocation per call, and
+// Owner.Assert runs on every shard request.
+var stackBufs = sync.Pool{New: func() any { return new([64]byte) }}
+
 // GoroutineID returns the runtime id of the calling goroutine. It is only
 // available under hydradebug; parsing the stack header costs ~1µs, which is
 // acceptable for a sanitizer and unacceptable anywhere else.
 func GoroutineID() int64 {
-	var buf [64]byte
+	buf := stackBufs.Get().(*[64]byte)
+	defer stackBufs.Put(buf)
 	n := runtime.Stack(buf[:], false)
 	// Header shape: "goroutine 123 [running]:".
 	s := buf[:n]
