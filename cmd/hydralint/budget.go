@@ -8,9 +8,9 @@ import (
 	"strings"
 )
 
-// The suppression ratchet. Every escape hatch the linter offers (the ignore
-// and daemon directives) is counted repo-wide and compared against a
-// checked-in baseline (.hydralint-budget). A run whose count
+// The suppression ratchet. The linter's one escape hatch, the ignore
+// directive, is counted repo-wide and compared against a checked-in
+// baseline (.hydralint-budget). A run whose count
 // exceeds the baseline fails: new suppressions need a reviewer to consciously
 // raise the budget in the same change. A run whose count is lower only
 // reports that the baseline can be tightened; `hydralint -budget-write`
@@ -35,14 +35,13 @@ func (k ignoreKey) String() string {
 	return k.Check + " " + k.Pkg + " " + k.Symbol
 }
 
-// SuppressionCounts is the repo-wide census of linter escape hatches.
+// SuppressionCounts is the repo-wide census of ignore directives.
 type SuppressionCounts struct {
 	Ignore map[ignoreKey]int
-	Daemon int
 }
 
 func (c SuppressionCounts) Total() int {
-	n := c.Daemon
+	n := 0
 	for _, v := range c.Ignore {
 		n += v
 	}
@@ -80,10 +79,6 @@ func countSuppressions(pkgs []*Package) SuppressionCounts {
 						for _, check := range strings.Split(fields[0], ",") {
 							c.Ignore[ignoreKey{Check: check, Pkg: p.ImportPath, Symbol: sym}]++
 						}
-						continue
-					}
-					if _, ok := directiveRest(text, "hydralint:daemon"); ok {
-						c.Daemon++
 					}
 				}
 			}
@@ -132,15 +127,6 @@ func parseBudget(path string) (SuppressionCounts, error) {
 				return bad("bad count")
 			}
 			c.Ignore[ignoreKey{Check: fields[1], Pkg: fields[2], Symbol: fields[3]}] += n
-		case "daemon":
-			if len(fields) != 2 {
-				return bad("malformed line (want \"daemon <count>\")")
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return bad("bad count")
-			}
-			c.Daemon = n
 		default:
 			return bad("unknown category")
 		}
@@ -168,7 +154,6 @@ func formatBudget(c SuppressionCounts) string {
 	for _, k := range keys {
 		fmt.Fprintf(&b, "ignore %s %d\n", k, c.Ignore[k])
 	}
-	fmt.Fprintf(&b, "daemon %d\n", c.Daemon)
 	return b.String()
 }
 
@@ -196,16 +181,6 @@ func checkBudget(current, baseline SuppressionCounts) (failures, notes []string)
 				"budget for hydralint:ignore %s in %s (%s) can be tightened: %d in tree, baseline says %d (run -budget-write)",
 				k.Check, k.Pkg, k.Symbol, n, allowed))
 		}
-	}
-	switch cur, base := current.Daemon, baseline.Daemon; {
-	case cur > base:
-		failures = append(failures, fmt.Sprintf(
-			"suppression budget exceeded: %d hydralint:daemon directives, baseline allows %d — remove the new suppression or consciously raise .hydralint-budget in this change",
-			cur, base))
-	case cur < base:
-		notes = append(notes, fmt.Sprintf(
-			"budget for hydralint:daemon can be tightened: %d in tree, baseline says %d (run -budget-write)",
-			cur, base))
 	}
 	sort.Strings(failures)
 	sort.Strings(notes)

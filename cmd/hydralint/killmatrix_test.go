@@ -27,104 +27,106 @@ import (
 	"time"
 )
 
-// mutant is one deliberate bug: replace old with new in file. pkgs are the
+// mutant is one deliberate bug: replace old with new in file. aims names
+// the hydralint check the bug was written against; a deleted check's
+// mutants stay, to show which detector kills them now. pkgs are the
 // packages whose tests, -race and hydradebug runs are aimed at it; empty
 // means the file's own package. survives says why the bug causes no wrong
 // result today; a survivor without it is a missing test.
 type mutant struct {
-	id, kind, what string
-	file, old, new string
-	pkgs           []string
-	survives       string
+	id, aims, kind, what string
+	file, old, new       string
+	pkgs                 []string
+	survives             string
 }
 
 var mutants = []mutant{
 	// Bounds: a size or offset guard loosened or dropped.
-	{id: "R1", kind: "bounds", what: "`Mailbox.Poll` accepts a size up to `slotCap+8`",
+	{id: "R1", aims: "region-bounds", kind: "bounds", what: "`Mailbox.Poll` accepts a size up to `slotCap+8`",
 		file: "internal/message/mailbox.go",
 		old:  "if !present || size < 0 || size > m.slotCap {",
 		new:  "if !present || size < 0 || size > m.slotCap+8 {"},
-	{id: "R2", kind: "bounds", what: "`Mailbox.WriteVia` writes one byte past the slot start",
+	{id: "R2", aims: "region-bounds", kind: "bounds", what: "`Mailbox.WriteVia` writes one byte past the slot start",
 		file: "internal/message/mailbox.go",
 		old:  "\toff := m.dataOff + m.wr*m.slotCap\n\tind := makeIndicator(seq, len(body))\n\tif err",
 		new:  "\toff := m.dataOff + m.wr*m.slotCap + 1\n\tind := makeIndicator(seq, len(body))\n\tif err"},
-	{id: "R3", kind: "bounds", what: "`Mailbox.Consume` wraps the read cursor one slot late",
+	{id: "R3", aims: "region-bounds", kind: "bounds", what: "`Mailbox.Consume` wraps the read cursor one slot late",
 		file: "internal/message/mailbox.go",
 		old:  "if m.rd == m.depth {",
 		new:  "if m.rd > m.depth {"},
-	{id: "R4", kind: "bounds", what: "`DecodeItem` drops the header+key+value length check",
+	{id: "R4", aims: "region-bounds", kind: "bounds", what: "`DecodeItem` drops the header+key+value length check",
 		file: "internal/kv/item.go",
 		old:  "if keyLen == 0 || ItemHeaderSize+keyLen+valLen > len(buf) {",
 		new:  "if keyLen == 0 {"},
-	{id: "R5", kind: "bounds", what: "`Secondary.PollOnce` drops the ready-word size check",
+	{id: "R5", aims: "region-bounds", kind: "bounds", what: "`Secondary.PollOnce` drops the ready-word size check",
 		file: "internal/replication/log.go",
 		old:  "if size < 0 || size > s.log.cfg.SlotSize {",
 		new:  "if size < 0 {"},
-	{id: "R6", kind: "bounds", what: "`QP.ReadInto` drops its upper bounds check",
+	{id: "R6", aims: "region-bounds", kind: "bounds", what: "`QP.ReadInto` drops its upper bounds check",
 		file: "internal/rdma/fabric.go",
 		old:  "if off < 0 || off+len(dst) > len(mr.data) {",
 		new:  "if off < 0 {"},
-	{id: "R7", kind: "bounds", what: "`QP.WriteIndicated` drops its upper bounds check",
+	{id: "R7", aims: "region-bounds", kind: "bounds", what: "`QP.WriteIndicated` drops its upper bounds check",
 		file: "internal/rdma/fabric.go",
 		old:  "if off < 0 || off+len(body) > len(mr.data) {",
 		new:  "if off < 0 {"},
-	{id: "R8", kind: "bounds", what: "`DecodeRequest` drops the key+value length check",
+	{id: "R8", aims: "region-bounds", kind: "bounds", what: "`DecodeRequest` drops the key+value length check",
 		file: "internal/message/codec.go",
 		old:  "if reqHeader+keyLen+valLen > len(buf) || r.Op < OpGet || r.Op > OpRenewLease {",
 		new:  "if r.Op < OpGet || r.Op > OpRenewLease {"},
-	{id: "R9", kind: "bounds", what: "`Store.ReadAt` drops the word-index check",
+	{id: "R9", aims: "region-bounds", kind: "bounds", what: "`Store.ReadAt` drops the word-index check",
 		file: "internal/kv/store.go",
 		old:  "if end > s.arena.Capacity() || int(p.MetaIdx)+leaseWord >= s.words.Len() {",
 		new:  "if end > s.arena.Capacity() {"},
-	{id: "R10", kind: "bounds", what: "`Arena.Alloc` bump-allocates one class past the end",
+	{id: "R10", aims: "region-bounds", kind: "bounds", what: "`Arena.Alloc` bump-allocates one class past the end",
 		file: "internal/arena/arena.go",
 		old:  "if a.bump+size > len(a.data) {",
 		new:  "if a.bump > len(a.data) {"},
-	{id: "R11", kind: "bounds", what: "`Secondary.slotOf` wraps modulo `Slots-1`",
+	{id: "R11", aims: "region-bounds", kind: "bounds", what: "`Secondary.slotOf` wraps modulo `Slots-1`",
 		file: "internal/replication/log.go",
 		old:  "return int((seq - 1) % uint64(s.log.cfg.Slots)) }",
 		new:  "return int((seq - 1) % uint64(s.log.cfg.Slots-1)) }"},
 
 	// Locks: a release skipped on one path.
-	{id: "L1", kind: "lock", what: "`Cluster.Promote` keeps `cl.mu` on the \"primary is alive\" return",
+	{id: "L1", aims: "lease-discipline", kind: "lock", what: "`Cluster.Promote` keeps `cl.mu` on the \"primary is alive\" return",
 		file: "internal/cluster/cluster.go",
 		old:  "\t\tcl.mu.Unlock()\n\t\treturn fmt.Errorf(\"cluster: primary of group %d is alive; refusing promotion\", id)",
 		new:  "\t\treturn fmt.Errorf(\"cluster: primary of group %d is alive; refusing promotion\", id)"},
-	{id: "L2", kind: "lock", what: "`Cluster.Promote` keeps `cl.mu` on the \"already in progress\" return",
+	{id: "L2", aims: "lease-discipline", kind: "lock", what: "`Cluster.Promote` keeps `cl.mu` on the \"already in progress\" return",
 		file: "internal/cluster/cluster.go",
 		old:  "\t\tcl.mu.Unlock()\n\t\treturn fmt.Errorf(\"cluster: promotion of group %d already in progress\", id)",
 		new:  "\t\treturn fmt.Errorf(\"cluster: promotion of group %d already in progress\", id)"},
-	{id: "L3", kind: "lock", what: "`Session.Children` defers its unlock below the session-state return",
+	{id: "L3", aims: "lease-discipline", kind: "lock", what: "`Session.Children` defers its unlock below the session-state return",
 		file: "internal/coord/coord.go",
 		old:  "\tdefer s.mu.Unlock()\n\tif _, err := s.state(c.id); err != nil {\n\t\treturn nil, err\n\t}\n\tn, err := s.lookup(path)\n\tif err != nil {\n\t\treturn nil, err\n\t}\n\tout := make([]string",
 		new:  "\tif _, err := s.state(c.id); err != nil {\n\t\treturn nil, err\n\t}\n\tdefer s.mu.Unlock()\n\tn, err := s.lookup(path)\n\tif err != nil {\n\t\treturn nil, err\n\t}\n\tout := make([]string"},
-	{id: "L4", kind: "lock", what: "`Session.Create` defers its unlock below the session-state return",
+	{id: "L4", aims: "lease-discipline", kind: "lock", what: "`Session.Create` defers its unlock below the session-state return",
 		file: "internal/coord/coord.go",
 		old:  "\tdefer s.mu.Unlock()\n\tst, err := s.state(c.id)\n\tif err != nil {\n\t\treturn \"\", err\n\t}",
 		new:  "\tst, err := s.state(c.id)\n\tif err != nil {\n\t\treturn \"\", err\n\t}\n\tdefer s.mu.Unlock()"},
-	{id: "L5", kind: "lock", what: "`Cluster.Promote` keeps `cl.mu` on the \"unknown group\" return",
+	{id: "L5", aims: "lease-discipline", kind: "lock", what: "`Cluster.Promote` keeps `cl.mu` on the \"unknown group\" return",
 		file: "internal/cluster/cluster.go",
 		old:  "\t\tcl.mu.Unlock()\n\t\treturn fmt.Errorf(\"cluster: unknown group %d\", id)",
 		new:  "\t\treturn fmt.Errorf(\"cluster: unknown group %d\", id)"},
 
 	// Spins: a poll loop loses its yield or its exit.
-	{id: "B1", kind: "spin", what: "the engine's response poll (`pump`) no longer yields",
+	{id: "B1", aims: "bounded-spin", kind: "spin", what: "the engine's response poll (`pump`) no longer yields",
 		file:     "internal/client/pipeline.go",
 		old:      "\t\t\truntime.Gosched()\n",
 		new:      "\t\t\truntime.KeepAlive(spins)\n",
 		survives: "the poll still exits at its deadline; a missing yield costs CPU, not correctness"},
-	{id: "B2", kind: "spin", what: "the engine's response poll (`pump`) never gives up at the deadline",
+	{id: "B2", aims: "bounded-spin", kind: "spin", what: "the engine's response poll (`pump`) never gives up at the deadline",
 		file: "internal/client/pipeline.go",
 		old:  "} else if now > deadline {\n\t\t\t\t\treturn false\n",
 		new:  "} else if now > deadline {\n\t\t\t\t\tdeadline = now + int64(c.opts.RequestTimeout)\n"},
 	// B3 is retired: it named the synchronous path's own poll deadline. The
 	// client now has one poll loop, the pump, for single ops and batches
 	// alike, so B2 covers that site.
-	{id: "B4", kind: "spin", what: "`waitAckedUntil` ignores its flush deadline",
+	{id: "B4", aims: "bounded-spin", kind: "spin", what: "`waitAckedUntil` ignores its flush deadline",
 		file: "internal/replication/log.go",
 		old:  "if deadline > 0 && timing.Wall().Now() >= deadline {",
 		new:  "if deadline < 0 && timing.Wall().Now() >= deadline {"},
-	{id: "B5", kind: "spin", what: "the server poll loops (`Runner.poll`) busy-poll without backing off",
+	{id: "B5", aims: "bounded-spin", kind: "spin", what: "the server poll loops (`Runner.poll`) busy-poll without backing off",
 		file: "internal/timing/runner.go",
 		old:  "\t\tif step() {\n\t\t\tback.reset()\n",
 		new:  "\t\tif step() || true {\n\t\t\tback.reset()\n",
@@ -134,16 +136,16 @@ var mutants = []mutant{
 	// loop, so B5 covers them all.
 
 	// Waits: a blocking operation under a lock, or a stop that does not join.
-	{id: "W1", kind: "wait", what: "`Team.run` calls the reactor (takes `Cluster.mu`) while holding `Team.mu`",
+	{id: "W1", aims: "wait-cycle", kind: "wait", what: "`Team.run` calls the reactor (takes `Cluster.mu`) while holding `Team.mu`",
 		file:     "internal/swat/swat.go",
 		old:      "\t\t\tt.mu.Unlock()\n\t\t\tif !already && t.reactor != nil {\n\t\t\t\tt.reactor(name)\n",
 		new:      "\t\t\tif !already && t.reactor != nil {\n\t\t\t\tt.reactor(name)\n\t\t\t}\n\t\t\tt.mu.Unlock()\n\t\t\tif !already && t.reactor != nil {\n",
 		survives: "the reactor never takes `Team.mu`, so `Cluster.mu` is only ever taken under `Team.mu` and no cycle closes"},
-	{id: "W2", kind: "wait", what: "`Server.notify` blocks on a full watcher channel while holding `Server.mu`",
+	{id: "W2", aims: "wait-cycle", kind: "wait", what: "`Server.notify` blocks on a full watcher channel while holding `Server.mu`",
 		file: "internal/coord/coord.go",
 		old:  "\t\t\tcase w.ch <- ev:\n\t\t\tdefault:\n\t\t\t\t// Watcher queue overflow",
 		new:  "\t\t\tcase w.ch <- ev:\n\t\t\tcase <-make(chan struct{}):\n\t\t\t\t// Watcher queue overflow"},
-	{id: "W3", kind: "wait", what: "`Runner.Stop` returns without joining its loops",
+	{id: "W3", aims: "wait-cycle", kind: "wait", what: "`Runner.Stop` returns without joining its loops",
 		file: "internal/timing/runner.go",
 		old:  "\tr.wg.Wait()\n\tinvariant.AssertDrained(r.label)\n",
 		new:  "\tinvariant.AssertDrained(r.label)\n",
@@ -152,100 +154,137 @@ var mutants = []mutant{
 	// secondaries' Stop now join in one runner, so W3 covers both.
 
 	// Escapes: a view of registered memory outlives the call that lent it.
-	{id: "P1", kind: "escape", what: "the shard stashes a `kv.Get` value view in a package variable",
+	{id: "P1", aims: "published-escape", kind: "escape", what: "the shard stashes a `kv.Get` value view in a package variable",
 		file:     "internal/shard/shard.go",
 		old:      "func (s *Shard) apply(req message.Request, resp *message.Response) {\n\tswitch req.Op {\n\tcase message.OpGet:\n\t\tres, ok := s.store.Get(req.Key)\n",
 		new:      "var lastView []byte\n\nfunc (s *Shard) apply(req message.Request, resp *message.Response) {\n\tswitch req.Op {\n\tcase message.OpGet:\n\t\tres, ok := s.store.Get(req.Key)\n\t\tlastView = res.Value\n",
 		survives: "nothing reads the package variable"},
-	{id: "P2", kind: "escape", what: "`readViaPointerInto` returns the read scratch instead of appending to `dst`",
+	{id: "P2", aims: "published-escape", kind: "escape", what: "`readViaPointerInto` returns the read scratch instead of appending to `dst`",
 		file: "internal/client/client.go",
 		old:  "\tdst = append(dst, gotVal...)\n\treturn dst, true, nil",
 		new:  "\tdst = gotVal\n\treturn dst, true, nil"},
-	{id: "P3", kind: "escape", what: "the shard stashes `ArenaData()` in a package variable",
+	{id: "P3", aims: "published-escape", kind: "escape", what: "the shard stashes `ArenaData()` in a package variable",
 		file:     "internal/shard/shard.go",
 		old:      "func (s *Shard) ID() uint32 { return s.id }",
 		new:      "func (s *Shard) ID() uint32 { lastView = s.store.ArenaData(); return s.id }\n\nvar lastView []byte",
 		survives: "nothing reads the package variable"},
-	{id: "P4", kind: "escape", what: "the engine keeps the mailbox slot view of a GET value instead of copying it",
+	{id: "P4", aims: "published-escape", kind: "escape", what: "the engine keeps the mailbox slot view of a GET value instead of copying it",
 		file: "internal/client/pipeline.go",
 		old:  "\t\t\tp.vals = append(p.vals, resp.Val...)\n",
 		new:  "\t\t\tp.vals = resp.Val\n"},
 
 	// Order: a publication, retraction or acknowledgement moved.
-	{id: "A1", kind: "order", what: "`Store.Put` publishes the guardian before writing the payload",
+	{id: "A1", aims: "spec-order", kind: "order", what: "`Store.Put` publishes the guardian before writing the payload",
 		file: "internal/kv/store.go",
 		old:  "\tEncodeItem(s.arena.Bytes(dataOff, size), key, val)\n\ts.words.Store(metaIdx+locWord, uint64(dataOff)<<32|uint64(size))\n\ts.words.Store(metaIdx+leaseWord, uint64(now+s.policy.Term(0)))\n\ts.words.Store(metaIdx, GuardianLive)\n",
 		new:  "\ts.words.Store(metaIdx, GuardianLive)\n\tEncodeItem(s.arena.Bytes(dataOff, size), key, val)\n\ts.words.Store(metaIdx+locWord, uint64(dataOff)<<32|uint64(size))\n\ts.words.Store(metaIdx+leaseWord, uint64(now+s.policy.Term(0)))\n"},
-	{id: "A2", kind: "order", what: "`Mailbox.WriteLocal` copies the body after releasing the indicators",
+	{id: "A2", aims: "spec-order", kind: "order", what: "`Mailbox.WriteLocal` copies the body after releasing the indicators",
 		file: "internal/message/mailbox.go",
 		old:  "\tcopy(m.mr.Data()[off:], body)\n\tind := makeIndicator(seq, len(body))\n\twords.Store(headIdx+1, ind)\n\twords.Store(headIdx, ind)\n",
 		new:  "\tind := makeIndicator(seq, len(body))\n\twords.Store(headIdx+1, ind)\n\twords.Store(headIdx, ind)\n\tcopy(m.mr.Data()[off:], body)\n"},
-	{id: "A3", kind: "order", what: "`Store.Put`'s rollback frees the area before retracting the guardian",
+	{id: "A3", aims: "spec-order", kind: "order", what: "`Store.Put`'s rollback frees the area before retracting the guardian",
 		file: "internal/kv/store.go",
 		old:  "\t\ts.words.Store(metaIdx, GuardianDead)\n\t\ts.arena.Free(dataOff, size)\n",
 		new:  "\t\ts.arena.Free(dataOff, size)\n\t\ts.words.Store(metaIdx, GuardianDead)\n"},
-	{id: "A4", kind: "order", what: "`Secondary.PollOnce` marks a record applied before applying it",
+	{id: "A4", aims: "spec-order", kind: "order", what: "`Secondary.PollOnce` marks a record applied before applying it",
 		file: "internal/replication/log.go",
 		old:  "\tif err == nil {\n\t\terr = s.applier.Apply(seq, rec)\n\t}",
 		new:  "\tif err == nil {\n\t\ts.applied.Store(seq)\n\t\terr = s.applier.Apply(seq, rec)\n\t}"},
-	{id: "A5", kind: "order", what: "`Mailbox.Consume` clears the head indicator before the tail",
+	{id: "A5", aims: "spec-order", kind: "order", what: "`Mailbox.Consume` clears the head indicator before the tail",
 		file:     "internal/message/mailbox.go",
 		old:      "\twords.Store(headIdx+1, 0)\n\twords.Store(headIdx, 0)\n",
 		new:      "\twords.Store(headIdx, 0)\n\twords.Store(headIdx+1, 0)\n",
 		survives: "the window-credit rule keeps writers out of a slot until its `Consume` returns, so no writer sees the half-cleared pair"},
 
 	// Guards: a torn-read, lease, epoch or key check dropped.
-	{id: "G1", kind: "guard", what: "`Store.detach` no longer kills the old guardian",
+	{id: "G1", aims: "spec-guard", kind: "guard", what: "`Store.detach` no longer kills the old guardian",
 		file: "internal/kv/store.go",
 		old:  "func (s *Store) detach(meta int, now int64) {\n\ts.words.Store(meta, GuardianDead)\n",
 		new:  "func (s *Store) detach(meta int, now int64) {\n"},
-	{id: "G2", kind: "guard", what: "a one-sided read accepts a dead guardian",
+	{id: "G2", aims: "spec-guard", kind: "guard", what: "a one-sided read accepts a dead guardian",
 		file: "internal/client/client.go",
 		old:  "if c.wordBuf[0] != kv.GuardianLive {",
 		new:  "if c.wordBuf[0] != kv.GuardianLive && c.wordBuf[0] != kv.GuardianDead {"},
-	{id: "G3", kind: "guard", what: "a one-sided read compares only the key's first byte",
+	{id: "G3", aims: "spec-guard", kind: "guard", what: "a one-sided read compares only the key's first byte",
 		file: "internal/client/client.go",
 		old:  "if !okDec || !bytes.Equal(gotKey, key) {",
 		new:  "if !okDec || !bytes.HasPrefix(key, gotKey[:1]) {"},
-	{id: "G4", kind: "guard", what: "`ValidForRead` adds the safety margin to the lease instead of the clock",
+	{id: "G4", aims: "spec-guard", kind: "guard", what: "`ValidForRead` adds the safety margin to the lease instead of the clock",
 		file: "internal/lease/lease.go",
 		old:  "return now+marginNs < exp",
 		new:  "return now < exp+marginNs"},
-	{id: "G5", kind: "guard", what: "the shard accepts requests one routing epoch stale",
+	{id: "G5", aims: "spec-guard", kind: "guard", what: "the shard accepts requests one routing epoch stale",
 		file: "internal/shard/shard.go",
 		old:  "if req.Epoch != epoch {",
 		new:  "if req.Epoch != epoch && req.Epoch+1 != epoch {"},
-	{id: "G6", kind: "guard", what: "the pointer-cache lookup skips its version re-check",
+	{id: "G6", aims: "spec-guard", kind: "guard", what: "the pointer-cache lookup skips its version re-check",
 		file: "internal/client/ptrcache.go",
 		old:  "\t\t\tw0, w1, w2 := s.Word(0), s.Word(1), s.Word(2)\n\t\t\tif recheck := s.Version(); recheck != ver {\n\t\t\t\treturn slotRef{}, PtrEntry{}, false\n\t\t\t}\n",
 		new:  "\t\t\tw0, w1, w2 := s.Word(0), s.Word(1), s.Word(2)\n"},
-	{id: "G7", kind: "guard", what: "a new routing epoch keeps the client's cached pointers",
+	{id: "G7", aims: "spec-guard", kind: "guard", what: "a new routing epoch keeps the client's cached pointers",
 		file: "internal/client/client.go",
 		old:  "if c.table.Epoch != old.Epoch {",
 		new:  "if c.table.Epoch < old.Epoch {"},
-	{id: "G8", kind: "guard", what: "`Shard.Kill` leaves the arena registration live",
+	{id: "G8", aims: "spec-guard", kind: "guard", what: "`Shard.Kill` leaves the arena registration live",
 		file: "internal/shard/shard.go",
 		old:  "\ts.arenaMR.Revoke()\n",
 		new:  ""},
-	{id: "G9", kind: "guard", what: "leases may shrink on `Extend`",
+	{id: "G9", aims: "spec-guard", kind: "guard", what: "leases may shrink on `Extend`",
 		file: "internal/lease/lease.go",
 		old:  "\tif exp < cur {\n\t\treturn cur\n\t}\n",
 		new:  ""},
-	{id: "G10", kind: "guard", what: "the store's key match compares only the first byte",
+	{id: "G10", aims: "spec-guard", kind: "guard", what: "the store's key match compares only the first byte",
 		file: "internal/kv/store.go",
 		old:  "return ok && bytes.Equal(k, s.probeKey)",
 		new:  "return ok && bytes.HasPrefix(s.probeKey, k[:1])"},
-	{id: "G11", kind: "guard", what: "strict replication stops requesting an ack per record",
+	{id: "G11", aims: "spec-guard", kind: "guard", what: "strict replication stops requesting an ack per record",
 		file: "internal/replication/log.go",
 		old:  "\treturn p.cfg.Strict || seq%uint64(p.cfg.AckEvery) == 0\n",
 		new:  "\treturn seq%uint64(p.cfg.AckEvery) == 0\n"},
 
 	// Clock: a stray wall-clock read on the data path.
-	{id: "C1", kind: "clock", what: "a one-sided read checks the lease against `time.Now`",
+	{id: "C1", aims: "clock-discipline", kind: "clock", what: "a one-sided read checks the lease against `time.Now`",
 		file: "internal/client/client.go",
 		old:  "\tnow := c.clock.Now()\n\tif !lease.ValidForRead(",
 		new:  "\tnow := time.Now().UnixNano()\n\tif !lease.ValidForRead("},
+
+	// One each for the checks the mutants above do not aim at: a goroutine
+	// on the shard path, a copied atomic, an allocation on the request
+	// path, a dropped error, a moved field, an undeclared store to a spec'd
+	// word and a goroutine with no stop path.
+	{id: "S1", aims: "shard-exclusivity", kind: "exclusive", what: "the shard runs its reclamation pass on a new goroutine",
+		file: "internal/shard/shard.go",
+		old:  "\tif s.sinceReclaim >= s.cfg.ReclaimEvery {\n\t\ts.store.ReclaimDue()\n",
+		new:  "\tif s.sinceReclaim >= s.cfg.ReclaimEvery {\n\t\tgo s.store.ReclaimDue()\n"},
+	{id: "K1", aims: "atomic-word", kind: "copy", what: "a pointer-cache hit counts on a copy of the slot's access word",
+		file: "internal/client/ptrcache.go",
+		old:  "if h := &r.t.side[r.i].hits; h.Load() < accessCap {",
+		new:  "if h := r.t.side[r.i].hits; h.Load() < accessCap {"},
+	{id: "H1", aims: "hotpath-alloc", kind: "alloc", what: "`drainConn` copies every request body to the heap",
+		file: "internal/shard/shard.go",
+		old:  "\t\tn := s.handle(body, s.respBuf, epoch)\n",
+		new:  "\t\tn := s.handle(append([]byte(nil), body...), s.respBuf, epoch)\n"},
+	{id: "E1", aims: "error-discipline", kind: "error", what: "`apply` answers a PUT OK when `Replicate` fails",
+		file: "internal/shard/shard.go",
+		old:  "\t\tif s.primary != nil {\n\t\t\tif err := s.primary.Replicate(replication.Record{\n\t\t\t\tOp: message.OpPut, Key: req.Key, Val: req.Val,\n\t\t\t}); err != nil {\n\t\t\t\tresp.Status = message.StatusError\n\t\t\t\treturn\n\t\t\t}\n",
+		new:  "\t\tif s.primary != nil {\n\t\t\ts.primary.Replicate(replication.Record{\n\t\t\t\tOp: message.OpPut, Key: req.Key, Val: req.Val,\n\t\t\t})\n"},
+	{id: "F1", aims: "layout", kind: "layout", what: "`Mailbox.wr` moves onto the read cursor's cache line",
+		file: "internal/message/mailbox.go",
+		old:  "\trd int\n\t_  [7]uint64 // pad: rd gets a private cache line\n\n\t// writer-side write cursor (slot index), in [0, depth)\n\twr int\n",
+		new:  "\trd int\n\twr int\n\t_  [7]uint64 // pad: rd gets a private cache line\n\n\t// writer-side write cursor (slot index), in [0, depth)\n"},
+	{id: "V1", aims: "spec-coverage", kind: "store", what: "a lease refresh stores the cached lease word outside the slot's seqlock",
+		file: "internal/client/ptrcache.go",
+		old:  "func (r slotRef) refresh(e PtrEntry) { r.t.publish(r.i, r.ver, uint32(r.ver), slotKey{}, e) }",
+		new:  "func (r slotRef) refresh(e PtrEntry) { r.t.slots[r.i].w[2].Store(uint64(e.LeaseExp)) }"},
+	{id: "N1", aims: "goroutine-lifecycle", kind: "lifecycle", what: "`Renewer.Stop` never closes `stopCh`",
+		file: "internal/client/renewer.go",
+		old:  "\tstop, done := r.stopCh, r.doneCh\n\tr.mu.Unlock()\n\tclose(stop)\n",
+		new:  "\tdone := r.doneCh\n\tr.mu.Unlock()\n"},
 }
+
+// metaChecks judge the lint and the specs themselves, not the data path, so
+// no mutant of the data path can aim at them.
+var metaChecks = map[string]bool{"stale-suppression": true, "spec-drift": true, "model-conformance": true}
 
 // detectors in cost order. Lint findings are split by check, so each
 // check is its own detector in the table ("lint:<check>").
@@ -300,6 +339,21 @@ func TestKillMatrixMutantsMatch(t *testing.T) {
 		}
 		if n := strings.Count(string(src), m.old); n != 1 {
 			t.Errorf("%s: old text occurs %d times in %s, want 1", m.id, n, m.file)
+		}
+	}
+}
+
+// TestKillMatrixMutantsAimEveryCheck fails when a check of the registry is
+// aimed at by no mutant: a check the matrix never tests cannot show that it
+// earns its keep.
+func TestKillMatrixMutantsAimEveryCheck(t *testing.T) {
+	aimed := map[string]bool{}
+	for _, m := range mutants {
+		aimed[m.aims] = true
+	}
+	for _, c := range allChecks {
+		if !aimed[c.Name] && !metaChecks[c.Name] {
+			t.Errorf("no mutant aims at check %s; add one to the kill matrix", c.Name)
 		}
 	}
 }
@@ -521,10 +575,12 @@ func renderMatrix(rows []matrixRow) string {
 	b.WriteString("dogfood test is the lint column; run only when `tests` passes), `race` and `hydradebug` (the package),\n")
 	b.WriteString("`hydramc` (`-all -maxschedules 20000`) and `chaos` (the `make chaos-smoke` runs; only for mutants in cluster,\n")
 	b.WriteString("replication, swat, coord and shard). ✗ = killed, · = survived, – = not run.\n")
-	b.WriteString("The first killer is the cheapest detector that failed; a sole killer is the only one.\n\n")
+	b.WriteString("The first killer is the cheapest detector that failed; a sole killer is the only one.\n")
+	b.WriteString("`aims` is the hydralint check the mutant was written against; a check no longer in `-list` was deleted,\n")
+	b.WriteString("and its row shows what kills the bug without it.\n\n")
 
-	b.WriteString("| id | kind | mutation | build | vet | lint | tests | tier-1 | race | hydradebug | hydramc | chaos | first killer | sole killer |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
+	b.WriteString("| id | aims | kind | mutation | build | vet | lint | tests | tier-1 | race | hydradebug | hydramc | chaos | first killer | sole killer |\n")
+	b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
 	cell := func(r matrixRow, d string) string {
 		k, ran := r.killed[d]
 		switch {
@@ -562,7 +618,7 @@ func renderMatrix(rows []matrixRow) string {
 		for _, k := range ks {
 			get(k).kills++
 		}
-		fmt.Fprintf(&b, "| %s | %s | %s (`%s`) |", r.m.id, r.m.kind, r.m.what, r.m.file)
+		fmt.Fprintf(&b, "| %s | %s | %s | %s (`%s`) |", r.m.id, r.m.aims, r.m.kind, r.m.what, r.m.file)
 		for _, d := range detectorOrder {
 			fmt.Fprintf(&b, " %s |", cell(r, d))
 		}

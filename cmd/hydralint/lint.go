@@ -43,22 +43,10 @@ var allChecks = []Check{
 		Run:   runAtomicWord,
 	},
 	{
-		Name:  "hotpath-alloc",
-		Desc:  "functions marked hydralint:hotpath must not allocate",
-		Short: "`hydralint:hotpath` functions stay allocation-free",
-		Run:   runHotpathAlloc,
-	},
-	{
 		Name:  "error-discipline",
 		Desc:  "no discarded errors in internal/ packages",
 		Short: "no discarded errors in `internal/`",
 		Run:   runErrorDiscipline,
-	},
-	{
-		Name:  "layout",
-		Desc:  "compile-time wire-layout checks: hydralint:assert, hydralint:layout size=, hydralint:cacheline",
-		Short: "`assert`/`layout`/`cacheline` pins with go/types sizes",
-		Run:   runLayout,
 	},
 	{
 		Name:       "model-conformance",
@@ -89,12 +77,6 @@ var allChecks = []Check{
 		Desc:       "torn-read guards declared in protocolspec.Spec must still be enforced by the named readers (whole-program)",
 		Short:      "declared torn-read guards still hold",
 		RunProgram: runSpecGuard,
-	},
-	{
-		Name:       "goroutine-lifecycle",
-		Desc:       "every go statement must have a provable stop path: a cancellation signal triggered from a Stop/Close surface (whole-program; //hydralint:daemon opt-out)",
-		Short:      "every `go` statement has a provable stop path",
-		RunProgram: runGoroutineLifecycle,
 	},
 	{
 		Name:  "stale-suppression",

@@ -68,10 +68,8 @@ func main() { println(time.Now().UnixNano()) }
 		want:  1,
 		src: `package shard
 
-// The go statement is the shard-exclusivity finding under test; the
-// trailing daemon marker opts it out of the lifecycle pass (and survives
-// the suppression test inserting ignore lines above).
-func SpawnWorker(f func()) { go f() } //hydralint:daemon fixture: lifetime intentionally unproven
+// The go statement is the shard-exclusivity finding under test.
+func SpawnWorker(f func()) { go f() }
 `,
 	},
 	{
@@ -224,81 +222,6 @@ func TestInc(t *testing.T) {
 `,
 	},
 	{
-		name:  "hotpath-make",
-		path:  "internal/c7/c7.go",
-		check: "hotpath-alloc",
-		want:  1,
-		src: `package c7
-
-// Grow allocates.
-//
-// hydralint:hotpath
-func Grow(n int) []byte { return make([]byte, n) }
-`,
-	},
-	{
-		name:  "hotpath-fmt",
-		path:  "internal/c8/c8.go",
-		check: "hotpath-alloc",
-		want:  1,
-		src: `package c8
-
-import "fmt"
-
-// Describe formats.
-//
-// hydralint:hotpath
-func Describe(x int) string { return fmt.Sprintf("%d", x) }
-`,
-	},
-	{
-		name:  "hotpath-composite-addr",
-		path:  "internal/c9/c9.go",
-		check: "hotpath-alloc",
-		want:  1,
-		src: `package c9
-
-type hdr struct{ a, b int }
-
-// NewHdr escapes.
-//
-// hydralint:hotpath
-func NewHdr() *hdr { return &hdr{a: 1} }
-`,
-	},
-	{
-		name:  "hotpath-self-append-ok",
-		path:  "internal/c10/c10.go",
-		check: "hotpath-alloc",
-		want:  0,
-		src: `package c10
-
-// Push uses the caller's buffer.
-//
-// hydralint:hotpath
-func Push(dst []byte, b byte) []byte {
-	dst = append(dst, b)
-	return dst
-}
-`,
-	},
-	{
-		name:  "hotpath-growing-append",
-		path:  "internal/c11/c11.go",
-		check: "hotpath-alloc",
-		want:  1,
-		src: `package c11
-
-// Join grows.
-//
-// hydralint:hotpath
-func Join(a, b []byte) []byte {
-	out := append(a, b...)
-	return out
-}
-`,
-	},
-	{
 		name:  "error-blank-discard",
 		path:  "internal/c12/c12.go",
 		check: "error-discipline",
@@ -340,109 +263,6 @@ func Render() string {
 	b.WriteString("hi")
 	return b.String()
 }
-`,
-	},
-	{
-		name:  "unmarked-function-may-alloc",
-		path:  "internal/c15/c15.go",
-		check: "hotpath-alloc",
-		want:  0,
-		src: `package c15
-
-import "fmt"
-
-func Cold(n int) string { return fmt.Sprint(make([]byte, n)) }
-`,
-	},
-
-	// --- layout ------------------------------------------------------------
-	{
-		name:  "layout-assert-fails",
-		path:  "internal/y1/y1.go",
-		check: "layout",
-		want:  1,
-		src: `package y1
-
-const (
-	sigBits = 16
-	refBits = 48
-)
-
-//hydralint:assert sigBits+refBits == 64
-//hydralint:assert sigBits == 8
-`,
-	},
-	{
-		name:  "layout-size-mismatch",
-		path:  "internal/y2/y2.go",
-		check: "layout",
-		want:  1,
-		src: `package y2
-
-// hdr is documented as one cache line, but is not.
-//
-//hydralint:layout size=64
-type hdr struct {
-	a uint64
-	b uint64
-}
-
-var _ = hdr{}
-`,
-	},
-	{
-		name:  "layout-size-ok",
-		path:  "internal/y3/y3.go",
-		check: "layout",
-		want:  0,
-		src: `package y3
-
-// bucket is exactly one cache line.
-//
-//hydralint:layout size=64 align=8
-type bucket struct {
-	words [8]uint64
-}
-
-var _ = bucket{}
-`,
-	},
-	{
-		name:  "layout-cacheline-false-sharing",
-		path:  "internal/y4/y4.go",
-		check: "layout",
-		want:  1,
-		src: `package y4
-
-//hydralint:cacheline
-type cursors struct {
-	//hydralint:owner reader
-	rd uint64
-	//hydralint:owner writer
-	wr uint64
-}
-
-var _ = cursors{}
-`,
-	},
-	{
-		name:  "layout-cacheline-padded-ok",
-		path:  "internal/y5/y5.go",
-		check: "layout",
-		want:  0,
-		src: `package y5
-
-//hydralint:cacheline
-type cursors struct {
-	//hydralint:owner reader
-	rd uint64
-	_  [7]uint64
-	//hydralint:owner writer
-	wr uint64
-	_  [7]uint64
-}
-
-var _ = cursors{}
 `,
 	},
 
@@ -832,74 +652,6 @@ func Tick() {
 }
 `,
 	},
-
-	// goroutine-lifecycle: a spawned loop observing a stop channel that no
-	// function in the package ever triggers — the seeded leak.
-	{
-		name:  "lifecycle-untriggered-stop",
-		path:  "internal/lc1/lc1.go",
-		check: "goroutine-lifecycle",
-		want:  1,
-		src: `package lc1
-
-type Pump struct {
-	stop chan struct{}
-}
-
-func New() *Pump { return &Pump{stop: make(chan struct{})} }
-
-func (p *Pump) Start() { go p.loop() }
-
-func (p *Pump) loop() {
-	for {
-		select {
-		case <-p.stop:
-			return
-		}
-	}
-}
-`,
-	},
-	// The corrected twin: Stop closes the channel the loop observes, so the
-	// spawn has a provable stop path and the pass stays quiet.
-	{
-		name:  "lifecycle-stop-path-ok",
-		path:  "internal/lc2/lc2.go",
-		check: "goroutine-lifecycle",
-		want:  0,
-		src: `package lc2
-
-type Pump struct {
-	stop chan struct{}
-}
-
-func New() *Pump { return &Pump{stop: make(chan struct{})} }
-
-func (p *Pump) Start() { go p.loop() }
-
-func (p *Pump) Stop() { close(p.stop) }
-
-func (p *Pump) loop() {
-	for {
-		select {
-		case <-p.stop:
-			return
-		}
-	}
-}
-`,
-	},
-	// A spawn through a function value cannot be traced at all.
-	{
-		name:  "lifecycle-func-value",
-		path:  "internal/lc3/lc3.go",
-		check: "goroutine-lifecycle",
-		want:  1,
-		src: `package lc3
-
-func Launch(f func()) { go f() }
-`,
-	},
 }
 
 // writeModule materializes the fixture module and returns its root.
@@ -1041,7 +793,7 @@ func TestResolveCheckSelection(t *testing.T) {
 		t.Errorf("all = %v, %v; want nil, nil", got, err)
 	}
 
-	got, err := resolveCheckSelection("clock-discipline, goroutine-lifecycle")
+	got, err := resolveCheckSelection("clock-discipline, spec-guard")
 	if err != nil {
 		t.Fatalf("positive selection: %v", err)
 	}
@@ -1049,21 +801,21 @@ func TestResolveCheckSelection(t *testing.T) {
 		t.Errorf("positive selection = %v, want 2 names", got)
 	}
 
-	got, err = resolveCheckSelection("-goroutine-lifecycle")
+	got, err = resolveCheckSelection("-spec-guard")
 	if err != nil {
 		t.Fatalf("negation selection: %v", err)
 	}
 	if len(got) != len(allChecks)-1 {
-		t.Errorf("-goroutine-lifecycle selected %d checks, want %d", len(got), len(allChecks)-1)
+		t.Errorf("-spec-guard selected %d checks, want %d", len(got), len(allChecks)-1)
 	}
 	for _, name := range got {
-		if name == "goroutine-lifecycle" {
-			t.Error("-goroutine-lifecycle did not skip goroutine-lifecycle")
+		if name == "spec-guard" {
+			t.Error("-spec-guard did not skip spec-guard")
 		}
 	}
 
 	// A skip cancels an explicit run of the same name.
-	if _, err := resolveCheckSelection("goroutine-lifecycle,-goroutine-lifecycle"); err == nil {
+	if _, err := resolveCheckSelection("spec-guard,-spec-guard"); err == nil {
 		t.Error("self-cancelling selection did not error")
 	}
 	if _, err := resolveCheckSelection("no-such-check"); err == nil {
@@ -1097,11 +849,6 @@ import "time"
 
 //hydralint:ignore clock-discipline startup banner timestamp
 func Banner() int64 { return time.Now().UnixNano() }
-
-// Pump runs for the life of the process (fake, for the census).
-func Pump(f func()) {
-	go f() //hydralint:daemon census fixture
-}
 `,
 	})
 	res, err := RunLint(dir, []string{"./..."}, nil, true)
@@ -1110,18 +857,18 @@ func Pump(f func()) {
 	}
 	got := res.Suppressions
 	bannerKey := ignoreKey{Check: "clock-discipline", Pkg: "hydradb/internal/b1", Symbol: "Banner"}
-	want := SuppressionCounts{Ignore: map[ignoreKey]int{bannerKey: 1}, Daemon: 1}
-	if !reflect.DeepEqual(got.Ignore, want.Ignore) || got.Daemon != want.Daemon {
+	want := SuppressionCounts{Ignore: map[ignoreKey]int{bannerKey: 1}}
+	if !reflect.DeepEqual(got.Ignore, want.Ignore) {
 		t.Fatalf("census = %+v, want %+v", got, want)
 	}
 
 	if fails, _ := checkBudget(got, want); len(fails) != 0 {
 		t.Errorf("equal budget must pass, got failures: %v", fails)
 	}
-	if fails, _ := checkBudget(got, SuppressionCounts{Ignore: map[ignoreKey]int{}, Daemon: 1}); len(fails) != 1 {
+	if fails, _ := checkBudget(got, SuppressionCounts{Ignore: map[ignoreKey]int{}}); len(fails) != 1 {
 		t.Errorf("unknown ignore key must fail once, got: %v", fails)
 	}
-	loose := SuppressionCounts{Ignore: map[ignoreKey]int{bannerKey: 5}, Daemon: 1}
+	loose := SuppressionCounts{Ignore: map[ignoreKey]int{bannerKey: 5}}
 	if fails, notes := checkBudget(got, loose); len(fails) != 0 || len(notes) != 1 {
 		t.Errorf("loose budget: fails=%v notes=%v, want 0 fails / 1 note", fails, notes)
 	}
@@ -1135,7 +882,7 @@ func Pump(f func()) {
 	if err != nil {
 		t.Fatalf("parseBudget: %v", err)
 	}
-	if !reflect.DeepEqual(back.Ignore, got.Ignore) || back.Daemon != got.Daemon {
+	if !reflect.DeepEqual(back.Ignore, got.Ignore) {
 		t.Errorf("round trip = %+v, want %+v", back, got)
 	}
 }
@@ -1204,7 +951,7 @@ func TestBudgetRatchetEdgeCases(t *testing.T) {
 // TestEmitters validates the -json and SARIF output shapes.
 func TestEmitters(t *testing.T) {
 	diags := []Diagnostic{
-		{File: "internal/a/a.go", Line: 3, Col: 2, Check: "layout", Msg: "boom"},
+		{File: "internal/a/a.go", Line: 3, Col: 2, Check: "spec-order", Msg: "boom"},
 	}
 
 	var jbuf strings.Builder
@@ -1254,7 +1001,7 @@ func TestEmitters(t *testing.T) {
 	}
 	r := run.Results[0]
 	loc := r.Locations[0].PhysicalLocation
-	if r.RuleID != "layout" || r.Level != "error" ||
+	if r.RuleID != "spec-order" || r.Level != "error" ||
 		loc.ArtifactLocation.URI != "internal/a/a.go" || loc.Region.StartLine != 3 {
 		t.Errorf("sarif result wrong: %+v", r)
 	}

@@ -25,16 +25,8 @@
 //	                   fabric CASes (§4.2.3). Non-test code makes no
 //	                   function-style sync/atomic call: every atomic word is
 //	                   a typed value, so plain access to it does not compile.
-//	hotpath-alloc      functions marked `// hydralint:hotpath` must not
-//	                   allocate: no &composite / slice / map literals, no
-//	                   make/new, no growing appends, no fmt, no
-//	                   string<->[]byte conversions.
 //	error-discipline   no discarded errors (`_ = f()` or a bare call) in
 //	                   internal/ packages.
-//	layout             compile-time layout verification: `hydralint:assert`
-//	                   constant expressions, `hydralint:layout size=/align=`
-//	                   pins on type declarations, and `hydralint:cacheline`
-//	                   false-sharing checks over `hydralint:owner` fields.
 //	model-conformance  a hydramc model covers the Packages, Footprint-marked
 //	                   words and SchedTags of every protocolspec.Spec whose
 //	                   Model names it. Every atomic word a covered package
@@ -65,15 +57,6 @@
 //	                   the lint (specs must not rot).
 //	spec-guard         the declared torn-read guards still compare against
 //	                   their bound in the reader's body.
-//	goroutine-lifecycle  whole-program liveness: every `go` statement in
-//	                   non-test code must have a provable stop path. A body
-//	                   with no unbounded loop terminates on its own; one that
-//	                   loops must observe a cancellation signal (stop-channel
-//	                   receive, range over a closable channel, atomic flag
-//	                   load) whose trigger — close/send/atomic store on the
-//	                   same nominal identity — is reachable from a Stop/Close
-//	                   surface or sits in the spawner. Deliberate process-
-//	                   lifetime goroutines carry `//hydralint:daemon <why>`.
 //	stale-suppression  a `hydralint:ignore` that no longer filters any
 //	                   finding is itself a finding — suppressions only
 //	                   ratchet down.
@@ -90,9 +73,9 @@
 // ("all,-spec-order" or just "-spec-order" runs everything else), and
 // a selection resolving to the full registry behaves like an unrestricted
 // run. _test.go files are linted too unless -tests=false; checks whose
-// rules only govern production code (clock-discipline, shard-exclusivity,
-// goroutine-lifecycle) always skip them. -listchecks prints the README
-// check table (generated from the registry; a test keeps README in sync).
+// rules only govern production code (clock-discipline, shard-exclusivity)
+// always skip them. -listchecks prints the README check table (generated
+// from the registry; a test keeps README in sync).
 //
 // -json prints findings in a versioned envelope {"version": N,
 // "findings": [...]} sorted deterministically; -sarif writes a SARIF 2.1.0

@@ -154,13 +154,18 @@ func docHasMarker(doc *ast.CommentGroup, marker string) bool {
 	return false
 }
 
-// anyHasMarker reports whether any comment group carries the marker.
-// directiveRest (via markerLine) requires a word boundary after the marker,
-// so "hydralint:region" never matches the longer "hydralint:region-view".
+// anyHasMarker reports whether a comment of any group starts with the
+// marker. directiveRest requires a word boundary after the marker, so
+// "hydralint:region" never matches the longer "hydralint:region-view".
 func anyHasMarker(marker string, groups ...*ast.CommentGroup) bool {
 	for _, g := range groups {
-		if _, _, ok := markerLine(g, marker); ok {
-			return true
+		if g == nil {
+			continue
+		}
+		for _, c := range g.List {
+			if _, ok := directiveRest(commentText(c), marker); ok {
+				return true
+			}
 		}
 	}
 	return false

@@ -81,8 +81,9 @@ type Options struct {
 	ArenaBytesPerShard int
 	MaxItemsPerShard   int
 	// MailboxBytes is the per-slot message buffer capacity and bounds the
-	// largest key+value a single request can carry (default 64 KB; the
-	// MapReduce cache use case stores multi-MB chunks and raises it).
+	// largest key+value a single request can carry (default 64 KB). Raise
+	// it for chunk-sized values: §2.1 caches 4 MB input chunks, and
+	// usecase_test.go runs 60 KB values through 128 KB mailboxes.
 	MailboxBytes int
 	// RingDepth is the number of mailbox slots per connection direction and
 	// the one bound on requests in flight per connection: the batched client

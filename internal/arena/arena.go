@@ -30,18 +30,14 @@ var ErrOutOfMemory = errors.New("arena: out of memory")
 const (
 	minClassBytes  = 32
 	pageClassBytes = 4096    // first power-of-two-doubling class
-	maxClassBytes  = 8 << 20 // largest class: the 4 MB MapReduce chunks fit
+	maxClassBytes  = 8 << 20 // largest class: §2.1's 4 MB input chunks fit
 	cacheLineBytes = 64
 )
 
-// hydralint:assert cacheLineBytes%minClassBytes == 0
-// hydralint:assert minClassBytes%16 == 0
-// hydralint:assert pageClassBytes%cacheLineBytes == 0
-// hydralint:assert maxClassBytes%cacheLineBytes == 0
-
 // classSizes are the allocation size classes in bytes. The 16 B key + 32 B
 // value items the paper evaluates land in the first classes; the tail classes
-// cover the 4 MB chunks the MapReduce cache stores (§2.1).
+// cover the 4 MB input chunks of §2.1's MapReduce cache (the largest values
+// a test stores are usecase_test.go's 60 KB).
 //
 // Class sizes are positive and bounded by maxClassBytes.
 var classSizes = buildClasses()
@@ -171,8 +167,6 @@ func (a *Arena) Free(off uint32, n int) {
 // caller must respect the single-writer discipline. Under -tags hydradebug
 // the window must lie within a live allocation — one-sided remote reads,
 // which may legitimately observe recycled memory, go through Data instead.
-//
-// hydralint:hotpath
 // hydralint:region-view
 func (a *Arena) Bytes(off uint32, n int) []byte {
 	if invariant.Enabled {

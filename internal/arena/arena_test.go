@@ -20,7 +20,15 @@ func TestClassesMonotonic(t *testing.T) {
 		t.Fatalf("smallest class = %d, want 32", classSizes[0])
 	}
 	if MaxAlloc() < 4<<20 {
-		t.Fatalf("max class %d cannot hold the 4MB MapReduce chunks", MaxAlloc())
+		t.Fatalf("max class %d cannot hold §2.1's 4 MB input chunks", MaxAlloc())
+	}
+	// The smallest class packs evenly into a cache line, and every class
+	// from the first page class up is whole lines.
+	if cacheLineBytes%minClassBytes != 0 || minClassBytes%16 != 0 {
+		t.Fatalf("minClassBytes %d must be a multiple of 16 dividing the %d B line", minClassBytes, cacheLineBytes)
+	}
+	if pageClassBytes%cacheLineBytes != 0 || maxClassBytes%cacheLineBytes != 0 {
+		t.Fatalf("page class %d and max class %d must be whole %d B lines", pageClassBytes, maxClassBytes, cacheLineBytes)
 	}
 }
 
@@ -262,6 +270,9 @@ func BenchmarkAllocFree(b *testing.B) {
 }
 
 func TestHugeInterior(t *testing.T) {
+	if hugePageBytes&(hugePageBytes-1) != 0 {
+		t.Fatalf("hugePageBytes %d is not a power of two, which the interior mask assumes", hugePageBytes)
+	}
 	const mb = 1 << 20
 	for _, c := range []struct {
 		name   string

@@ -13,8 +13,6 @@ const (
 	hugeMinBytes = 2 * hugePageBytes
 )
 
-// hydralint:assert hugePageBytes&(hugePageBytes-1) == 0
-
 // hugeInterior returns the byte offsets [lo, hi) of the hugePageBytes-aligned
 // interior of the n-byte region starting at address base, or lo == hi when
 // the region is below hugeMinBytes.

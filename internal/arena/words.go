@@ -71,24 +71,18 @@ func (w *WordArea) FreeGroup(idx int) {
 // Load atomically reads word idx. The invariant.SchedPoint call is the model
 // checker's fine-grained yield point (a no-op empty function outside -tags
 // hydradebug, and a nil-hook check even there unless hydramc is exploring).
-//
-// hydralint:hotpath
 func (w *WordArea) Load(idx int) uint64 {
 	invariant.SchedPoint("word")
 	return w.words[idx].Load()
 }
 
 // Store atomically writes word idx.
-//
-// hydralint:hotpath
 func (w *WordArea) Store(idx int, v uint64) {
 	invariant.SchedPoint("word")
 	w.words[idx].Store(v)
 }
 
 // CompareAndSwap performs an atomic CAS on word idx.
-//
-// hydralint:hotpath
 func (w *WordArea) CompareAndSwap(idx int, old, new uint64) bool {
 	invariant.SchedPoint("word")
 	return w.words[idx].CompareAndSwap(old, new)

@@ -80,8 +80,6 @@ func splitmix64(x uint64) uint64 {
 func isClientNIC(name string) bool { return strings.HasPrefix(name, "client-") }
 
 // Hook is the rdma.FaultHook the harness installs on the fabric.
-//
-// hydralint:hotpath
 func (in *Injector) Hook(verb rdma.Verb, local, remote *rdma.NIC, nbytes int) rdma.FaultOutcome {
 	if in.stopped.Load() {
 		return rdma.FaultOutcome{}

@@ -204,8 +204,6 @@ func (c *Client) Get(key []byte) ([]byte, error) {
 // to dst and the grown slice returned, so steady-state readers can reuse one
 // buffer and pay zero allocations per one-sided GET. A nil dst allocates a
 // fresh value exactly like Get. Not-found returns (dst, ErrNotFound).
-//
-// hydralint:hotpath
 func (c *Client) GetInto(key, dst []byte) ([]byte, error) {
 	if out, ok := c.readCached(key, dst); ok {
 		return out, nil
@@ -217,8 +215,6 @@ func (c *Client) GetInto(key, dst []byte) ([]byte, error) {
 // to dst. It counts the GET and exactly one of a hit, a stale pointer and a
 // miss, so Gets == RDMAReadHits + RDMAReadStale + PointerMisses; ok=false
 // leaves the GET to the message path.
-//
-// hydralint:hotpath
 func (c *Client) readCached(key, dst []byte) ([]byte, bool) {
 	c.ctr.Gets.Inc()
 	if !c.opts.UseRDMARead {
@@ -247,8 +243,6 @@ func (c *Client) readCached(key, dst []byte) ([]byte, bool) {
 // appending the value to dst; ok=false flags a stale or lease-expired
 // pointer. It reuses the client's read scratch and word buffer so a hit
 // performs no allocations.
-//
-// hydralint:hotpath
 func (c *Client) readViaPointerInto(key []byte, ref slotRef, e PtrEntry, dst []byte) ([]byte, bool, error) {
 	now := c.clock.Now()
 	if !lease.ValidForRead(e.LeaseExp, now, readMarginNs) {

@@ -177,8 +177,6 @@ func (c *Client) Pipeline(ops []Op) []Result {
 // do runs one op through the engine as a batch of one, in the single-op
 // scratch. A GET's value is appended to dst and the grown slice returned;
 // on error dst comes back unchanged.
-//
-// hydralint:hotpath
 func (c *Client) do(code message.Op, key, val, dst []byte) ([]byte, error) {
 	p := &c.single.p
 	p.reset(1)
@@ -241,8 +239,6 @@ func (c *Client) route(p *pipeScratch, ops []Op) bool {
 // timeout expires, and reports whether every op of the round settled. The
 // timeout runs on the wall clock from the round's first idle pass, and the
 // clock is read again only every 1024 idle passes, so the poll stays off it.
-//
-// hydralint:hotpath
 func (c *Client) pump(p *pipeScratch, ops []Op) bool {
 	var deadline int64
 	spins := 0
@@ -306,8 +302,6 @@ func (c *Client) pump(p *pipeScratch, ops []Op) bool {
 // large for the mailbox settles its own op at once; any other send failure
 // stops the connection, and settle re-routes that op and those behind it in
 // order.
-//
-// hydralint:hotpath
 func (c *Client) issue(p *pipeScratch, pc *pipeConn, ops []Op) {
 	i := pc.queue[pc.next]
 	op := &ops[i]

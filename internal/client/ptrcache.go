@@ -45,8 +45,6 @@ const (
 //
 // The step methods are exported so hydramc's ptrcache model can interleave
 // a writer and a reader one word at a time over the code the cache runs.
-//
-// hydralint:layout size=32 align=8
 type Slot struct {
 	ver atomic.Uint64
 	w   [slotWords]atomic.Uint64
@@ -103,8 +101,6 @@ func tagOf(h uint64) uint32 {
 // the low half of the key's hash (which places the entry in its other
 // bucket and in a grown table without rehashing the key) and the access
 // count.
-//
-// hydralint:layout size=16 align=8
 type slotSide struct {
 	key  atomic.Pointer[string]
 	home atomic.Uint32
@@ -156,8 +152,6 @@ type slotRef struct {
 // one line and compares no key: the one-sided read re-checks the embedded
 // key, guardian and lease (§4.2.3), so a tag collision costs one message
 // GET. A slot a writer holds, or one rewritten mid-read, reads as a miss.
-//
-// hydralint:hotpath
 func (t *ptrTable) lookup(h uint64, tag uint32) (slotRef, PtrEntry, bool) {
 	b1, b2 := t.buckets(h, tag)
 	for _, b := range [2]int{b1, b2} {
@@ -228,8 +222,6 @@ func (t *ptrTable) publish(i int, seen uint64, tag uint32, k slotKey, e PtrEntry
 func (t *ptrTable) setHits(i int, n uint32) { t.side[i].hits.Store(n) }
 
 // touch counts a hit on slot i until the count saturates.
-//
-// hydralint:hotpath
 func (r slotRef) touch() {
 	if h := &r.t.side[r.i].hits; h.Load() < accessCap {
 		h.Add(1)
@@ -354,8 +346,6 @@ func NewCache() *PtrCache {
 }
 
 // lookup finds key's cached pointer.
-//
-// hydralint:hotpath
 func (c *PtrCache) lookup(key []byte) (slotRef, PtrEntry, bool) {
 	h := hashx.Hash(key)
 	return c.cur.Load().lookup(h, tagOf(h))

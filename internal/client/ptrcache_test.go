@@ -166,7 +166,8 @@ func TestPtrCacheBound(t *testing.T) {
 
 // TestPtrCachePlacement: with the second-choice bucket, 100 000 keys (the
 // read_hot record count) are all still cached after the table has grown
-// around them, and every bucket starts a 64 B line.
+// around them, every bucket starts a 64 B line, a slot is half a line and
+// its side record 16 B.
 func TestPtrCachePlacement(t *testing.T) {
 	c := NewCache()
 	const n = 100_000
@@ -191,6 +192,9 @@ func TestPtrCachePlacement(t *testing.T) {
 	}
 	if size := reflect.TypeFor[Slot]().Size(); size != 32 {
 		t.Fatalf("Slot is %d bytes, want 32", size)
+	}
+	if size := reflect.TypeFor[slotSide]().Size(); size != 16 {
+		t.Fatalf("slotSide is %d bytes, want 16", size)
 	}
 }
 

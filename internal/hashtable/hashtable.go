@@ -29,9 +29,9 @@ import (
 	"hydradb/internal/hashx"
 )
 
-// Bucket word geometry. The hydralint layout pass re-derives these facts on
-// every lint run, so the constants, the doc comment above, and the Bucket
-// spec struct below cannot drift apart silently.
+// Bucket word geometry. layout_test.go pins these facts against the Bucket
+// struct below, so the constants, the doc comment above, and the struct
+// cannot drift apart silently.
 const (
 	slotsPerBucket = 7
 	wordsPerBucket = 8
@@ -41,18 +41,11 @@ const (
 	refMask        = (uint64(1) << refBits) - 1
 )
 
-// hydralint:assert slotsPerBucket+1 == wordsPerBucket
-// hydralint:assert 8*wordsPerBucket == 64
-// hydralint:assert sigBits+refBits == 64
-// hydralint:assert filterMask == (1<<slotsPerBucket)-1
-
 // Bucket is the declarative layout of one table bucket: the 8-byte header
 // word followed by seven signature|reference slots — exactly one 64-byte
 // cache line, the unit a lookup reads (§4.1.3). The table operates on
-// []uint64 windows (bucketWords); this struct exists so the layout linter
-// and the golden test pin the wire format those windows assume.
-//
-// hydralint:layout size=64 align=8
+// []uint64 windows (bucketWords); this struct exists so the golden test
+// (layout_test.go) pins the wire format those windows assume.
 type Bucket struct {
 	Header uint64
 	Slots  [slotsPerBucket]uint64
@@ -151,8 +144,6 @@ func (t *Table) freeOverflow(link uint64) {
 }
 
 // Lookup finds the reference stored under hashcode h whose item matches.
-//
-// hydralint:hotpath
 func (t *Table) Lookup(h uint64, match MatchFunc) (uint64, bool) {
 	t.Lookups++
 	id := hashx.BucketIndex(h, t.nBuckets)

@@ -7,9 +7,7 @@ import (
 
 // TestBucketLayoutGolden pins the bucket memory layout with unsafe.Sizeof and
 // unsafe.Offsetof: one bucket is exactly one 64-byte cache line — an 8-byte
-// header word followed by seven 8-byte slots (§4.1.3). The hydralint layout
-// pass checks the same facts from the annotations; this test keeps them true
-// even when the linter is not run.
+// header word followed by seven 8-byte slots (§4.1.3).
 func TestBucketLayoutGolden(t *testing.T) {
 	var b Bucket
 	if got := unsafe.Sizeof(b); got != 64 {

@@ -44,16 +44,11 @@ func load32[K bytestring](b K) uint64 {
 }
 
 // Hash returns the 64-bit hashcode of key.
-//
-// hydralint:hotpath
 func Hash(key []byte) uint64 { return hash(key) }
 
 // HashString is Hash for string keys; it reads the string in place.
-//
-// hydralint:hotpath
 func HashString(key string) uint64 { return hash(key) }
 
-// hydralint:hotpath
 func hash[K bytestring](key K) uint64 {
 	seed := uint64(prime1)
 	n := len(key)
@@ -102,8 +97,6 @@ func Hash64(x uint64) uint64 {
 // Signature extracts the 16-bit slot signature from a hashcode. It uses bits
 // not used for bucket indexing (tables are sized far below 2^48 buckets) so
 // signature and index stay independent.
-//
-// hydralint:hotpath
 func Signature(h uint64) uint16 {
 	s := uint16(h >> 48)
 	if s == 0 {
@@ -114,8 +107,6 @@ func Signature(h uint64) uint16 {
 }
 
 // BucketIndex maps a hashcode onto nBuckets (a power of two).
-//
-// hydralint:hotpath
 func BucketIndex(h uint64, nBuckets uint64) uint64 {
 	return h & (nBuckets - 1)
 }

@@ -43,8 +43,6 @@ const (
 	MetaWordsPerItem = 4
 )
 
-// hydralint:assert MetaWordsPerItem*8 == 32
-
 // MaxKeyLen and MaxValLen bound item dimensions. A key length must fit the
 // 16-bit length field of the item header (and of the request header). An
 // item must fit the arena's largest size class (arena.MaxAlloc, 8 MB), so
@@ -72,8 +70,6 @@ func ItemSize(keyLen, valLen int) int { return ItemHeaderSize + keyLen + valLen 
 
 // EncodeItem writes the item layout into buf, which must be at least
 // ItemSize(len(key), len(val)) bytes.
-//
-// hydralint:hotpath
 func EncodeItem(buf, key, val []byte) {
 	binary.LittleEndian.PutUint16(buf[0:2], uint16(len(key)))
 	binary.LittleEndian.PutUint32(buf[2:6], uint32(len(val)))
@@ -84,8 +80,6 @@ func EncodeItem(buf, key, val []byte) {
 // DecodeItem parses an item buffer, returning views of the key and value.
 // ok is false when the buffer is malformed (e.g. a stale RDMA Read of a
 // recycled, zeroed area).
-//
-// hydralint:hotpath
 func DecodeItem(buf []byte) (key, val []byte, ok bool) {
 	if len(buf) < ItemHeaderSize {
 		return nil, nil, false

@@ -178,8 +178,6 @@ type GetResult struct {
 // Get performs a server-aware GET: looks the key up through the compact hash
 // table, bumps popularity, extends the lease, and returns value + remote
 // pointer (§4.2.2). The returned value aliases arena memory.
-//
-// hydralint:hotpath
 func (s *Store) Get(key []byte) (GetResult, bool) {
 	s.ctr.Gets.Inc()
 	h := hashx.Hash(key)

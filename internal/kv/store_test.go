@@ -421,8 +421,12 @@ func TestPutRejectsItemAboveLargestClass(t *testing.T) {
 }
 
 // TestWordAreaBoundsItems pins MaxItems as the item bound: every live or
-// pending-reclaim item holds one word group, and nothing else does.
+// pending-reclaim item holds one word group, and nothing else does. A group
+// is 32 B, so two share a 64 B line and none straddles one.
 func TestWordAreaBoundsItems(t *testing.T) {
+	if MetaWordsPerItem*8 != 32 {
+		t.Fatalf("word group is %d B, want 32", MetaWordsPerItem*8)
+	}
 	clk := timing.NewManualClock(0)
 	s := NewStore(Config{ArenaBytes: 1 << 20, MaxItems: 8, Clock: clk})
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key%d", i)) }

@@ -94,8 +94,6 @@ func New[V any](n int) *Map[V] {
 // find probes t for key. It returns the key's entry, or nil with moved set
 // when the probe met a seal: the key is not in t but may be in a newer
 // table. An entry whose insert is still in flight is not yet visible.
-//
-// hydralint:hotpath
 func find[V any](t *table[V], h uint64, key string) (e *entry[V], moved bool) {
 	tag := h | 1
 	for i := tag & t.mask; ; i = (i + 1) & t.mask {
@@ -114,8 +112,6 @@ func find[V any](t *table[V], h uint64, key string) (e *entry[V], moved bool) {
 }
 
 // Get returns the value for key, or nil/false when absent.
-//
-// hydralint:hotpath
 func (m *Map[V]) Get(key string) (*V, bool) {
 	h := hashx.HashString(key)
 	t := m.cur.Load()

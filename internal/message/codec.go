@@ -106,8 +106,6 @@ func DecodeRequest(buf []byte) (Request, error) {
 // SeqOf reads the seq of an encoded request or response: both headers carry
 // it at bytes [2,6). A body too short to hold it yields 0. The two-sided
 // transport has no indicator word, so this is where its seq comes from.
-//
-// hydralint:hotpath
 func SeqOf(body []byte) uint32 {
 	if len(body) < 6 {
 		return 0

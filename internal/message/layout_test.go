@@ -8,8 +8,7 @@ import (
 // TestMailboxCursorLayoutGolden pins the Mailbox cursor padding with
 // unsafe.Offsetof: the owner-written read cursor and the writer-written write
 // cursor must live on distinct 64-byte cache lines, or every message pays
-// coherence traffic between the two goroutines. The hydralint layout pass
-// checks the same facts from the cacheline/owner annotations.
+// coherence traffic between the two goroutines.
 func TestMailboxCursorLayoutGolden(t *testing.T) {
 	const line = 64
 	var m Mailbox
@@ -36,6 +35,9 @@ func TestMailboxCursorLayoutGolden(t *testing.T) {
 func TestIndicatorPackingGolden(t *testing.T) {
 	if presentBits+seqBits+sizeBits != 64 {
 		t.Fatalf("indicator fields sum to %d bits, must fill one word", presentBits+seqBits+sizeBits)
+	}
+	if 64%(8*indicatorWordsPerSlot) != 0 {
+		t.Fatalf("a slot's %d indicator words straddle a 64 B line", indicatorWordsPerSlot)
 	}
 	const maxSeq = uint32(1)<<seqBits - 1
 	const size = 0x12345

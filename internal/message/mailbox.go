@@ -43,9 +43,6 @@ var (
 // on every message, and sharing a line would put coherence traffic on the
 // per-message hot path (the in-process analogue of §4.2.1's single-writer
 // cursor split).
-//
-// hydralint:layout size=192 align=8
-// hydralint:cacheline
 type Mailbox struct {
 	mr       *rdma.MemoryRegion
 	dataOff  int // byte base, validated by NewRing
@@ -55,12 +52,10 @@ type Mailbox struct {
 	_        [3]uint64 // pad: the read-only config above fills its own line
 
 	// owner-side read cursor (slot index), in [0, depth)
-	// hydralint:owner owner
 	rd int
 	_  [7]uint64 // pad: rd gets a private cache line
 
 	// writer-side write cursor (slot index), in [0, depth)
-	// hydralint:owner writer
 	wr int
 	_  [7]uint64 // pad: keep wr's line private even in Mailbox arrays
 }
@@ -76,9 +71,6 @@ const (
 	sizeMask              = (uint64(1) << sizeBits) - 1
 	indicatorWordsPerSlot = 2
 )
-
-// hydralint:assert presentBits+seqBits+sizeBits == 64
-// hydralint:assert 64%(8*indicatorWordsPerSlot) == 0
 
 const presentBit = uint64(1) << (seqBits + sizeBits)
 
@@ -130,8 +122,6 @@ func (m *Mailbox) Depth() int { return m.depth }
 // side). Slots are consumed strictly in ring order, so a message in a later
 // slot stays invisible until every earlier slot is consumed. The returned
 // body aliases the mailbox buffer and is valid until Consume.
-//
-// hydralint:hotpath
 func (m *Mailbox) Poll() (body []byte, seq uint32, ok bool) {
 	words := m.mr.Words()
 	headIdx := m.wordBase + indicatorWordsPerSlot*m.rd
@@ -154,8 +144,6 @@ func (m *Mailbox) Poll() (body []byte, seq uint32, ok bool) {
 
 // Consume clears the indicators of the slot at the read cursor, releasing it
 // to the writer, and advances the cursor to the next slot.
-//
-// hydralint:hotpath
 // hydralint:unpublishes clearing the head indicator retires the slot
 func (m *Mailbox) Consume() {
 	words := m.mr.Words()
@@ -170,8 +158,6 @@ func (m *Mailbox) Consume() {
 
 // Busy reports whether a message is pending in the slot at the read cursor
 // (owner side).
-//
-// hydralint:hotpath
 func (m *Mailbox) Busy() bool { return m.mr.Words().Load(m.wordBase+indicatorWordsPerSlot*m.rd) != 0 }
 
 // WriteVia delivers body into the slot at the write cursor through qp as one
@@ -179,8 +165,6 @@ func (m *Mailbox) Busy() bool { return m.mr.Words().Load(m.wordBase+indicatorWor
 // the window protocol — at most depth messages outstanding, one new write
 // per consumed slot; writing into a busy slot corrupts it, exactly as on
 // real hardware where the writer cannot see the remote indicators.
-//
-// hydralint:hotpath
 func (m *Mailbox) WriteVia(qp *rdma.QP, body []byte, seq uint32) error {
 	if len(body) > m.slotCap {
 		return ErrTooLarge
@@ -202,8 +186,6 @@ func (m *Mailbox) WriteVia(qp *rdma.QP, body []byte, seq uint32) error {
 // loopback connections when client and shard share a machine). Unlike a
 // remote writer, the owner can see the indicators, so a write into an
 // unconsumed slot is rejected with ErrRingFull instead of corrupting it.
-//
-// hydralint:hotpath
 // hydralint:publishes
 func (m *Mailbox) WriteLocal(body []byte, seq uint32) error {
 	if len(body) > m.slotCap {

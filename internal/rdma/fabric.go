@@ -249,16 +249,12 @@ func (mr *MemoryRegion) NIC() *NIC { return mr.nic }
 // verb initiated here writes them, so a field that verbs read from another
 // core (the connection's closed flag above all) must not share their line.
 // QP fills whole lines, so ends allocated side by side keep it private.
-//
-// hydralint:layout size=192 align=8
-// hydralint:cacheline
 type QP struct {
-	// hydralint:owner initiator
+	// Written by every verb this end initiates.
 	ops, bytes atomic.Int64
 	_          [6]uint64 // pad: the counters get a private line
 
 	// Set by Connect and read by every verb.
-	// hydralint:owner connect
 	local, remote *NIC
 	fabric        *Fabric
 	closed        *atomic.Bool // the connection's flag, shared by both ends
@@ -271,8 +267,6 @@ type QP struct {
 
 // link is one connection: its two ends and the closed flag they share, in
 // one allocation of whole cache lines so each end's counter line is private.
-//
-// hydralint:layout size=448 align=8
 type link struct {
 	ends   [2]QP
 	closed atomic.Bool
@@ -334,8 +328,6 @@ func (qp *QP) checkTarget(mr *MemoryRegion) error {
 // fault consults the fabric's fault hook for a one-sided verb, applying any
 // delay. drop=true means the op must silently do nothing (reads map drop to
 // ErrInjected — see faults.go).
-//
-// hydralint:hotpath
 func (qp *QP) fault(verb Verb, nbytes int) (drop bool, err error) {
 	out := qp.fabric.faultFor(verb, qp.local, qp.remote, nbytes)
 	if out.DelayNs > 0 {
@@ -356,8 +348,6 @@ func (qp *QP) fault(verb Verb, nbytes int) (drop bool, err error) {
 // charge accounts one verb of nbytes to this end, passes it through both
 // NICs' cost model when that is armed, then waits out the verb's injected
 // latency.
-//
-// hydralint:hotpath
 func (qp *QP) charge(nbytes int, latencyNs int64) {
 	qp.ops.Add(1)
 	qp.bytes.Add(int64(nbytes))
@@ -456,8 +446,6 @@ func (qp *QP) Read(mr *MemoryRegion, off int, dst []byte, wordIdxs ...int) (int,
 // value of wordIdxs[i], so steady-state pollers can reuse one scratch slice
 // and keep the one-sided GET path allocation-free. len(words) must be at
 // least len(wordIdxs).
-//
-// hydralint:hotpath
 func (qp *QP) ReadInto(mr *MemoryRegion, off int, dst []byte, words []uint64, wordIdxs ...int) (int, error) {
 	if err := qp.checkTarget(mr); err != nil {
 		return 0, err

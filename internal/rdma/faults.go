@@ -93,8 +93,6 @@ func (f *Fabric) SetFaultHook(h FaultHook) {
 }
 
 // faultFor consults the installed hook, if any.
-//
-// hydralint:hotpath
 func (f *Fabric) faultFor(verb Verb, local, remote *NIC, nbytes int) FaultOutcome {
 	h := f.faults.Load()
 	if h == nil || *h == nil {

@@ -12,8 +12,7 @@ import (
 // two ends. Every other field is swept, so a later insertion cannot silently
 // re-share the line. Offsets and sizes come from reflect, the same numbers as
 // unsafe.Offsetof/Sizeof, because the atomic-word lint forbids handing a value
-// holding atomics to unsafe. The hydralint layout pass checks the size pins
-// from the same annotations.
+// holding atomics to unsafe.
 func TestQPCounterLineGolden(t *testing.T) {
 	const line = 64
 	qp := reflect.TypeOf((*QP)(nil)).Elem()

@@ -90,8 +90,6 @@ type Endpoint struct {
 }
 
 // Send delivers one encoded request carrying seq to the shard.
-//
-// hydralint:hotpath
 func (ep *Endpoint) Send(body []byte, seq uint32) error {
 	if ep.SendRecv {
 		return ep.QP.Send(body)
@@ -103,8 +101,6 @@ func (ep *Endpoint) Send(body []byte, seq uint32) error {
 // Responses arrive in the order the shard sent them. The body is valid until
 // Release, which must come before the next Poll: in mailbox mode it aliases
 // the response slot, in two-sided mode it is the received heap copy.
-//
-// hydralint:hotpath
 func (ep *Endpoint) Poll() (body []byte, seq uint32, ok bool) {
 	if ep.SendRecv {
 		body, ok = ep.QP.TryRecv()
@@ -114,8 +110,6 @@ func (ep *Endpoint) Poll() (body []byte, seq uint32, ok bool) {
 }
 
 // Release frees the response Poll last returned for the shard's next reply.
-//
-// hydralint:hotpath
 func (ep *Endpoint) Release() {
 	if !ep.SendRecv {
 		ep.RespBox.Consume()
@@ -137,8 +131,6 @@ type conn struct {
 
 // recv returns the next delivered request and its seq without blocking. The
 // body is valid until release, which must come before the next recv.
-//
-// hydralint:hotpath
 func (c *conn) recv() (body []byte, seq uint32, ok bool) {
 	if c.sendRecv {
 		body, ok = c.qp.TryRecv()
@@ -149,8 +141,6 @@ func (c *conn) recv() (body []byte, seq uint32, ok bool) {
 
 // release frees the request recv last returned: "the shard zeros out the
 // request buffer" (§4.2.1), which hands the slot back to the client.
-//
-// hydralint:hotpath
 func (c *conn) release() {
 	if !c.sendRecv {
 		c.reqBox.Consume()
@@ -158,8 +148,6 @@ func (c *conn) release() {
 }
 
 // reply delivers the response to the request that carried seq.
-//
-// hydralint:hotpath
 func (c *conn) reply(body []byte, seq uint32) error {
 	if c.sendRecv {
 		return c.qp.Send(body)
@@ -322,8 +310,6 @@ func (s *Shard) PollOnce() bool {
 // what turns the ring depth into throughput: one poll round retires a whole
 // pipeline window, and the epoch check and reclamation accounting are
 // amortized across the batch.
-//
-// hydralint:hotpath
 func (s *Shard) drainConn(c *conn, epoch uint32) int {
 	handled := 0
 	for handled < c.reqBox.Depth() {
@@ -345,8 +331,6 @@ func (s *Shard) drainConn(c *conn, epoch uint32) int {
 
 // handle processes one request body against the given routing epoch, encodes
 // the response into respBuf, and returns its length.
-//
-// hydralint:hotpath
 func (s *Shard) handle(body []byte, respBuf []byte, epoch uint32) int {
 	s.own.Assert("shard.handle")
 	req, err := message.DecodeRequest(body)

@@ -3,7 +3,7 @@ package simcluster
 import (
 	"fmt"
 
-	"hydradb/internal/baselines"
+	"hydradb/internal/hashx"
 	"hydradb/internal/sim"
 	"hydradb/internal/stats"
 	"hydradb/internal/ycsb"
@@ -44,7 +44,10 @@ type BaselineConfig struct {
 	Seed           int64
 }
 
-// BaselineSim runs a baseline store under the same testbed model.
+// BaselineSim runs a baseline system under the same testbed model. Only the
+// architecture is modelled: each request holds the resources the system's
+// design puts on its path for the cost model's time, and no store is kept,
+// since no result depends on a stored value.
 type BaselineSim struct {
 	cfg     BaselineConfig
 	eng     *sim.Engine
@@ -54,11 +57,7 @@ type BaselineSim struct {
 	// architecture resources
 	workers   *sim.Resource   // memcached worker pool / ramcloud workers
 	dispatch  *sim.Resource   // ramcloud dispatch thread
-	instances []*sim.Resource // redis event loops
-
-	mc *baselines.MemcachedLike
-	rd *baselines.RedisLike
-	rc *baselines.RAMCloudLike
+	instances []*sim.Resource // redis event loops, sharded client-side by key hash
 
 	nextOp    int
 	completed int64
@@ -66,7 +65,7 @@ type BaselineSim struct {
 	updHist   *stats.Histogram
 }
 
-// NewBaselineSim builds and preloads a baseline deployment.
+// NewBaselineSim builds a baseline deployment.
 func NewBaselineSim(cfg BaselineConfig) (*BaselineSim, error) {
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("simcluster: workload required")
@@ -99,31 +98,13 @@ func NewBaselineSim(cfg BaselineConfig) (*BaselineSim, error) {
 	switch cfg.Kind {
 	case KindMemcached:
 		b.workers = sim.NewResource(b.eng, "mc-workers", c.MCWorkers)
-		b.mc = baselines.NewMemcachedLike(1024)
 	case KindRedis:
-		b.rd = baselines.NewRedisLike(c.RedisShards)
 		for i := 0; i < c.RedisShards; i++ {
 			b.instances = append(b.instances, sim.NewResource(b.eng, fmt.Sprintf("redis-%d", i), 1))
 		}
 	case KindRAMCloud:
 		b.dispatch = sim.NewResource(b.eng, "rc-dispatch", 1)
 		b.workers = sim.NewResource(b.eng, "rc-workers", c.RCWorkers)
-		b.rc = baselines.NewRAMCloudLike(8 << 20)
-	}
-
-	// Preload.
-	wl := cfg.Workload
-	val := wl.Value()
-	for i := int64(0); i < wl.Spec.Records; i++ {
-		key := wl.Key(i)
-		switch cfg.Kind {
-		case KindMemcached:
-			b.mc.Set(key, val)
-		case KindRedis:
-			b.rd.Set(b.rd.InstanceOf(key), key, val)
-		case KindRAMCloud:
-			b.rc.Set(key, val)
-		}
 	}
 	return b, nil
 }
@@ -195,26 +176,17 @@ func (b *BaselineSim) dispatchOp(cl *client, key string, isGet bool, start int64
 		b.completed++
 		b.eng.After(c.ClientThinkNs, func() { b.step(cl) })
 	}
-	apply := func() {
-		if isGet {
-			b.applyGet(key)
-		} else {
-			b.applySet(key)
-		}
-	}
 	switch b.cfg.Kind {
 	case KindMemcached:
 		b.tcpHop(cl.m, b.server, reqBytes, func() {
 			b.workers.Acquire(c.KernelNs+c.MCWorkerNs, func() {
-				apply()
 				b.tcpHop(b.server, cl.m, respBytes, finish)
 			})
 		})
 	case KindRedis:
-		inst := b.rd.InstanceOf([]byte(key))
+		inst := hashx.HashString(key) % uint64(len(b.instances))
 		b.tcpHop(cl.m, b.server, reqBytes, func() {
 			b.instances[inst].Acquire(c.KernelNs+c.RedisProcNs, func() {
-				apply()
 				b.tcpHop(b.server, cl.m, respBytes, finish)
 			})
 		})
@@ -222,35 +194,11 @@ func (b *BaselineSim) dispatchOp(cl *client, key string, isGet bool, start int64
 		b.verbsHop(cl.m, b.server, reqBytes, func() {
 			b.dispatch.Acquire(c.RCDispatchNs, func() {
 				b.workers.Acquire(c.RCWorkerNs, func() {
-					apply()
 					b.verbsHop(b.server, cl.m, respBytes, func() {
 						b.eng.After(c.SendRecvClientNs, finish)
 					})
 				})
 			})
 		})
-	}
-}
-
-func (b *BaselineSim) applyGet(key string) {
-	switch b.cfg.Kind {
-	case KindMemcached:
-		b.mc.Get([]byte(key))
-	case KindRedis:
-		b.rd.Get(b.rd.InstanceOf([]byte(key)), []byte(key))
-	case KindRAMCloud:
-		b.rc.Get([]byte(key))
-	}
-}
-
-func (b *BaselineSim) applySet(key string) {
-	val := b.cfg.Workload.Value()
-	switch b.cfg.Kind {
-	case KindMemcached:
-		b.mc.Set([]byte(key), val)
-	case KindRedis:
-		b.rd.Set(b.rd.InstanceOf([]byte(key)), []byte(key), val)
-	case KindRAMCloud:
-		b.rc.Set([]byte(key), val)
 	}
 }
