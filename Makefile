@@ -5,7 +5,7 @@
 GO        ?= go
 FUZZTIME  ?= 20s
 
-.PHONY: all build vet test race lint lint-budget lint-budget-write lint-sarif lint-spec deep-lint kill-matrix fuzz-smoke debug-test bench-smoke hydramc-smoke chaos-smoke sim-smoke cover ci
+.PHONY: all build vet test race lint lint-budget lint-budget-write lint-sarif lint-spec deep-lint kill-matrix fuzz-smoke debug-test bench-smoke chaos-smoke sim-smoke cover ci
 
 all: build test
 
@@ -50,34 +50,24 @@ lint-sarif:
 	$(GO) run ./cmd/hydralint -sarif hydralint.sarif ./...
 
 # The declarative-spec loop (DESIGN.md §16): the spec engine's self-tests
-# (seeded-bug fixtures, the publication-order golden, README table sync),
-# the modelcheck test that pairs every spec with a registered hydramc model
-# in both directions, and the kill matrix's drift checks (every mutant's old
-# text still occurs exactly once, and every non-meta check of the registry
-# is aimed at by a mutant; seconds, unlike `make kill-matrix`).
+# (seeded-bug fixtures, the publication-order golden, README table sync)
+# and the kill matrix's drift checks (every mutant's old text still occurs
+# exactly once, and every non-meta check of the registry is aimed at by a
+# mutant; seconds, unlike `make kill-matrix`).
 lint-spec:
 	$(GO) test -count=1 -run 'Spec|Golden|ReadmeSync' ./cmd/hydralint
-	$(GO) test -count=1 -run Spec ./internal/modelcheck
 	$(GO) test -count=1 -tags killmatrix -run 'TestKillMatrixMutants' ./cmd/hydralint
 
-# Nightly deep verification (.github/workflows/nightly.yml): the budgeted
-# lint plus a hydramc exploration an order of magnitude past the smoke
-# bound, including a word-granularity (-fine) mailbox leg. Model drift and
-# rare interleavings that hide under the smoke caps surface here instead of
-# blocking the per-PR pipeline.
-DEEPMCSCHEDULES ?= 200000
-DEEPMCTIMEOUT   ?= 2400
+# Nightly lint (.github/workflows/nightly.yml): the budgeted lint, the
+# SARIF log and the spec self-tests in one target.
 deep-lint: lint-budget lint-sarif lint-spec
-	timeout $(DEEPMCTIMEOUT) $(GO) run ./cmd/hydramc -all -maxschedules $(DEEPMCSCHEDULES)
-	timeout $(DEEPMCTIMEOUT) $(GO) run -tags hydradebug ./cmd/hydramc -model mailbox -fine -maxsteps 800 -maxschedules $(DEEPMCSCHEDULES)
-	! timeout $(DEEPMCTIMEOUT) $(GO) run -tags hydradebug ./cmd/hydramc -model mailbox -fine -bug -maxsteps 800 -maxschedules $(DEEPMCSCHEDULES)
 
-# The kill matrix (DESIGN.md §11): 51 one-site semantic mutants of the data
+# The kill matrix (DESIGN.md §11): 64 one-site semantic mutants of the data
 # path, each run against build, vet, every hydralint check, the package
-# tests, the rest of tier-1, -race, hydradebug, hydramc and (for the
-# control-plane packages) the chaos smoke; the table of first and sole
-# killers is rewritten into KILLMATRIX.md. About 70 minutes on a 2-core
-# host, so it is not part of ci.
+# tests, the rest of tier-1, -race, hydradebug and (for the control-plane
+# packages) the chaos smoke; the table of first and sole killers is
+# rewritten into KILLMATRIX.md. About 85 minutes on a 2-core host, so it is
+# not part of ci.
 kill-matrix:
 	$(GO) test -tags killmatrix -run 'TestKillMatrix$$' -count=1 -timeout 0 -v ./cmd/hydralint
 
@@ -111,27 +101,13 @@ bench-smoke:
 debug-test:
 	$(GO) test -tags hydradebug ./...
 
-# Bounded exhaustive-interleaving pass (DESIGN.md §9): explore every
-# protocol model and self-test that each seeded bug is caught, with the
-# schedule count capped so the pass stays seconds, not minutes. `timeout`
-# backstops a scheduler regression turning the bound into a hang. The fine
-# (word-granularity) leg covers only the mailbox model — the one whose
-# seeded bug is a torn-indicator race — because fine mode multiplies the
-# state space far past a smoke budget on the other models; the healthy run
-# must stay silent and the armed seeded bug must exit non-zero.
-MCSCHEDULES ?= 20000
-MCTIMEOUT   ?= 300
-hydramc-smoke:
-	timeout $(MCTIMEOUT) $(GO) run ./cmd/hydramc -all -maxschedules $(MCSCHEDULES)
-	timeout $(MCTIMEOUT) $(GO) run -tags hydradebug ./cmd/hydramc -model mailbox -fine -maxsteps 400 -maxschedules $(MCSCHEDULES)
-	! timeout $(MCTIMEOUT) $(GO) run -tags hydradebug ./cmd/hydramc -model mailbox -fine -bug -maxsteps 400 -maxschedules $(MCSCHEDULES)
-
 # Chaos smoke (DESIGN.md §10): every scenario — crash-primary,
-# partition-secondary, leader-kill — under seeded link faults and scripted
-# node failures, each run checked for per-key linearizability and lost
-# acked writes; then the armed seeded-bug self-test, which must exit
-# non-zero or the oracle is blind. Bounded seeds keep the pass in seconds;
-# a failing run prints a one-line schedule for `hydrachaos -replay`.
+# partition-secondary, leader-kill, stop-drain — under seeded link faults
+# and scripted node failures, each run checked for per-key linearizability,
+# lost acked writes and leaked goroutines; then the armed seeded-bug
+# self-test, which must exit non-zero or the oracle is blind. Bounded seeds
+# keep the pass in seconds; a failing run prints a one-line schedule for
+# `hydrachaos -replay`.
 CHAOSSEEDS   ?= 3
 CHAOSTIMEOUT ?= 600
 chaos-smoke:
@@ -154,4 +130,4 @@ sim-smoke:
 cover:
 	$(GO) test -cover ./... | grep -v "no test files"
 
-ci: build vet lint-budget lint-spec test race debug-test bench-smoke fuzz-smoke hydramc-smoke chaos-smoke sim-smoke
+ci: build vet lint-budget lint-spec test race debug-test bench-smoke fuzz-smoke chaos-smoke sim-smoke

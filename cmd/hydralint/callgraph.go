@@ -21,8 +21,8 @@ type Program struct {
 	markers *progMarkers
 
 	// specModel is the parsed protocolspec.Spec view plus its computed
-	// findings, built once and shared by the four spec-* checks and
-	// model-conformance (each check emits only its own category).
+	// findings, built once and shared by the four spec-* checks (each
+	// check emits only its own category).
 	specModel *specModel
 }
 

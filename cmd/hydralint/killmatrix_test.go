@@ -8,7 +8,7 @@ package main
 // result is written to KILLMATRIX.md at the repo root. A detector that is
 // never the only one to catch a mutant adds cost without adding coverage.
 //
-// Run it with `make kill-matrix` (about 70 minutes on a 2-core host). Each
+// Run it with `make kill-matrix` (about 85 minutes on a 2-core host). Each
 // mutant's old text must occur exactly once in its file, so a mutant the
 // code has drifted away from fails TestKillMatrixMutantsMatch instead of
 // silently testing nothing.
@@ -21,6 +21,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -28,11 +29,12 @@ import (
 )
 
 // mutant is one deliberate bug: replace old with new in file. aims names
-// the hydralint check the bug was written against; a deleted check's
-// mutants stay, to show which detector kills them now. pkgs are the
-// packages whose tests, -race and hydradebug runs are aimed at it; empty
-// means the file's own package. survives says why the bug causes no wrong
-// result today; a survivor without it is a missing test.
+// the hydralint check, the retired hydramc model ("model:<name>") or the
+// chaos scenario ("chaos:<name>") the bug was written against; a deleted
+// check's or model's mutants stay, to show which detector kills them now.
+// pkgs are the packages whose tests, -race and hydradebug runs are aimed at
+// it; empty means the file's own package. survives says why the bug causes
+// no wrong result today; a survivor without it is a missing test.
 type mutant struct {
 	id, aims, kind, what string
 	file, old, new       string
@@ -280,15 +282,77 @@ var mutants = []mutant{
 		file: "internal/client/renewer.go",
 		old:  "\tstop, done := r.stopCh, r.doneCh\n\tr.mu.Unlock()\n\tclose(stop)\n",
 		new:  "\tdone := r.doneCh\n\tr.mu.Unlock()\n"},
+
+	// Second mutants of the kept lint checks, at sites no test exercises.
+	{id: "C2", aims: "clock-discipline", kind: "clock", what: "the two-sided `QP.Recv` naps with `time.Sleep` instead of waiting on its queue",
+		file: "internal/rdma/fabric.go",
+		old:  "\t\tselect {\n\t\tcase m := <-qp.recvCh:\n\t\t\treturn m, true\n\t\tcase <-time.After(time.Millisecond):\n\t\t}\n\t}\n}",
+		new:  "\t\ttime.Sleep(time.Millisecond)\n\t}\n}"},
+	{id: "S2", aims: "shard-exclusivity", kind: "exclusive", what: "`kv` declares a package-level `sync.Mutex`",
+		file: "internal/kv/item.go",
+		old:  "import (\n\t\"encoding/binary\"\n\t\"errors\"\n\t\"fmt\"\n)\n",
+		new:  "import (\n\t\"encoding/binary\"\n\t\"errors\"\n\t\"fmt\"\n\t\"sync\"\n)\n\nvar itemMu sync.Mutex\n"},
+	{id: "K2", aims: "atomic-word", kind: "copy", what: "`OpCounters.Snapshot` reads `ReplRollbacks` through a copy of the counter",
+		file: "internal/stats/counters.go",
+		old:  "\t\tReplRollbacks:  o.ReplRollbacks.Load(),\n",
+		new:  "\t\tReplRollbacks:  (&[]Counter{o.ReplRollbacks}[0]).Load(),\n"},
+	{id: "E2", aims: "error-discipline", kind: "error", what: "`Promote` drops the error of the new primary's liveness registration",
+		file: "internal/cluster/cluster.go",
+		old:  "\tif _, err := newGroup.session.Create(fmt.Sprintf(\"%s/shard-%d\", livePath, id), nil, coord.FlagEphemeral); err != nil {\n\t\treturn err\n\t}\n",
+		new:  "\tnewGroup.session.Create(fmt.Sprintf(\"%s/shard-%d\", livePath, id), nil, coord.FlagEphemeral)\n"},
+
+	// The live form of each hydramc model's seeded bug, and the bugs only an
+	// interleaving exposes (the ptrcache model's seeded bug is G6). aims
+	// names the model.
+	{id: "G12", aims: "model:lease", kind: "guard", what: "`Store.detach` schedules the reclaim at now+grace, ignoring the item's lease",
+		file: "internal/kv/store.go",
+		old:  "\texp := int64(s.words.Load(meta + leaseWord))\n\ts.reclaim.push(reclaimEntry{due: s.policy.ReclaimAt(exp, now), meta: meta})\n",
+		new:  "\ts.reclaim.push(reclaimEntry{due: s.policy.ReclaimAt(now, now), meta: meta})\n"},
+	{id: "G13", aims: "model:guardian", kind: "guard", what: "`ReclaimAt` reclaims at lease expiry with zero margin (no grace)",
+		file: "internal/lease/lease.go",
+		old:  "\tat := exp + p.GraceNs\n",
+		new:  "\tat := exp\n",
+		pkgs: []string{"./internal/lease", "./internal/kv"}},
+	{id: "M1", aims: "model:mailbox", kind: "window", what: "the engine (`pump`) keeps `Depth()+1` requests in flight",
+		file: "internal/client/pipeline.go",
+		old:  "pc.next-pc.head < pc.ep.Depth() {",
+		new:  "pc.next-pc.head <= pc.ep.Depth() {"},
+	{id: "M2", aims: "model:mailbox", kind: "order", what: "`drainConn` returns the credit (replies) before `Consume` clears the request slot",
+		file: "internal/shard/shard.go",
+		old:  "\t\tc.release()\n\t\t//hydralint:ignore error-discipline response to a vanished client; nothing to do but serve the next mailbox\n\t\t_ = c.reply(s.respBuf[:n], seq)\n",
+		new:  "\t\t//hydralint:ignore error-discipline response to a vanished client; nothing to do but serve the next mailbox\n\t\t_ = c.reply(s.respBuf[:n], seq)\n\t\tc.release()\n"},
+	{id: "A6", aims: "model:replication", kind: "ack", what: "`pollAcks` counts a nacked range as acknowledged instead of re-sending it",
+		file: "internal/replication/log.go",
+		old:  "\t\t\tp.Rollbacks.Inc()\n\t\t\tp.resendRange(s, seq, count)\n",
+		new:  "\t\t\tp.Rollbacks.Inc()\n\t\t\tif end := seq + count - 1; end > s.lastAcked {\n\t\t\t\ts.lastAcked = end\n\t\t\t}\n"},
+
+	// One per chaos scenario: a bug on the path the scenario's faults drive.
+	{id: "X1", aims: "chaos:crash-primary", kind: "fault", what: "`stopSecondaries` skips the final drain, so a promotion drops records still in the ring",
+		file: "internal/cluster/cluster.go",
+		old:  "\t\tsec.sec.Stop()\n\t\tfor sec.sec.PollOnce() {\n\t\t}\n",
+		new:  "\t\tsec.sec.Stop()\n"},
+	{id: "X2", aims: "chaos:partition-secondary", kind: "fault", what: "`catchUp` leaves the newest record unwritten after a healed partition",
+		file: "internal/replication/log.go",
+		old:  "\t\tif s.written < p.seq {\n\t\t\t//hydralint:ignore error-discipline recovery catch-up",
+		new:  "\t\tif s.written+1 < p.seq {\n\t\t\t//hydralint:ignore error-discipline recovery catch-up"},
+	{id: "X3", aims: "chaos:leader-kill", kind: "fault", what: "only the founding SWAT leader reacts; a re-elected leader ignores failures",
+		file: "internal/swat/swat.go",
+		old:  "\t\t\tif err != nil || !isLeader {\n",
+		new:  "\t\t\tif err != nil || !isLeader || m.name != \"swat-0\" {\n"},
+	{id: "X4", aims: "chaos:stop-drain", kind: "fault", what: "`MoveShard` re-wires the secondaries without stopping their drain loops",
+		file: "internal/cluster/cluster.go",
+		old:  "\tg.shard.Stop()\n\tstopSecondaries(g)\n\n\t// Restart on the target machine",
+		new:  "\tg.shard.Stop()\n\n\t// Restart on the target machine"},
 }
 
 // metaChecks judge the lint and the specs themselves, not the data path, so
 // no mutant of the data path can aim at them.
-var metaChecks = map[string]bool{"stale-suppression": true, "spec-drift": true, "model-conformance": true}
+var metaChecks = map[string]bool{"stale-suppression": true, "spec-drift": true}
 
 // detectors in cost order. Lint findings are split by check, so each
-// check is its own detector in the table ("lint:<check>").
-var detectorOrder = []string{"build", "vet", "lint", "tests", "tier-1", "race", "hydradebug", "hydramc", "chaos"}
+// check is its own detector in the table ("lint:<check>"); the chaos cell
+// names the scenarios that failed.
+var detectorOrder = []string{"build", "vet", "lint", "tests", "tier-1", "race", "hydradebug", "chaos"}
 
 // runnerPkgs are the packages whose loops run on timing.Runner; the shard
 // first, so the runner's mutants also run the chaos smoke.
@@ -361,10 +425,11 @@ func TestKillMatrixMutantsAimEveryCheck(t *testing.T) {
 // matrixRow is one mutant's outcome: per detector, killed or survived;
 // absent means the detector did not run.
 type matrixRow struct {
-	m      mutant
-	killed map[string]bool
-	checks []string // lint checks with findings, in registry order
-	note   string   // first lines of the first killer's output
+	m         mutant
+	killed    map[string]bool
+	checks    []string // lint checks with findings, in registry order
+	scenarios []string // chaos scenarios that failed, in run order
+	note      string   // first lines of the first killer's output
 }
 
 // killers lists the row's killing detectors in cost order, with lint
@@ -497,16 +562,11 @@ func runDetectors(t *testing.T, root, bin string, m mutant) matrixRow {
 	ok, out = goCmd(root, 3*time.Minute, append([]string{"test", "-tags", "hydradebug", "-count=1", "-timeout", "60s"}, pkgs...)...)
 	record("hydradebug", ok, out)
 
-	mc := filepath.Join(bin, "hydramc")
-	if ok, out = goCmd(root, 5*time.Minute, "build", "-o", mc, "./cmd/hydramc"); ok {
-		ok, out = runCmd(root, 2*time.Minute, mc, "-all", "-maxschedules", "20000")
-	}
-	record("hydramc", ok, out)
-
 	if m.id == "baseline" || chaosPkgs[pkgs[0]] {
 		chaos := filepath.Join(bin, "hydrachaos")
 		if ok, out = goCmd(root, 5*time.Minute, "build", "-o", chaos, "./cmd/hydrachaos"); ok {
 			ok, out = runCmd(root, 3*time.Minute, chaos, "-seed", "1", "-seeds", "3", "-clients", "3", "-ops", "100", "-keys", "16")
+			row.scenarios = failedScenarios(out)
 		}
 		if ok {
 			// The armed seeded bug must still be caught, or the oracle went blind.
@@ -520,6 +580,19 @@ func runDetectors(t *testing.T, root, bin string, m mutant) matrixRow {
 		record("chaos", ok, out)
 	}
 	return row
+}
+
+// failedScenarios lists, once each, the scenarios whose hydrachaos verdict
+// line reads FAILED.
+func failedScenarios(out string) []string {
+	var names []string
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) > 1 && f[len(f)-1] == "FAILED" && !slices.Contains(names, f[0]) {
+			names = append(names, f[0])
+		}
+	}
+	return names
 }
 
 // listPackages lists the module's packages other than cmd/hydralint.
@@ -572,15 +645,15 @@ func renderMatrix(rows []matrixRow) string {
 	b.WriteString("Each mutant is one small semantic bug applied to a copy of the repo. The detectors run in cost order:\n")
 	b.WriteString("`build` (`go build ./...`), `vet` (the package), `lint` (one full hydralint run, split by check),\n")
 	b.WriteString("`tests` (the package, `-timeout 60s`), `tier-1` (`go test` of every other package except cmd/hydralint, whose\n")
-	b.WriteString("dogfood test is the lint column; run only when `tests` passes), `race` and `hydradebug` (the package),\n")
-	b.WriteString("`hydramc` (`-all -maxschedules 20000`) and `chaos` (the `make chaos-smoke` runs; only for mutants in cluster,\n")
+	b.WriteString("dogfood test is the lint column; run only when `tests` passes), `race` and `hydradebug` (the package)\n")
+	b.WriteString("and `chaos` (the `make chaos-smoke` runs, with the failing scenarios named; only for mutants in cluster,\n")
 	b.WriteString("replication, swat, coord and shard). ✗ = killed, · = survived, – = not run.\n")
 	b.WriteString("The first killer is the cheapest detector that failed; a sole killer is the only one.\n")
-	b.WriteString("`aims` is the hydralint check the mutant was written against; a check no longer in `-list` was deleted,\n")
-	b.WriteString("and its row shows what kills the bug without it.\n\n")
+	b.WriteString("`aims` is the hydralint check or hydramc model (`model:`) or chaos scenario (`chaos:`) the mutant was written\n")
+	b.WriteString("against; a check no longer in `-list` was deleted, as was hydramc, and its row shows what kills the bug without it.\n\n")
 
-	b.WriteString("| id | aims | kind | mutation | build | vet | lint | tests | tier-1 | race | hydradebug | hydramc | chaos | first killer | sole killer |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
+	b.WriteString("| id | aims | kind | mutation | build | vet | lint | tests | tier-1 | race | hydradebug | chaos | first killer | sole killer |\n")
+	b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
 	cell := func(r matrixRow, d string) string {
 		k, ran := r.killed[d]
 		switch {
@@ -588,6 +661,8 @@ func renderMatrix(rows []matrixRow) string {
 			return "–"
 		case d == "lint" && k:
 			return "✗ " + strings.Join(r.checks, ", ")
+		case d == "chaos" && k && len(r.scenarios) > 0:
+			return "✗ " + strings.Join(r.scenarios, ", ")
 		case k:
 			return "✗"
 		}

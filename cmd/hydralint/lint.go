@@ -49,12 +49,6 @@ var allChecks = []Check{
 		Run:   runErrorDiscipline,
 	},
 	{
-		Name:       "model-conformance",
-		Desc:       "every atomic word and SchedPoint tag of a package a hydramc model covers must be declared by the protocolspec.Specs naming that model (whole-program)",
-		Short:      "hydramc coverage, read from the specs, spans the real atomic surface",
-		RunProgram: runModelConformance,
-	},
-	{
 		Name:       "spec-order",
 		Desc:       "the happens-before edges declared in protocolspec.Spec literals — payload-before-release, retract-before-free, apply-after-replicate — hold on every code path (spec-driven flow pass)",
 		Short:      "declared protocol edges hold on every code path",
@@ -62,14 +56,14 @@ var allChecks = []Check{
 	},
 	{
 		Name:       "spec-coverage",
-		Desc:       "every atomic store to a word declared in a protocolspec.Spec must be sanctioned by a Writers entry, a covering edge, or a publish/unpublish constant (whole-program)",
-		Short:      "every store to a spec'd word is sanctioned by its spec",
+		Desc:       "every atomic store to a word declared in a protocolspec.Spec must be sanctioned by a Writers entry, a covering edge, or a publish/unpublish constant, and every atomic word of a package a spec lists must be declared by some spec (whole-program)",
+		Short:      "every store to a spec'd word is sanctioned by its spec; a spec'd package has no undeclared word",
 		RunProgram: runSpecCoverage,
 	},
 	{
 		Name:       "spec-drift",
-		Desc:       "protocolspec.Spec declarations must name only atomic words, SchedPoint tags, functions, marker constants, and edge kinds that still exist (whole-program)",
-		Short:      "specs name only words, tags, and functions that exist",
+		Desc:       "protocolspec.Spec declarations must name only atomic words, functions, marker constants, and edge kinds that still exist (whole-program)",
+		Short:      "specs name only words and functions that exist",
 		RunProgram: runSpecDrift,
 	},
 	{

@@ -406,11 +406,10 @@ type Role string
 type EdgeKind string
 
 type Word struct {
-	Name      string
-	Role      Role
-	Footprint bool
-	Writers   []string
-	Why       string
+	Name    string
+	Role    Role
+	Writers []string
+	Why     string
 }
 
 type Edge struct {
@@ -424,12 +423,11 @@ type Guard struct {
 }
 
 type Spec struct {
-	Name, Model string
-	Packages    []string
-	SchedTags   []string
-	Words       []Word
-	Edges       []Edge
-	Guards      []Guard
+	Name     string
+	Packages []string
+	Words    []Word
+	Edges    []Edge
+	Guards   []Guard
 }
 `,
 	},
@@ -608,12 +606,12 @@ func (l *Log) Commit(seq uint64) {
 `,
 	},
 
-	// --- model-conformance -------------------------------------------------
-	// The fixture model's coverage is read from this spec: mcfix.go touches
-	// one atomic word the spec omits (model-conformance), and the spec
-	// declares one word nothing touches (spec-drift).
+	// --- spec-coverage and spec-drift on one spec's word list ---------------
+	// mcfix.go, in a package the spec lists, touches one atomic word no spec
+	// declares (spec-coverage), and the spec declares one word nothing
+	// touches (spec-drift).
 	{
-		name:  "conformance-stale-declaration",
+		name:  "spec-stale-declaration",
 		path:  "internal/mcfix/spec.go",
 		check: "spec-drift",
 		want:  1,
@@ -623,11 +621,10 @@ import "hydradb/internal/protocolspec"
 
 var spec = protocolspec.Spec{
 	Name:     "mcfix",
-	Model:    "fixture",
 	Packages: []string{"hydradb/internal/mcfix"},
 	Words: []protocolspec.Word{
-		{Name: "hydradb/internal/mcfix.ops", Footprint: true, Writers: []string{"hydradb/internal/mcfix.Tick"}},
-		{Name: "hydradb/internal/mcfix.gone", Footprint: true},
+		{Name: "hydradb/internal/mcfix.ops", Writers: []string{"hydradb/internal/mcfix.Tick"}},
+		{Name: "hydradb/internal/mcfix.gone"},
 	},
 }
 
@@ -635,9 +632,9 @@ var _ = spec
 `,
 	},
 	{
-		name:  "conformance-undeclared-word",
+		name:  "spec-undeclared-word",
 		path:  "internal/mcfix/mcfix.go",
-		check: "model-conformance",
+		check: "spec-coverage",
 		want:  1,
 		src: `package mcfix
 
@@ -1107,15 +1104,14 @@ func copyRepoGoTree(t *testing.T) string {
 	return dst
 }
 
-// TestFootprintDriftFailsLint desyncs model coverage from the code by
-// renaming names in checked-in protocolspec.Specs — the mailbox spec's
-// word-area word and the guardian spec's SchedPoint tag — and asserts the
-// lint fails the drifted tree in both directions for each, under one check
-// per direction: the real word or tag is no longer declared for its model
-// (model-conformance) and the renamed one names nothing (spec-drift).
-// Both drifts share one lint run; their findings are disjoint. The drifted
-// files reach the lint through a go-command overlay on the real tree, so
-// only their packages and dependents are rebuilt.
+// TestFootprintDriftFailsLint desyncs a checked-in protocolspec.Spec from
+// the code by renaming the replication spec's one word, the secondary's
+// applied watermark, and asserts the lint fails the drifted tree in both
+// directions, under one check per direction: the real word, in a package
+// the spec lists, is declared by no spec (spec-coverage), and the renamed
+// one names nothing (spec-drift). The drifted file reaches the lint through
+// a go-command overlay on the real tree, so only its package and dependents
+// are rebuilt.
 func TestFootprintDriftFailsLint(t *testing.T) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
@@ -1124,8 +1120,7 @@ func TestFootprintDriftFailsLint(t *testing.T) {
 	tmp := t.TempDir()
 	replace := map[string]string{}
 	for i, e := range []struct{ file, real, bogus string }{
-		{"internal/message/protocol.go", `"hydradb/internal/arena.WordArea.words[]"`, `"hydradb/internal/arena.WordArea.retired[]"`},
-		{"internal/kv/protocol.go", `SchedTags: []string{"word"}`, `SchedTags: []string{"wrod"}`},
+		{"internal/replication/protocol.go", `"hydradb/internal/replication.Secondary.applied"`, `"hydradb/internal/replication.Secondary.retired"`},
 	} {
 		path := filepath.Join(root, filepath.FromSlash(e.file))
 		src, err := os.ReadFile(path)
@@ -1151,21 +1146,19 @@ func TestFootprintDriftFailsLint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := runLint(root, []string{"./..."}, []string{"model-conformance", "spec-drift"}, true, overlay)
+	res, err := runLint(root, []string{"./..."}, []string{"spec-coverage", "spec-drift"}, true, overlay)
 	if err != nil {
 		t.Fatalf("RunLint on drifted tree: %v", err)
 	}
-	want := []struct{ check, msg, model string }{
-		{"model-conformance", "atomic word hydradb/internal/arena.WordArea.words[] is not declared", "model mailbox"},
-		{"spec-drift", "declares atomic word hydradb/internal/arena.WordArea.retired[], but no loaded package accesses it", ""},
-		{"model-conformance", `SchedPoint tag "word" is not declared`, "model guardian"},
-		{"spec-drift", `declares SchedPoint tag "wrod", but none of its packages yields at it`, ""},
+	want := []struct{ check, msg string }{
+		{"spec-coverage", "atomic word hydradb/internal/replication.Secondary.applied in hydradb/internal/replication, a package spec replication-ready lists, is declared by no spec"},
+		{"spec-drift", "declares atomic word hydradb/internal/replication.Secondary.retired, but no loaded package accesses it"},
 	}
 	got := make([]int, len(want))
 	for _, d := range res.Diags {
 		matched := false
 		for i, w := range want {
-			if d.Check == w.check && strings.Contains(d.Msg, w.msg) && strings.Contains(d.Msg, w.model) {
+			if d.Check == w.check && strings.Contains(d.Msg, w.msg) {
 				got[i]++
 				matched = true
 			}
@@ -1176,7 +1169,7 @@ func TestFootprintDriftFailsLint(t *testing.T) {
 	}
 	for i, w := range want {
 		if got[i] != 1 {
-			t.Errorf("%d %s findings matching %q (%s), want 1", got[i], w.check, w.msg, w.model)
+			t.Errorf("%d %s findings matching %q, want 1", got[i], w.check, w.msg)
 		}
 	}
 }

@@ -27,13 +27,6 @@
 //	                   a typed value, so plain access to it does not compile.
 //	error-discipline   no discarded errors (`_ = f()` or a bare call) in
 //	                   internal/ packages.
-//	model-conformance  a hydramc model covers the Packages, Footprint-marked
-//	                   words and SchedTags of every protocolspec.Spec whose
-//	                   Model names it. Every atomic word a covered package
-//	                   touches and every invariant.SchedPoint tag it yields
-//	                   at must be declared for each covering model, so the
-//	                   models provably talk about the code as written (the
-//	                   stale direction is spec-drift's).
 //	spec-order         the happens-before edges declared in protocolspec.Spec
 //	                   literals hold on every code path. The
 //	                   payload-before-release leg is the out-of-place PUT
@@ -51,8 +44,10 @@
 //	                   declares must be sanctioned — by a Writers entry, a
 //	                   covering apply edge, a publish/unpublish constant, or
 //	                   a publishes/unpublishes function the flow pass orders.
-//	spec-drift         a spec may only name atomic words, SchedPoint tags,
-//	                   functions, marker constants, and edge kinds that
+//	                   Every atomic word a package in some spec's Packages
+//	                   accesses must be declared by a spec.
+//	spec-drift         a spec may only name atomic words, functions,
+//	                   marker constants, and edge kinds that
 //	                   still exist; a declaration nothing implements fails
 //	                   the lint (specs must not rot).
 //	spec-guard         the declared torn-read guards still compare against

@@ -13,7 +13,7 @@ import (
 // publication protocols as protocolspec.Spec literals (pure Go literals,
 // parsed statically); this engine checks the declarations against the real
 // code, through the call graph and write summaries, and splits its findings
-// across five checks:
+// across four checks:
 //
 //	spec-order     the declared happens-before edges hold on every code
 //	               path: the payload-before-release flow pass (allocation
@@ -23,18 +23,16 @@ import (
 //	spec-coverage  every atomic store to a spec'd word is sanctioned — a
 //	               Writers entry, a covering apply edge, or a
 //	               publish/unpublish constant / publishes function the
-//	               flow pass orders
-//	spec-drift     the spec names only words, tags, functions, and markers
+//	               flow pass orders — and every atomic word of a package a
+//	               spec lists is declared by some spec
+//	spec-drift     the spec names only words, functions, and markers
 //	               that still exist (a spec that rots is worse than no
 //	               spec)
 //	spec-guard     the declared torn-read guards still compare against
 //	               their bound, and reclaimers call their quiescence gate
 //	               before any free
-//	model-conformance  every atomic word and SchedPoint tag of a package a
-//	               hydramc model covers is declared by that model's specs
-//	               (check_conformance.go)
 //
-// All five share one specModel computed once per Program; each check
+// All four share one specModel computed once per Program; each check
 // emits only its own category, so restricted runs stay restricted.
 
 // specFinding is one computed finding, held until its check is emitted.
@@ -48,12 +46,11 @@ type specFinding struct {
 
 // specWordDecl is one parsed protocolspec.Word.
 type specWordDecl struct {
-	spec      *specDecl
-	pos       token.Pos
-	name      string
-	role      string
-	footprint bool
-	writers   []string
+	spec    *specDecl
+	pos     token.Pos
+	name    string
+	role    string
+	writers []string
 }
 
 // specEdgeDecl is one parsed protocolspec.Edge.
@@ -78,9 +75,7 @@ type specDecl struct {
 	p      *Package
 	pos    token.Pos
 	name   string
-	model  string
 	pkgs   []string
-	tags   []string
 	words  []*specWordDecl
 	edges  []*specEdgeDecl
 	guards []*specGuardDecl
@@ -104,9 +99,6 @@ type specModel struct {
 	// pkgSpec attributes flow findings: import path -> first covering
 	// spec name ("" for marker-only packages).
 	pkgSpec map[string]string
-	// coveredBy maps an import path to the hydramc models whose specs
-	// list it, in first-seen spec order.
-	coveredBy map[string][]*modelCov
 }
 
 func (sm *specModel) add(p *Package, pos token.Pos, check, spec, format string, args ...any) {
@@ -124,14 +116,12 @@ func specModelFor(prog *Program) *specModel {
 		writers:      map[string]map[string]bool{},
 		leaseWriters: map[string]bool{},
 		pkgSpec:      map[string]string{},
-		coveredBy:    map[string][]*modelCov{},
 	}
 	prog.specModel = sm
 	sm.parse(prog)
 	sw := sm.sweep(prog)
 	sm.checkDrift(prog, sw)
-	sm.checkCoverage(prog, sw.stores)
-	sm.checkConformance(sw)
+	sm.checkCoverage(prog, sw)
 	sm.checkGuards(prog)
 	sm.checkRetractOrder(prog)
 	sm.checkApplyOrder(prog)
@@ -158,9 +148,6 @@ func runSpecDrift(prog *Program, rep func(*Package) *Reporter) {
 }
 func runSpecGuard(prog *Program, rep func(*Package) *Reporter) {
 	emitSpecFindings(prog, rep, "spec-guard")
-}
-func runModelConformance(prog *Program, rep func(*Package) *Reporter) {
-	emitSpecFindings(prog, rep, "model-conformance")
 }
 
 // ---------------------------------------------------------------------------
@@ -222,31 +209,6 @@ func (sm *specModel) parse(prog *Program) {
 			}
 		}
 	}
-	models := map[string]*modelCov{}
-	for _, d := range sm.specs {
-		if d.model == "" {
-			continue
-		}
-		mc := models[d.model]
-		if mc == nil {
-			mc = &modelCov{name: d.model, pkgs: map[string]bool{}, words: map[string]bool{}, tags: map[string]bool{}}
-			models[d.model] = mc
-		}
-		for _, path := range d.pkgs {
-			if !mc.pkgs[path] {
-				mc.pkgs[path] = true
-				sm.coveredBy[path] = append(sm.coveredBy[path], mc)
-			}
-		}
-		for _, w := range d.words {
-			if w.footprint {
-				mc.words[w.name] = true
-			}
-		}
-		for _, t := range d.tags {
-			mc.tags[t] = true
-		}
-	}
 }
 
 func (sm *specModel) parseSpecLit(p *Package, cl *ast.CompositeLit) {
@@ -275,16 +237,8 @@ func (sm *specModel) parseSpecLit(p *Package, cl *ast.CompositeLit) {
 			if d.name == "" {
 				sm.add(p, kv.Value.Pos(), "spec-drift", "", "Spec.Name must be a literal string")
 			}
-		case "Model":
-			if s, ok := constString(p, kv.Value); ok {
-				d.model = s
-			} else {
-				sm.add(p, kv.Value.Pos(), "spec-drift", d.name, "Spec.Model must be a literal string")
-			}
 		case "Packages":
 			d.pkgs = sm.specStringList(p, d, kv.Value, "Spec.Packages")
-		case "SchedTags":
-			d.tags = sm.specStringList(p, d, kv.Value, "Spec.SchedTags")
 		case "Words":
 			sm.parseSpecElems(p, d, kv.Value, "Spec.Words", func(lit *ast.CompositeLit) {
 				w := &specWordDecl{spec: d, pos: lit.Pos()}
@@ -298,8 +252,6 @@ func (sm *specModel) parseSpecLit(p *Package, cl *ast.CompositeLit) {
 						w.name = sm.specString(p, d, fkv.Value, "Word.Name")
 					case "Role":
 						w.role = sm.specString(p, d, fkv.Value, "Word.Role")
-					case "Footprint":
-						w.footprint = sm.specBool(p, d, fkv.Value, "Word.Footprint")
 					case "Writers":
 						w.writers = sm.specStringList(p, d, fkv.Value, "Word.Writers")
 					}
@@ -371,15 +323,6 @@ func (sm *specModel) specString(p *Package, d *specDecl, e ast.Expr, what string
 	return ""
 }
 
-func (sm *specModel) specBool(p *Package, d *specDecl, e ast.Expr, what string) bool {
-	tv, ok := p.Info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Bool {
-		sm.add(p, e.Pos(), "spec-drift", d.name, "%s must be a literal bool", what)
-		return false
-	}
-	return constant.BoolVal(tv.Value)
-}
-
 func (sm *specModel) specStringList(p *Package, d *specDecl, e ast.Expr, what string) []string {
 	cl, ok := unparen(e).(*ast.CompositeLit)
 	if !ok {
@@ -415,7 +358,7 @@ func (sm *specModel) parseSpecElems(p *Package, d *specDecl, e ast.Expr, what st
 }
 
 // ---------------------------------------------------------------------------
-// The atomic sweep (shared by drift, coverage, and model-conformance)
+// The atomic sweep (shared by drift and coverage)
 
 // specStore is one atomic write to a spec'd word in production code.
 type specStore struct {
@@ -433,21 +376,21 @@ type specSweep struct {
 	// word (coverage's work list).
 	accessed map[string]bool
 	stores   []specStore
-	// words and tags hold, for each loaded package a spec lists, the
-	// first site of every atomic word and constant SchedPoint tag.
-	words map[string]map[string]specSite
-	tags  map[string]map[string]specSite
+	// undeclared holds the first site of every atomic word that a
+	// package some spec lists accesses and no spec declares.
+	undeclared []specSite
 }
 
-// sweep walks every loaded package's production files once. A
-// non-constant SchedPoint tag in a spec'd package is a model-conformance
-// finding: coverage is only as trustworthy as the tags are static.
+// specSite is the first production site of a word in a package.
+type specSite struct {
+	p    *Package
+	pos  token.Pos
+	word string
+}
+
+// sweep walks every loaded package's production files once.
 func (sm *specModel) sweep(prog *Program) *specSweep {
-	sw := &specSweep{
-		accessed: map[string]bool{},
-		words:    map[string]map[string]specSite{},
-		tags:     map[string]map[string]specSite{},
-	}
+	sw := &specSweep{accessed: map[string]bool{}}
 	seen := map[string]bool{}
 	for _, p := range prog.Pkgs {
 		if seen[p.ImportPath] {
@@ -455,10 +398,7 @@ func (sm *specModel) sweep(prog *Program) *specSweep {
 		}
 		seen[p.ImportPath] = true
 		_, spec := sm.pkgSpec[p.ImportPath]
-		words, tags := map[string]specSite{}, map[string]specSite{}
-		if spec {
-			sw.words[p.ImportPath], sw.tags[p.ImportPath] = words, tags
-		}
+		seenWord := map[string]bool{}
 		for _, f := range p.Files {
 			if p.isTestFile(f) {
 				continue
@@ -477,21 +417,13 @@ func (sm *specModel) sweep(prog *Program) *specSweep {
 					}
 					id, pos, ok := atomicAccessWord(p, call)
 					if !ok {
-						if !spec {
-							return true
-						}
-						if tag, pos, ok, bad := schedPointTag(prog, p, call); bad {
-							sm.add(p, pos, "model-conformance", "",
-								"invariant.SchedPoint tag must be a constant string so model coverage can be checked statically")
-						} else if _, dup := tags[tag]; ok && !dup {
-							tags[tag] = specSite{p, pos}
-						}
 						return true
 					}
 					sw.accessed[id] = true
-					if _, dup := words[id]; !dup {
-						words[id] = specSite{p, pos}
+					if spec && !seenWord[id] && len(sm.wordDecls[id]) == 0 {
+						sw.undeclared = append(sw.undeclared, specSite{p, pos, id})
 					}
+					seenWord[id] = true
 					if len(sm.wordDecls[id]) > 0 && atomicOpWrites(call) {
 						sw.stores = append(sw.stores, specStore{p: p, call: call, pos: pos, word: id, enclosing: full})
 					}
@@ -501,6 +433,47 @@ func (sm *specModel) sweep(prog *Program) *specSweep {
 		}
 	}
 	return sw
+}
+
+func constString(p *Package, e ast.Expr) (string, bool) {
+	tv, ok := p.Info.Types[e]
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
+		return "", false
+	}
+	return constant.StringVal(tv.Value), true
+}
+
+// atomicAccessWord resolves one call to a nominal atomic-word access: either
+// a sync/atomic package call (atomic.StoreUint64(&x.f, v)) or a method on a
+// sync/atomic type (x.f.Store(v)). Locals and unnameable words resolve false
+// — they are not cross-thread state a model could cover.
+func atomicAccessWord(p *Package, call *ast.CallExpr) (string, token.Pos, bool) {
+	if isAtomicPkgCall(p, call) && len(call.Args) > 0 {
+		if id, ok := wordID(p, addrOperand(call.Args[0])); ok {
+			return id, call.Pos(), true
+		}
+		return "", token.NoPos, false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", token.NoPos, false
+	}
+	s, ok := p.Info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal {
+		return "", token.NoPos, false
+	}
+	recv := s.Recv()
+	if ptr, isPtr := recv.Underlying().(*types.Pointer); isPtr {
+		recv = ptr.Elem()
+	}
+	named, ok := types.Unalias(recv).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync/atomic" {
+		return "", token.NoPos, false
+	}
+	if id, ok := wordID(p, sel.X); ok {
+		return id, call.Pos(), true
+	}
+	return "", token.NoPos, false
 }
 
 // ---------------------------------------------------------------------------
@@ -603,29 +576,21 @@ func (sm *specModel) checkDrift(prog *Program, sw *specSweep) {
 		for _, g := range d.guards {
 			sm.checkFunc(prog, loaded, d, g.pos, g.reader)
 		}
-		// A declared tag must still be yielded at in one of the spec's
-		// packages (judged only when one of them was loaded).
-		for _, tag := range d.tags {
-			judged, found := false, false
-			for _, path := range d.pkgs {
-				if tags, ok := sw.tags[path]; ok {
-					judged = true
-					_, has := tags[tag]
-					found = found || has
-				}
-			}
-			if judged && !found {
-				sm.add(d.p, d.pos, "spec-drift", d.name,
-					"spec %s declares SchedPoint tag %q, but none of its packages yields at it; the declaration is stale", d.name, tag)
-			}
-		}
 	}
 }
 
 // ---------------------------------------------------------------------------
 // spec-coverage
 
-func (sm *specModel) checkCoverage(prog *Program, stores []specStore) {
+func (sm *specModel) checkCoverage(prog *Program, sw *specSweep) {
+	// A word no spec declares has no sanctioned writers to check, so the
+	// store check below cannot see it; in a protocol package that is itself
+	// the finding.
+	for _, s := range sw.undeclared {
+		sm.add(s.p, s.pos, "spec-coverage", sm.pkgSpec[s.p.ImportPath],
+			"atomic word %s in %s, a package spec %s lists, is declared by no spec; declare it in the owning protocolspec.Spec",
+			s.word, s.p.ImportPath, sm.pkgSpec[s.p.ImportPath])
+	}
 	m := prog.markersFor()
 	applyCovered := map[string]bool{}
 	for _, d := range sm.specs {
@@ -635,7 +600,7 @@ func (sm *specModel) checkCoverage(prog *Program, stores []specStore) {
 			}
 		}
 	}
-	for _, st := range stores {
+	for _, st := range sw.stores {
 		if st.enclosing != "" && sm.writers[st.word][st.enclosing] {
 			continue
 		}

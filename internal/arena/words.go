@@ -1,10 +1,6 @@
 package arena
 
-import (
-	"sync/atomic"
-
-	"hydradb/internal/invariant"
-)
+import "sync/atomic"
 
 // WordArea is the 8-byte-aligned metadata companion of a shard's byte region.
 //
@@ -68,23 +64,18 @@ func (w *WordArea) FreeGroup(idx int) {
 	w.free = append(w.free, idx)
 }
 
-// Load atomically reads word idx. The invariant.SchedPoint call is the model
-// checker's fine-grained yield point (a no-op empty function outside -tags
-// hydradebug, and a nil-hook check even there unless hydramc is exploring).
+// Load atomically reads word idx.
 func (w *WordArea) Load(idx int) uint64 {
-	invariant.SchedPoint("word")
 	return w.words[idx].Load()
 }
 
 // Store atomically writes word idx.
 func (w *WordArea) Store(idx int, v uint64) {
-	invariant.SchedPoint("word")
 	w.words[idx].Store(v)
 }
 
 // CompareAndSwap performs an atomic CAS on word idx.
 func (w *WordArea) CompareAndSwap(idx int, old, new uint64) bool {
-	invariant.SchedPoint("word")
 	return w.words[idx].CompareAndSwap(old, new)
 }
 

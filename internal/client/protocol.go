@@ -7,17 +7,14 @@ import "hydradb/internal/protocolspec"
 // pointer and hash half), then releases the version two past where it
 // found it; a reader trusts a payload only between two equal, even loads
 // of the version.
-// hydralint checks the writer list and the readers' re-check; hydramc's
-// "ptrcache" model footprint is generated from this spec.
+// hydralint checks the writer list and the readers' re-check.
 var SlotSpec = protocolspec.Spec{
 	Name:     "client-ptrcache",
-	Model:    "ptrcache",
 	Packages: []string{"hydradb/internal/client"},
 	Words: []protocolspec.Word{
 		{
-			Name:      "hydradb/internal/client.Slot.ver",
-			Role:      protocolspec.Guardian,
-			Footprint: true,
+			Name: "hydradb/internal/client.Slot.ver",
+			Role: protocolspec.Guardian,
 			Writers: []string{
 				"(*hydradb/internal/client.Slot).Acquire",
 				"(*hydradb/internal/client.Slot).Release",
@@ -25,29 +22,25 @@ var SlotSpec = protocolspec.Spec{
 			Why: "version<<32 | tag: readers validate it before and after loading the payload, and a writer holds the slot while the version is odd",
 		},
 		{
-			Name:      "hydradb/internal/client.Slot.w[]",
-			Role:      protocolspec.PayloadGroup,
-			Footprint: true,
-			Writers:   []string{"(*hydradb/internal/client.Slot).SetWord"},
-			Why:       "location, size and lease of the cached pointer; stored only by the writer holding the slot",
+			Name:    "hydradb/internal/client.Slot.w[]",
+			Role:    protocolspec.PayloadGroup,
+			Writers: []string{"(*hydradb/internal/client.Slot).SetWord"},
+			Why:     "location, size and lease of the cached pointer; stored only by the writer holding the slot",
 		},
 		{
-			Name:      "hydradb/internal/client.slotSide.key",
-			Role:      protocolspec.PayloadGroup,
-			Footprint: true,
-			Writers:   []string{"(*hydradb/internal/client.ptrTable).publish"},
-			Why:       "the slot's key, off the lookup line; Range, relocation and grow load it inside the version window",
+			Name:    "hydradb/internal/client.slotSide.key",
+			Role:    protocolspec.PayloadGroup,
+			Writers: []string{"(*hydradb/internal/client.ptrTable).publish"},
+			Why:     "the slot's key, off the lookup line; Range, relocation and grow load it inside the version window",
 		},
 		{
-			Name:      "hydradb/internal/client.slotSide.home",
-			Role:      protocolspec.PayloadGroup,
-			Footprint: true,
-			Writers:   []string{"(*hydradb/internal/client.ptrTable).publish"},
-			Why:       "the low half of the key's hash, stored with the key, so relocation and grow place the entry without rehashing",
+			Name:    "hydradb/internal/client.slotSide.home",
+			Role:    protocolspec.PayloadGroup,
+			Writers: []string{"(*hydradb/internal/client.ptrTable).publish"},
+			Why:     "the low half of the key's hash, stored with the key, so relocation and grow place the entry without rehashing",
 		},
 		{
-			Name:      "hydradb/internal/client.slotSide.hits",
-			Footprint: true,
+			Name: "hydradb/internal/client.slotSide.hits",
 			Writers: []string{
 				"(*hydradb/internal/client.ptrTable).setHits",
 				"(hydradb/internal/client.slotRef).touch",
@@ -55,8 +48,7 @@ var SlotSpec = protocolspec.Spec{
 			Why: "advisory access counts for renewal and eviction, outside the seqlock: a count read beside another key's pointer only misjudges popularity",
 		},
 		{
-			Name:      "hydradb/internal/client.ptrTable.used",
-			Footprint: true,
+			Name: "hydradb/internal/client.ptrTable.used",
 			Writers: []string{
 				"(*hydradb/internal/client.ptrTable).put",
 				"(*hydradb/internal/client.ptrTable).relocate",
@@ -66,9 +58,8 @@ var SlotSpec = protocolspec.Spec{
 			Why: "advisory occupancy count behind Len",
 		},
 		{
-			Name:      "hydradb/internal/client.PtrCache.cur",
-			Role:      protocolspec.PubWord,
-			Footprint: true,
+			Name: "hydradb/internal/client.PtrCache.cur",
+			Role: protocolspec.PubWord,
 			Writers: []string{
 				"hydradb/internal/client.NewCache",
 				"(*hydradb/internal/client.PtrCache).Reset",

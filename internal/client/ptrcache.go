@@ -43,8 +43,9 @@ const (
 // loads match and are even. A writer that finds the slot busy drops its
 // write: the cache is advisory, so that costs at most one message GET.
 //
-// The step methods are exported so hydramc's ptrcache model can interleave
-// a writer and a reader one word at a time over the code the cache runs.
+// The step methods are the seqlock's only word operations; the
+// client-ptrcache spec names Acquire, SetWord and Release as the only
+// writers.
 type Slot struct {
 	ver atomic.Uint64
 	w   [slotWords]atomic.Uint64

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hydradb/internal/hashx"
 	"hydradb/internal/kv"
 )
 
@@ -226,5 +227,39 @@ func TestPtrCacheResetAndAccess(t *testing.T) {
 	c.Reset()
 	if _, ok := c.Get(key); ok || c.Len() != 0 {
 		t.Fatalf("Reset kept a pointer (Len %d)", c.Len())
+	}
+}
+
+// TestPtrCacheStaleRefreshSparesReusedSlot: a lease refresh that lands after
+// its slot was emptied and reused for another key must leave that key's
+// entry, lease included, as it was. The refresh of a one-sided read
+// (client.go) can run late against a concurrent Delete and Put.
+func TestPtrCacheStaleRefreshSparesReusedSlot(t *testing.T) {
+	c := NewCache()
+	c.Put(cacheKey(1), entryFor(1))
+	ref, _, ok := c.lookup(cacheKey(1))
+	if !ok {
+		t.Fatal("cached key misses")
+	}
+	c.Delete(cacheKey(1))
+	// Another key whose home bucket holds the emptied slot takes it.
+	var other []byte
+	for n := 2; other == nil; n++ {
+		k := cacheKey(n)
+		h := hashx.Hash(k)
+		if b1, _ := ref.t.buckets(h, tagOf(h)); b1 == ref.i/2 {
+			other = k
+		}
+	}
+	c.Put(other, entryFor(7))
+	if r, _, ok := c.lookup(other); !ok || r.i != ref.i {
+		t.Fatalf("the other key did not reuse slot %d", ref.i)
+	}
+	ref.refresh(entryFor(9))
+	if e, ok := c.Get(other); !ok || e != entryFor(7) {
+		t.Fatalf("a stale refresh changed the slot's new key: %+v, want %+v", e, entryFor(7))
+	}
+	if _, ok := c.Get(cacheKey(1)); ok {
+		t.Fatal("a stale refresh brought the deleted key back")
 	}
 }

@@ -365,6 +365,45 @@ func TestDoublePromotionRace(t *testing.T) {
 	}, "data unreachable after racing promotions")
 }
 
+// TestPromoteRefusedWhilePromotingReleasesLock holds one promotion of a dead
+// primary's group in progress and makes a second Promote of it: that one is
+// refused, and the refusal must leave cl.mu free, or every later Promote,
+// KillShard and Stop blocks on it.
+func TestPromoteRefusedWhilePromotingReleasesLock(t *testing.T) {
+	clk := timing.NewManualClock(1e9)
+	cfg := testConfig(clk)
+	cfg.Replicas = 1
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := cl.ShardIDs()[0]
+	// The primary dies without closing its session, so the SWAT stays out of
+	// it, and the promotion is marked as running.
+	cl.mu.Lock()
+	cl.groups[victim].shard.Kill()
+	cl.promoting[victim] = true
+	cl.mu.Unlock()
+
+	refused := make(chan error, 1)
+	go func() {
+		err := cl.Promote(victim)
+		cl.mu.Lock()
+		delete(cl.promoting, victim)
+		cl.mu.Unlock()
+		refused <- err
+	}()
+	select {
+	case err := <-refused:
+		if err == nil || !strings.Contains(err.Error(), "already in progress") {
+			t.Fatalf("second promotion: %v, want it refused as already in progress", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cl.mu still held 10 s after a refused promotion") // cl.Stop would block too
+	}
+	cl.Stop()
+}
+
 // TestStopThenPromotePreservesAckedWrites is the graceful-shutdown cousin of
 // TestFailoverPreservesAckedWrites: a primary serving traffic is Stopped,
 // then declared dead, then its secondary is promoted explicitly. Every

@@ -17,13 +17,6 @@ func (*Owner) Release() {}
 // Assert is a no-op without -tags hydradebug.
 func (*Owner) Assert(string) {}
 
-// SchedPoint is a no-op without -tags hydradebug: the compiler inlines the
-// empty body away, so instrumented word operations pay nothing in production.
-func SchedPoint(string) {}
-
-// SetSchedPoint is a no-op without -tags hydradebug.
-func SetSchedPoint(func(string)) {}
-
 // AllocTracker is a no-op placeholder; see enabled.go for the armed version.
 type AllocTracker struct{}
 

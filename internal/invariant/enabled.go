@@ -82,35 +82,6 @@ func (o *Owner) Assert(op string) {
 	}
 }
 
-// schedPoint holds the model-checker yield hook installed by SetSchedPoint.
-var schedPoint atomic.Pointer[func(string)]
-
-// SchedPoint is a scheduler yield point for the hydramc interleaving checker
-// (internal/modelcheck). Instrumented shared-state operations — word-area
-// loads, stores and CASes — call it with a tag naming the object touched;
-// when a checker is exploring in fine-grained mode it suspends the calling
-// model thread here, turning every word access into a scheduling decision.
-// With no hook installed (every build except an active fine-grained
-// exploration) it is a single atomic load and branch; without -tags
-// hydradebug it does not exist at all (see disabled.go).
-func SchedPoint(tag string) {
-	if f := schedPoint.Load(); f != nil {
-		(*f)(tag)
-	}
-}
-
-// SetSchedPoint installs (or, with nil, removes) the process-wide scheduler
-// yield hook. Only the model checker installs one, and only for the duration
-// of a fine-grained exploration; the hook itself is responsible for ignoring
-// calls from goroutines it does not manage.
-func SetSchedPoint(f func(string)) {
-	if f == nil {
-		schedPoint.Store(nil)
-		return
-	}
-	schedPoint.Store(&f)
-}
-
 // AllocTracker canaries an arena's allocation lifecycle.
 type AllocTracker struct {
 	mu   sync.Mutex

@@ -5,17 +5,13 @@ import "hydradb/internal/protocolspec"
 // GuardianSpec declares the out-of-place PUT protocol (§4.2.3): every
 // payload byte of an item lands before the guardian word's release
 // store makes it visible to one-sided readers, and retraction precedes
-// any reuse of the item's memory. hydralint proves the edges statically;
-// hydramc's "guardian" model footprint is generated from this spec.
+// any reuse of the item's memory. hydralint proves the edges statically.
 var GuardianSpec = protocolspec.Spec{
-	Name:      "kv-guardian",
-	Model:     "guardian",
-	Packages:  []string{"hydradb/internal/arena", "hydradb/internal/kv"},
-	SchedTags: []string{"word"},
+	Name:     "kv-guardian",
+	Packages: []string{"hydradb/internal/arena", "hydradb/internal/kv"},
 	Words: []protocolspec.Word{{
-		Name:      "hydradb/internal/arena.WordArea.words[]",
-		Role:      protocolspec.Guardian,
-		Footprint: true,
+		Name: "hydradb/internal/arena.WordArea.words[]",
+		Role: protocolspec.Guardian,
 		Writers: []string{
 			"(*hydradb/internal/arena.WordArea).AllocGroup",
 			"(*hydradb/internal/arena.WordArea).Store",

@@ -136,31 +136,68 @@ func TestOutOfPlaceUpdate(t *testing.T) {
 	}
 }
 
+// TestReclaimAfterLeaseExpiry pins the reclamation time of a detached item
+// (§4.2.3): lease expiry + grace, never earlier, whether an update, a Delete
+// or an update after a lease-extending GET detached it. A one-sided reader
+// may hold the item until its lease ends, and the grace covers clock skew.
 func TestReclaimAfterLeaseExpiry(t *testing.T) {
-	clk := timing.NewManualClock(0)
-	s := testStore(t, clk)
-	res1, _ := testutil.Must2(s.Put([]byte("k"), []byte("v1")))
-	testutil.Must2(s.Put([]byte("k"), []byte("v2")))
-	if s.PendingReclaims() != 1 {
-		t.Fatalf("pending reclaims = %d", s.PendingReclaims())
-	}
-	// Before expiry nothing is reclaimed.
-	if n := s.ReclaimDue(); n != 0 {
-		t.Fatalf("premature reclaim of %d items", n)
-	}
-	// Advance past lease + grace.
-	clk.Advance(int64(lease.DefaultPolicy().BaseTermNs*70 + lease.DefaultPolicy().GraceNs))
-	if n := s.ReclaimDue(); n != 1 {
-		t.Fatalf("reclaimed %d items, want 1", n)
-	}
-	if s.PendingReclaims() != 0 {
-		t.Fatal("reclaim queue not drained")
-	}
-	// The old area is zeroed: a stale read now fails validation at decode.
-	buf := make([]byte, res1.Ptr.DataLen)
-	testutil.Must3(s.ReadAt(res1.Ptr, buf))
-	if _, _, ok := DecodeItem(buf); ok {
-		t.Fatal("reclaimed area still decodes")
+	k := []byte("k")
+	for _, tc := range []struct {
+		name string
+		// detach stores k, detaches its item and returns the item as last
+		// seen by a client: its pointer and the lease it was granted.
+		detach func(s *Store, clk *timing.ManualClock) GetResult
+	}{
+		{"update", func(s *Store, _ *timing.ManualClock) GetResult {
+			res, _ := testutil.Must2(s.Put(k, []byte("v1")))
+			testutil.Must2(s.Put(k, []byte("v2")))
+			return res
+		}},
+		{"delete", func(s *Store, _ *timing.ManualClock) GetResult {
+			res, _ := testutil.Must2(s.Put(k, []byte("v1")))
+			s.Delete(k)
+			return res
+		}},
+		{"update after extending get", func(s *Store, clk *timing.ManualClock) GetResult {
+			put, _ := testutil.Must2(s.Put(k, []byte("v1")))
+			clk.Advance(lease.DefaultPolicy().BaseTermNs / 2)
+			res, _ := s.Get(k)
+			if res.LeaseExp <= put.LeaseExp {
+				t.Fatalf("GET did not extend the lease: %d <= %d", res.LeaseExp, put.LeaseExp)
+			}
+			testutil.Must2(s.Put(k, []byte("v2")))
+			return res
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := timing.NewManualClock(1e9)
+			s := testStore(t, clk)
+			res := tc.detach(s, clk)
+			if s.PendingReclaims() != 1 {
+				t.Fatalf("pending reclaims = %d", s.PendingReclaims())
+			}
+			// Up to the last nanosecond of lease + grace nothing is reclaimed.
+			due := res.LeaseExp + lease.DefaultPolicy().GraceNs
+			for _, at := range []int64{clk.Now(), due - 1} {
+				clk.Set(at)
+				if n := s.ReclaimDue(); n != 0 {
+					t.Fatalf("reclaimed %d items at %d, lease expires at %d, due at %d", n, at, res.LeaseExp, due)
+				}
+			}
+			clk.Set(due)
+			if n := s.ReclaimDue(); n != 1 {
+				t.Fatalf("reclaimed %d items at lease expiry + grace, want 1", n)
+			}
+			if s.PendingReclaims() != 0 {
+				t.Fatal("reclaim queue not drained")
+			}
+			// The old area is zeroed: a stale read now fails validation at decode.
+			buf := make([]byte, res.Ptr.DataLen)
+			testutil.Must3(s.ReadAt(res.Ptr, buf))
+			if _, _, ok := DecodeItem(buf); ok {
+				t.Fatal("reclaimed area still decodes")
+			}
+		})
 	}
 }
 

@@ -8,12 +8,9 @@ import "hydradb/internal/protocolspec"
 // publication — renewal is monotonic and readers re-validate the
 // guardian, so the usual no-writes-after-release rule does not apply
 // to it. Client-side, ValidForRead must keep its safety margin so
-// one-sided reads stop before the server can reclaim. Feeds the
-// "lease" model footprint (which interleaves on time, not on atomic
-// words, hence no Footprint-marked word here).
+// one-sided reads stop before the server can reclaim.
 var RenewalSpec = protocolspec.Spec{
 	Name:     "kv-lease",
-	Model:    "lease",
 	Packages: []string{"hydradb/internal/kv"},
 	Words: []protocolspec.Word{{
 		Name:    "hydradb/internal/arena.WordArea.words[]",

@@ -6,17 +6,13 @@ import "hydradb/internal/protocolspec"
 // body copy completes before WriteLocal releases the head indicator
 // word, Consume retires the indicator before the slot is reused, and
 // Poll size-guards the indicator against torn reads so a half-written
-// length can never over-slice into the neighbouring slot. Feeds the
-// "mailbox" model footprint.
+// length can never over-slice into the neighbouring slot.
 var RingSpec = protocolspec.Spec{
-	Name:      "mailbox-ring",
-	Model:     "mailbox",
-	Packages:  []string{"hydradb/internal/message", "hydradb/internal/arena"},
-	SchedTags: []string{"word"},
+	Name:     "mailbox-ring",
+	Packages: []string{"hydradb/internal/message", "hydradb/internal/arena"},
 	Words: []protocolspec.Word{{
-		Name:      "hydradb/internal/arena.WordArea.words[]",
-		Role:      protocolspec.ReadyWord,
-		Footprint: true,
+		Name: "hydradb/internal/arena.WordArea.words[]",
+		Role: protocolspec.ReadyWord,
 		Writers: []string{
 			"(*hydradb/internal/arena.WordArea).AllocGroup",
 			"(*hydradb/internal/arena.WordArea).Store",

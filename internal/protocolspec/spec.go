@@ -11,12 +11,9 @@
 // declared edges hold on every code path, spec-coverage flags atomic
 // stores to spec'd words that no edge or Writers entry sanctions,
 // spec-drift flags declarations that no longer match the code, and
-// spec-guard re-proves the torn-read guards. The specs are also the only
-// declaration of hydramc model coverage: a model covers the Packages,
-// Footprint-marked words and SchedTags of every spec whose Model names
-// it, and model-conformance fails the lint on any atomic word or
-// SchedPoint tag in a covered package that the model's specs omit, so
-// the linter, the model checker, and the code cannot drift apart.
+// spec-guard re-proves the torn-read guards. spec-coverage also flags an
+// atomic word in one of a spec's Packages that no spec declares, so a
+// new word in a protocol package cannot go unreviewed.
 //
 // Specs must be pure literals — string constants, bool literals, and
 // nested composite literals only — because the linter evaluates them
@@ -85,9 +82,6 @@ type Word struct {
 	Name string
 	// Role classifies the word.
 	Role Role
-	// Footprint marks the word as part of the owning model's coverage:
-	// every package the model covers may access it atomically.
-	Footprint bool
 	// Writers lists the functions sanctioned to store the word
 	// directly (types.Func.FullName form). Stores outside this list —
 	// and outside the publish/retract constants and hydralint:publishes
@@ -125,15 +119,9 @@ type Spec struct {
 	// Name identifies the spec in lint findings and SARIF
 	// fingerprints ("kv-guardian", "mailbox-ring", ...).
 	Name string
-	// Model names the hydramc model whose coverage this spec feeds;
-	// empty for specs with no model-checker counterpart.
-	Model string
-	// Packages lists the import paths the protocol spans; the model
-	// covers each of them.
+	// Packages lists the import paths the protocol spans; every atomic
+	// word they access must be declared by some spec.
 	Packages []string
-	// SchedTags lists the invariant.SchedPoint tags the model's
-	// scheduler interleaves on.
-	SchedTags []string
 
 	Words  []Word
 	Edges  []Edge

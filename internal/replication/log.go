@@ -149,8 +149,8 @@ func (s *Secondary) AppliedSeq() uint64 { return s.applied.Load() }
 
 // Pending reports whether PollOnce would make progress: an unseen doorbell
 // value, or the next expected record published in the ring. It is
-// side-effect-free — the stepping hook the model checker (and tests driving
-// the drain loop manually) use to know when polling is worthwhile.
+// side-effect-free, so a caller stepping the drain loop by hand can ask it
+// when polling is worthwhile.
 func (s *Secondary) Pending() bool {
 	words := s.log.mr.Words()
 	if db := words.Load(s.log.doorbellIdx()); db != 0 && db != s.lastDoorbell {
@@ -565,15 +565,15 @@ func (p *Primary) FlushTimeout(budgetNs int64) error {
 }
 
 // PollAcksOnce consumes pending acknowledgement words exactly once without
-// blocking — the stepping hook for tests and the model checker, which must
-// interleave primary-side ack handling with secondary-side polling
-// deterministically instead of entering the spin in waitAckedUntil. The
-// live path keeps using Replicate/Flush.
+// blocking — the stepping hook for a caller that interleaves primary-side
+// ack handling with secondary-side polling deterministically instead of
+// entering the spin in waitAckedUntil (the benchmark's stage rig). The live
+// path keeps using Replicate/Flush.
 func (p *Primary) PollAcksOnce() { p.pollAcks() }
 
 // SolicitAcks rings the out-of-band doorbell of every secondary lagging the
 // last assigned sequence, without waiting for the answers (the waiting
-// counterpart is Flush). Stepping hook for tests and the model checker.
+// counterpart is Flush). A stepping hook, like PollAcksOnce.
 func (p *Primary) SolicitAcks() {
 	if p.seq == 0 {
 		return

@@ -5,18 +5,15 @@ import "hydradb/internal/protocolspec"
 // ReadySpec declares the replication log's commit protocol: the
 // secondary's applied watermark may only advance after the replicated
 // record has actually been applied (promotion trusts the watermark), and
-// PollOnce size-guards the slot's ready word against torn reads. Feeds the
-// "replication" model footprint.
+// PollOnce size-guards the slot's ready word against torn reads.
 var ReadySpec = protocolspec.Spec{
 	Name:     "replication-ready",
-	Model:    "replication",
 	Packages: []string{"hydradb/internal/replication"},
 	Words: []protocolspec.Word{
 		{
-			Name:      "hydradb/internal/replication.Secondary.applied",
-			Role:      protocolspec.CommitWord,
-			Footprint: true,
-			Why:       "the watermark a failover promotion trusts; covered by the apply-after-replicate edge rather than a writer list so any new writer must also prove the ordering",
+			Name: "hydradb/internal/replication.Secondary.applied",
+			Role: protocolspec.CommitWord,
+			Why:  "the watermark a failover promotion trusts; covered by the apply-after-replicate edge rather than a writer list so any new writer must also prove the ordering",
 		},
 	},
 	Edges: []protocolspec.Edge{{

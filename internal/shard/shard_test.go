@@ -94,6 +94,44 @@ func TestShardServesOps(t *testing.T) {
 	}
 }
 
+// TestShardFreesRequestSlotBeforeReplying: the response is the client's
+// credit for its next request (§4.2.1), so the request slot it answers must
+// be clear before the response can land. Otherwise a client that writes its
+// next request the moment the response arrives has it erased by the late
+// clear. A fault hook looks at the slot as each reply is issued.
+func TestShardFreesRequestSlotBeforeReplying(t *testing.T) {
+	sh, f, _ := testShard(t)
+	ep := sh.Connect(f.NewNIC("client"), false)
+	replies, early := 0, 0
+	f.SetFaultHook(func(verb rdma.Verb, local, _ *rdma.NIC, _ int) rdma.FaultOutcome {
+		if verb == rdma.VerbWrite && local == sh.NIC() {
+			replies++
+			if ep.ReqBox.Busy() { // one request in flight: the slot at the shard's read cursor
+				early++
+			}
+		}
+		return rdma.FaultOutcome{}
+	})
+	buf := make([]byte, 256)
+	rounds := 2 * ep.Depth()
+	for i := 1; i <= rounds; i++ {
+		req := message.Request{Op: message.OpPut, Seq: uint32(i), Key: []byte("k"), Val: []byte("v")}
+		if err := ep.Send(buf[:req.EncodeTo(buf)], req.Seq); err != nil {
+			t.Fatal(err)
+		}
+		if !sh.PollOnce() {
+			t.Fatalf("round %d: the shard handled nothing", i)
+		}
+		if _, seq, ok := ep.Poll(); !ok || seq != req.Seq {
+			t.Fatalf("round %d: response seq %d (ok %v), want %d", i, seq, ok, req.Seq)
+		}
+		ep.Release()
+	}
+	if replies != rounds || early != 0 {
+		t.Fatalf("%d of %d replies were sent while their request slot was still busy", early, replies)
+	}
+}
+
 func TestShardRejectsStaleEpoch(t *testing.T) {
 	sh, f, _ := testShard(t)
 	sh.Start()
